@@ -6,12 +6,13 @@ Submodules:
 * ``graphs``: colored trivalent graphs, moves, enumeration
 * ``potential``: vertex and graph potentials, degenerations
 * ``mutation``: elementary transformations with symbolic certificates
-* ``periods``: brute-force period sequences (dense int64 or exact dict)
+* ``periods``: brute-force period sequences (exact dict walk)
 * ``tqft``: Bessel kernels, boundary states, the trace formula
 * ``cli``: the ``graphpot`` command
 
-Symbols are re-exported lazily so that importing the package stays cheap
-(the dense period backend pulls in its JIT compiler only when used).
+Symbols are re-exported lazily so that importing the package stays cheap:
+numpy is loaded only with ``tqft``, so brute-force periods, mutation and
+the commands that use nothing else start without it.
 """
 
 from importlib import import_module

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 on usage errors (bad arguments, malformed
-input files), 3 when a verification or cross-check fails.  All output is
-deterministic: keys are sorted and worker threads never affect ordering.
+input files, a negative ``--order``), 3 when a verification or cross-check
+fails.  All output is deterministic: JSON keys are sorted and edges are
+visited in id order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 
@@ -104,14 +104,11 @@ def cmd_period(args) -> int:
     g = _resolve_period_graph(args)
     methods = ["brute", "tqft"] if args.method == "both" else [args.method]
     results = {}
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        futures = {m: pool.submit(periods_of_graph, g, args.order, m, args.backend)
-                   for m in methods}
-        for m in methods:
-            try:
-                results[m] = futures[m].result()
-            except (ValueError, ArithmeticError) as exc:
-                raise UsageError(f"{m}: {exc}") from exc
+    for m in methods:
+        try:
+            results[m] = periods_of_graph(g, args.order, m)
+        except (ValueError, ArithmeticError) as exc:
+            raise UsageError(f"{m}: {exc}") from exc
     if len(methods) == 2 and results["brute"].pi != results["tqft"].pi:
         print("period mismatch:", file=sys.stderr)
         print(f"  brute: {list(results['brute'].pi)}", file=sys.stderr)
@@ -174,15 +171,12 @@ def cmd_verify_mutation(args) -> int:
         edges = sorted(e.id for e in g.edges if e.ends[0] != e.ends[1])
         if not edges:
             raise UsageError("graph has no non-loop internal edges")
-
-    def check(eid):
+    reports = {}
+    for eid in edges:
         try:
-            return eid, mutation_report(bundle, eid)
+            reports[eid] = mutation_report(bundle, eid)
         except (KeyError, ValueError) as exc:
             raise UsageError(f"edge {eid!r}: {exc}") from exc
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        reports = dict(pool.map(check, edges))
     failed = False
     for eid in edges:
         report = reports[eid]
@@ -326,14 +320,22 @@ def cmd_glue(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _order(text: str) -> int:
+    """argparse type of every ``--order``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphpot",
         description="Graph potentials: periods, mutations, and kernel traces "
                     "in exact arithmetic.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker pool size for batched computations "
-                             "(output is identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("potential", help="print the potential of a graph")
@@ -345,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph")
     p.add_argument("--genus", type=int)
     p.add_argument("--parity", type=int, choices=(0, 1))
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.add_argument("--method", choices=("brute", "tqft", "both"), default="both")
-    p.add_argument("--backend", choices=("auto", "pure", "numba"), default="auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_period)
 
@@ -368,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="CSV period table over genus and parity")
     p.add_argument("--genus-max", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("kernel", help="dump the T1 kernel matrix")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("grassmann", help="degenerate a genus-0 potential")
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grassmann)
 
     p = sub.add_parser("wdvv", help="four-point symmetry check")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.add_argument("--parity", choices=("0", "1", "both"), default="both")
     p.set_defaults(func=cmd_wdvv)
 
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--leaf-a", required=True)
     p.add_argument("--leaf-b", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_glue)
 
@@ -401,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except UsageError as exc:

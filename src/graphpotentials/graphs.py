@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 ORIENTATIONS = ("out", "in")
 
 
@@ -168,36 +166,12 @@ def genus(g: ColoredGraph) -> int:
 def homology_ranks_f2(g: ColoredGraph) -> tuple[int, int]:
     """(rank H_0, rank H_1) over F_2 of the complex with internal edges as 1-cells.
 
-    Computed by Gaussian elimination on the vertex-edge incidence matrix;
-    a loop has both ends at one vertex and contributes a zero column.
+    H_0 has one generator per connected component c, and the Euler
+    characteristic V - E = rank H_0 - rank H_1 gives rank H_1 = E - V + c
+    (over any field; a loop is a cycle on its own).
     """
-    nv = len(g.vertices)
-    ne = len(g.edges)
-    index = {v.id: i for i, v in enumerate(g.vertices)}
-    m = np.zeros((nv, ne), dtype=np.uint8)
-    for j, e in enumerate(g.edges):
-        m[index[e.ends[0]], j] ^= 1
-        m[index[e.ends[1]], j] ^= 1
-    rank = 0
-    row = 0
-    for col in range(ne):
-        pivot = None
-        for r in range(row, nv):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != row:
-            m[[row, pivot]] = m[[pivot, row]]
-        for r in range(nv):
-            if r != row and m[r, col]:
-                m[r] ^= m[row]
-        rank += 1
-        row += 1
-        if row == nv:
-            break
-    return nv - rank, ne - rank
+    c = len(_components(g))
+    return c, len(g.edges) - len(g.vertices) + c
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +482,26 @@ def graph_to_json(g: ColoredGraph) -> dict:
     }
 
 
+def _json_color(v: Mapping) -> int:
+    color = v["color"]
+    # exactly int: bool is a subclass of int, and a float such as 1.7 or 1.0 is no color
+    if type(color) is not int:
+        raise ValueError(f"vertex {v['id']!r}: color must be an integer, got {color!r}")
+    return color
+
+
+def _json_ends(e: Mapping) -> tuple[str, str]:
+    ends = e["ends"]
+    if not isinstance(ends, (list, tuple)) or len(ends) != 2:
+        raise ValueError(f"edge {e['id']!r}: ends must list exactly two vertices, got {ends!r}")
+    return str(ends[0]), str(ends[1])
+
+
 def graph_from_json(data: Mapping) -> ColoredGraph:
+    """Graph from the JSON document of :func:`graph_to_json`; ValueError if malformed."""
     try:
-        vertices = tuple(Vertex(str(v["id"]), int(v["color"])) for v in data["vertices"])
-        edges = tuple(Edge(str(e["id"]), (str(e["ends"][0]), str(e["ends"][1])))
-                      for e in data.get("edges", ()))
+        vertices = tuple(Vertex(str(v["id"]), _json_color(v)) for v in data["vertices"])
+        edges = tuple(Edge(str(e["id"]), _json_ends(e)) for e in data.get("edges", ()))
         leaves = tuple(Leaf(str(x["id"]), str(x["vertex"]), str(x["orientation"]))
                        for x in data.get("leaves", ()))
     except (KeyError, IndexError, TypeError, ValueError) as exc:

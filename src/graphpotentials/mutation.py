@@ -66,26 +66,22 @@ def _x_coefficients(local: LaurentPoly, x: str) -> tuple[LaurentPoly, LaurentPol
     return LaurentPoly(rest_vars, mu), LaurentPoly(rest_vars, nu)
 
 
-def mu_nu_factors(bundle: PotentialBundle, edge_id: str) -> MutationCertificate:
-    """Certificate for mutating the bundle at a non-loop internal edge."""
+def _local_on_slots(bundle: PotentialBundle, x: str,
+                    slots: tuple[tuple[str, str], tuple[str, str]]) -> tuple[LaurentPoly, LaurentPoly]:
+    """(local, frozen) with local restricted to the slot variables and x."""
+    local, frozen = split_potential(bundle, x)
+    keep = {s for pair in slots for s in pair} | {x}
+    return local.drop_vars([v for v in local.vars if v not in keep]), frozen
+
+
+def _certificate(bundle: PotentialBundle, bundle2: PotentialBundle,
+                 edge_id: str) -> MutationCertificate:
     g = bundle.graph
-    e = g.edge(edge_id)
-    v1, v2 = e.ends
+    v1, v2 = g.edge(edge_id).ends
     slots = edge_slot_vars(g, edge_id)
-    colored_case = g.color(v1) != g.color(v2)
+    mu, nu = _x_coefficients(_local_on_slots(bundle, edge_id, slots)[0], edge_id)
+    mu2, nu2 = _x_coefficients(_local_on_slots(bundle2, edge_id, slots)[0], edge_id)
 
-    local, _ = split_potential(bundle, edge_id)
-    slot_set = sorted({s for pair in slots for s in pair} | {edge_id})
-    local = local.drop_vars([v for v in local.vars if v not in slot_set])
-    mu, nu = _x_coefficients(local, edge_id)
-
-    transformed = elementary_transformation(g, edge_id)
-    bundle2 = graph_potential(transformed)
-    local2, _ = split_potential(bundle2, edge_id)
-    local2 = local2.drop_vars([v for v in local2.vars if v not in slot_set])
-    mu2, nu2 = _x_coefficients(local2, edge_id)
-
-    product_ok = mu * nu == mu2 * nu2
     # x = mu' / (nu x'), inverse of x' = mu' / (nu x); used to rewrite the
     # transformed local potential in the source coordinates
     allv = tuple(sorted(set(mu.vars) | {edge_id}))
@@ -93,15 +89,37 @@ def mu_nu_factors(bundle: PotentialBundle, edge_id: str) -> MutationCertificate:
                            nu.embed(allv) * LaurentPoly.variable(allv, edge_id))
     return MutationCertificate(
         edge=edge_id,
-        colored_case=colored_case,
+        colored_case=g.color(v1) != g.color(v2),
         slot_vars=slots,
         mu=mu,
         nu=nu,
         mu_prime=mu2,
         nu_prime=nu2,
         substitution=x_value,
-        product_identity_checked=product_ok,
+        product_identity_checked=mu * nu == mu2 * nu2,
     )
+
+
+def _mutation(bundle: PotentialBundle, edge_id: str):
+    """(transformed bundle, certificate, checks) from one build of the
+    transformed potential."""
+    bundle2 = graph_potential(elementary_transformation(bundle.graph, edge_id))
+    cert = _certificate(bundle, bundle2, edge_id)
+    local, frozen = _local_on_slots(bundle, edge_id, cert.slot_vars)
+    local2, frozen2 = _local_on_slots(bundle2, edge_id, cert.slot_vars)
+    substituted = rexpr_substitute(local, edge_id, cert.substitution)
+    checks = {
+        "product_identity": cert.product_identity_checked,
+        "substitution_identity": rexpr_equal(substituted, RationalExpr.from_poly(local2)),
+        "frozen_unchanged": frozen == frozen2,
+    }
+    return bundle2, cert, checks
+
+
+def mu_nu_factors(bundle: PotentialBundle, edge_id: str) -> MutationCertificate:
+    """Certificate for mutating the bundle at a non-loop internal edge."""
+    bundle2 = graph_potential(elementary_transformation(bundle.graph, edge_id))
+    return _certificate(bundle, bundle2, edge_id)
 
 
 def mutation_report(bundle: PotentialBundle, edge_id: str) -> dict[str, bool]:
@@ -112,26 +130,7 @@ def mutation_report(bundle: PotentialBundle, edge_id: str) -> dict[str, bool]:
       source local potential reproduces the transformed local potential
     * ``frozen_unchanged``: the other vertex potentials agree term by term
     """
-    cert = mu_nu_factors(bundle, edge_id)
-    g = bundle.graph
-    x = edge_id
-
-    local, frozen = split_potential(bundle, x)
-    transformed = elementary_transformation(g, x)
-    bundle2 = graph_potential(transformed)
-    local2, frozen2 = split_potential(bundle2, x)
-
-    slot_set = sorted({s for pair in cert.slot_vars for s in pair} | {x})
-    local_small = local.drop_vars([v for v in local.vars if v not in slot_set])
-    local2_small = local2.drop_vars([v for v in local2.vars if v not in slot_set])
-
-    substituted = rexpr_substitute(local_small, x, cert.substitution)
-    checks = {
-        "product_identity": cert.product_identity_checked,
-        "substitution_identity": rexpr_equal(substituted, RationalExpr.from_poly(local2_small)),
-        "frozen_unchanged": frozen == frozen2,
-    }
-    return checks
+    return _mutation(bundle, edge_id)[2]
 
 
 def verify_mutation(bundle: PotentialBundle, edge_id: str) -> bool:
@@ -139,11 +138,13 @@ def verify_mutation(bundle: PotentialBundle, edge_id: str) -> bool:
 
 
 def mutate(bundle: PotentialBundle, edge_id: str) -> tuple[PotentialBundle, MutationCertificate]:
-    """Transformed bundle plus its certificate; raises if verification fails."""
-    report = mutation_report(bundle, edge_id)
+    """Transformed bundle plus its certificate; raises if verification fails.
+
+    The transformed potential is built once and serves the certificate and
+    every check of :func:`mutation_report`.
+    """
+    bundle2, cert, report = _mutation(bundle, edge_id)
     if not all(report.values()):
         failed = sorted(k for k, v in report.items() if not v)
         raise ArithmeticError(f"mutation at {edge_id!r} failed checks: {', '.join(failed)}")
-    cert = mu_nu_factors(bundle, edge_id)
-    bundle2 = graph_potential(elementary_transformation(bundle.graph, edge_id))
     return bundle2, cert

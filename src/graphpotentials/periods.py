@@ -4,25 +4,20 @@ pi_k = [W^k]_0 is computed by brute force as a running product with
 support pruning: after k of K factors, a term can still contribute to a
 constant term only if every exponent satisfies |e_i| <= w_i * (K - k) and
 the exponent 1-norm is at most L * (K - k), where w_i and L bound the
-per-step change.  Two interchangeable backends produce the same numbers:
-a dense int64 stencil (numba) and an exact big-integer dict.  The numba
-path is used when it is available and provably overflow-free, unless
-GRAPHPOTENTIALS_PURE=1 forces the fallback.
+per-step change.  The walk keeps exact integer (or Fraction) coefficients
+in a dict keyed by exponent tuples; it is the only brute-force engine, and
+the trace formula in ``tqft`` is the independent check on it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _fastbrute
 from .algebra import LaurentPoly
 from .graphs import ColoredGraph, genus, homology_ranks_f2, validate
 from .potential import graph_potential
-
-ENV_FORCE_PURE = "GRAPHPOTENTIALS_PURE"
 
 
 @dataclass(frozen=True)
@@ -73,40 +68,26 @@ def _pure_constant_terms(monomials, nvars: int, order: int) -> list:
     return out
 
 
-def _poly_to_int_monomials(p: LaurentPoly):
-    monomials = []
-    for e, c in p.terms.items():
-        if c.denominator != 1:
-            return None
-        monomials.append((e, c.numerator))
-    return monomials
+def _check_backend(backend: str) -> None:
+    if backend not in ("auto", "pure"):
+        raise ValueError(f"unknown backend {backend!r}: the exact dict walk is the "
+                         "only brute-force engine, named 'auto' or 'pure'")
 
 
 def constant_terms_of_powers(p: LaurentPoly, order: int, backend: str = "auto") -> list:
-    """[p^k]_0 for k = 0..order; exact, backend-independent values."""
-    if backend not in ("auto", "pure", "numba"):
-        raise ValueError(f"unknown backend {backend!r}")
-    monomials = _poly_to_int_monomials(p)
-    if monomials is None:
-        if backend == "numba":
-            raise ValueError("the dense backend needs integer coefficients")
-        fractional = list(p.terms.items())
-        return _pure_constant_terms(fractional, len(p.vars), order)
-    if backend != "pure" and not os.environ.get(ENV_FORCE_PURE):
-        fast = _fastbrute.constant_terms_of_powers(monomials, len(p.vars), order)
-        if fast is not None:
-            return fast
-        if backend == "numba":
-            raise ValueError("the dense backend cannot run this instance "
-                             "(numba missing, overflow bound, or box too large)")
-    elif backend == "numba":
-        raise ValueError("the dense backend is disabled by " + ENV_FORCE_PURE)
+    """[p^k]_0 for k = 0..order, exactly.
+
+    ``backend`` is checked, not chosen: "auto" and "pure" both name the
+    exact dict walk, and any other name raises ValueError.
+    """
+    _check_backend(backend)
+    monomials = [(e, c.numerator if c.denominator == 1 else c) for e, c in p.terms.items()]
     return _pure_constant_terms(monomials, len(p.vars), order)
 
 
-def periods_bruteforce(p: LaurentPoly, order: int, backend: str = "auto",
+def periods_bruteforce(p: LaurentPoly, order: int,
                        fingerprint: str | None = None) -> PeriodSequence:
-    values = constant_terms_of_powers(p, order, backend)
+    values = constant_terms_of_powers(p, order)
     return PeriodSequence(order, tuple(values), fingerprint)
 
 
@@ -126,8 +107,10 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
 
     ``method="brute"`` expands powers of the potential; ``method="tqft"``
     evaluates the trace formula at the graph's genus and coloring parity.
-    Both agree; the tests cross-validate them.
+    Both agree; the tests cross-validate them.  ``backend`` is checked as
+    in :func:`constant_terms_of_powers`.
     """
+    _check_backend(backend)
     problems = validate(g)
     if problems:
         raise ValueError("invalid graph: " + "; ".join(problems))
@@ -139,7 +122,7 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     fp = f"g{h1}e{g.coloring_parity()}"
     if method == "brute":
         bundle = graph_potential(g)
-        return periods_bruteforce(bundle.potential, order, backend, fp)
+        return periods_bruteforce(bundle.potential, order, fp)
     if method == "tqft":
         from .tqft import trace_formula
 

@@ -55,7 +55,7 @@ def timed(fn):
     return out, time.perf_counter() - t0
 
 
-def test_criterion_01_genus2_odd_periods(numba_warm):
+def test_criterion_01_genus2_odd_periods():
     brute, tb = timed(lambda: periods_of_graph(theta_graph(1), 12, method="brute"))
     tqft, tt = timed(lambda: periods_of_graph(theta_graph(1), 12, method="tqft"))
     want = expand(GENUS2_ODD, 12)
@@ -63,7 +63,7 @@ def test_criterion_01_genus2_odd_periods(numba_warm):
     report(1, f"genus-2 odd periods, brute {tb:.3f}s / tqft {tt:.3f}s", ok)
 
 
-def test_criterion_02_genus2_even_periods(numba_warm):
+def test_criterion_02_genus2_even_periods():
     brute, tb = timed(lambda: periods_of_graph(theta_graph(), 12, method="brute"))
     tqft, tt = timed(lambda: periods_of_graph(theta_graph(), 12, method="tqft"))
     want = expand(GENUS2_EVEN, 12)
@@ -78,7 +78,7 @@ def test_criterion_03_central_binomial_closed_form():
     report(3, "genus-2 odd periods equal C(2n,n)^3 for n <= 8", ok)
 
 
-def test_criterion_04_genus3_oracle_equivalence(numba_warm):
+def test_criterion_04_genus3_oracle_equivalence():
     classes = enumerate_trivalent(3)
     ok = len(classes) == 5
     slowest = 0.0
@@ -93,7 +93,7 @@ def test_criterion_04_genus3_oracle_equivalence(numba_warm):
               f"(slowest brute {slowest:.2f}s)", ok)
 
 
-def test_criterion_05_mutation_suite(numba_warm):
+def test_criterion_05_mutation_suite():
     cache = {}
 
     def periods8(bundle):
@@ -123,7 +123,7 @@ def test_criterion_05_mutation_suite(numba_warm):
               f"moves ({checked} edge mutations, zero failures)", ok)
 
 
-def test_criterion_06_theta_dumbbell(numba_warm):
+def test_criterion_06_theta_dumbbell():
     ok = True
     for parity in (0, 1):
         out = elementary_transformation(theta_graph(parity), "a")

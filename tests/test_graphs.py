@@ -82,11 +82,16 @@ class TestGenusAndHomology:
         assert genus(g) == expected
 
     def test_homology_ranks(self):
-        # rank H_0 = components, rank H_1 = genus, from the F2 incidence matrix
+        # rank H_0 = components, rank H_1 = E - V + components
         assert homology_ranks_f2(theta_graph()) == (1, 2)
         assert homology_ranks_f2(dumbbell_graph()) == (1, 2)
         assert homology_ranks_f2(necklace_graph(5)) == (1, 5)
         assert homology_ranks_f2(tripod()) == (1, 0)
+        two_thetas = make_graph(
+            [("v1", 0), ("v2", 0), ("w1", 0), ("w2", 0)],
+            [("a", "v1", "v2"), ("b", "v1", "v2"), ("c", "v1", "v2"),
+             ("p", "w1", "w2"), ("q", "w1", "w2"), ("r", "w1", "w2")])
+        assert homology_ranks_f2(two_thetas) == (2, 4)
 
 
 class TestColoring:
@@ -256,3 +261,16 @@ class TestJson:
     def test_fixture_theta_matches_builtin(self):
         g = graph_from_json(json.loads((FIXTURES / "theta.json").read_text()))
         assert is_isomorphic(g, theta_graph())
+
+    @pytest.mark.parametrize("color", [True, 1.7, 1.0, "1"])
+    def test_color_must_be_an_integer(self, color):
+        doc = graph_to_json(theta_graph())
+        doc["vertices"][1]["color"] = color
+        with pytest.raises(ValueError, match="color must be an integer"):
+            graph_from_json(doc)
+
+    def test_edge_needs_exactly_two_ends(self):
+        doc = graph_to_json(theta_graph())
+        doc["edges"][0]["ends"] = ["v1", "v2", "v1"]
+        with pytest.raises(ValueError, match="exactly two"):
+            graph_from_json(doc)

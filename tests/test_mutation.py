@@ -7,6 +7,7 @@ from graphpotentials.graphs import (
     dumbbell_graph,
     is_isomorphic,
     make_graph,
+    necklace_graph,
     theta_graph,
 )
 from graphpotentials.mutation import (
@@ -151,6 +152,20 @@ class TestThetaDumbbell:
         assert cert.nu == P({(2, 0): 1, (-2, 0): 1, (0, 2): 1, (0, -2): 1}, bc)
         assert cert.mu_prime == P({(1, -1): 2, (-1, 1): 2}, bc)
         assert cert.nu_prime == P({(1, 1): 2, (-1, -1): 2}, bc)
+
+    def test_mutate_builds_one_potential(self, monkeypatch):
+        from graphpotentials import mutation as mutation_mod
+
+        bundle = graph_potential(necklace_graph(3, parity=1))
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return graph_potential(g)
+
+        monkeypatch.setattr(mutation_mod, "graph_potential", counting)
+        out, _ = mutate(bundle, "s2")
+        assert len(calls) == 1 and out.graph is calls[0]
 
     def test_mutate_swaps_the_pair(self):
         b_theta = graph_potential(theta_graph())
