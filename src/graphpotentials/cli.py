@@ -107,8 +107,10 @@ def cmd_period(args) -> int:
     for m in methods:
         try:
             results[m] = periods_of_graph(g, args.order, m)
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             raise UsageError(f"{m}: {exc}") from exc
+        except ArithmeticError as exc:
+            raise VerificationFailure(f"{m}: {exc}") from exc
     if len(methods) == 2 and results["brute"].pi != results["tqft"].pi:
         print("period mismatch:", file=sys.stderr)
         print(f"  brute: {list(results['brute'].pi)}", file=sys.stderr)
@@ -210,25 +212,23 @@ def cmd_verify_coloring(args) -> int:
 
 
 def cmd_table(args) -> int:
-    import math
-
+    from .periods import periods_from_laplace
     from .tqft import trace_formula_table
 
     if args.genus_max < 2:
         raise UsageError("--genus-max must be >= 2")
     table = trace_formula_table(args.genus_max, args.order)
-    columns = [(g, p) for g in range(2, args.genus_max + 1) for p in (0, 1)]
+    columns = []
+    for (g, p), hat in table.items():
+        try:
+            columns.append(periods_from_laplace(hat))
+        except ArithmeticError as exc:
+            raise VerificationFailure(f"column g{g}e{p}: {exc}") from exc
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k"] + [f"g{g}e{p}" for g, p in columns])
+    writer.writerow(["k"] + [f"g{g}e{p}" for g, p in table])
     for k in range(args.order + 1):
-        row = [k]
-        for col in columns:
-            v = table[col][k] * math.factorial(k)
-            if v.denominator != 1:
-                raise VerificationFailure(f"non-integral period at k={k}, column {col}")
-            row.append(v.numerator)
-        writer.writerow(row)
+        writer.writerow([k] + [col[k] for col in columns])
     sys.stdout.write(buf.getvalue())
     return 0
 

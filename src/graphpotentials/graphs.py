@@ -160,7 +160,7 @@ def _components(g: ColoredGraph) -> list[set[str]]:
 
 def genus(g: ColoredGraph) -> int:
     """First Betti number of the underlying space (leaves are contractible)."""
-    return len(g.edges) - len(g.vertices) + len(_components(g))
+    return homology_ranks_f2(g)[1]
 
 
 def homology_ranks_f2(g: ColoredGraph) -> tuple[int, int]:
@@ -255,8 +255,9 @@ def _slots_at(g: ColoredGraph, vid: str, skip_edge: str) -> list[tuple]:
     return slots
 
 
-def edge_slot_vars(g: ColoredGraph, edge_id: str) -> tuple[tuple[str, str], tuple[str, str]]:
-    """Variable names (a, b), (c, d) of the non-x slots at the ends of x."""
+def _edge_slots(g: ColoredGraph, edge_id: str) -> tuple[list[tuple], list[tuple]]:
+    """The two remaining slots at each end of a non-loop edge between
+    trivalent vertices, in the order of ``edge.ends``."""
     e = g.edge(edge_id)
     v1, v2 = e.ends
     if v1 == v2:
@@ -265,6 +266,12 @@ def edge_slot_vars(g: ColoredGraph, edge_id: str) -> tuple[tuple[str, str], tupl
     s2 = _slots_at(g, v2, edge_id)
     if len(s1) != 2 or len(s2) != 2:
         raise ValueError(f"edge {edge_id}: endpoints are not trivalent")
+    return s1, s2
+
+
+def edge_slot_vars(g: ColoredGraph, edge_id: str) -> tuple[tuple[str, str], tuple[str, str]]:
+    """Variable names (a, b), (c, d) of the non-x slots at the ends of x."""
+    s1, s2 = _edge_slots(g, edge_id)
     return (s1[0][1], s1[1][1]), (s2[0][1], s2[1][1])
 
 
@@ -276,14 +283,8 @@ def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:
     crosses to the second endpoint and slot c to the first.  All ids and
     all vertex colors are preserved.
     """
-    e = g.edge(edge_id)
-    v1, v2 = e.ends
-    if v1 == v2:
-        raise ValueError(f"edge {edge_id} is a loop")
-    s1 = _slots_at(g, v1, edge_id)
-    s2 = _slots_at(g, v2, edge_id)
-    if len(s1) != 2 or len(s2) != 2:
-        raise ValueError(f"edge {edge_id}: endpoints are not trivalent")
+    v1, v2 = g.edge(edge_id).ends
+    s1, s2 = _edge_slots(g, edge_id)
     reassign = [(s1[1], v2), (s2[0], v1)]
     edges = list(g.edges)
     leaves = list(g.leaves)

@@ -74,20 +74,25 @@ def _local_on_slots(bundle: PotentialBundle, x: str,
     return local.drop_vars([v for v in local.vars if v not in keep]), frozen
 
 
-def _certificate(bundle: PotentialBundle, bundle2: PotentialBundle,
-                 edge_id: str) -> MutationCertificate:
+def _certificate(bundle: PotentialBundle, edge_id: str):
+    """(transformed bundle, certificate, (local, frozen) of the source,
+    (local, frozen) of the target) from one build of the transformed
+    potential and one split of each potential."""
     g = bundle.graph
     v1, v2 = g.edge(edge_id).ends
     slots = edge_slot_vars(g, edge_id)
-    mu, nu = _x_coefficients(_local_on_slots(bundle, edge_id, slots)[0], edge_id)
-    mu2, nu2 = _x_coefficients(_local_on_slots(bundle2, edge_id, slots)[0], edge_id)
+    bundle2 = graph_potential(elementary_transformation(g, edge_id))
+    split = _local_on_slots(bundle, edge_id, slots)
+    split2 = _local_on_slots(bundle2, edge_id, slots)
+    mu, nu = _x_coefficients(split[0], edge_id)
+    mu2, nu2 = _x_coefficients(split2[0], edge_id)
 
     # x = mu' / (nu x'), inverse of x' = mu' / (nu x); used to rewrite the
     # transformed local potential in the source coordinates
     allv = tuple(sorted(set(mu.vars) | {edge_id}))
     x_value = RationalExpr(mu2.embed(allv),
                            nu.embed(allv) * LaurentPoly.variable(allv, edge_id))
-    return MutationCertificate(
+    cert = MutationCertificate(
         edge=edge_id,
         colored_case=g.color(v1) != g.color(v2),
         slot_vars=slots,
@@ -98,15 +103,12 @@ def _certificate(bundle: PotentialBundle, bundle2: PotentialBundle,
         substitution=x_value,
         product_identity_checked=mu * nu == mu2 * nu2,
     )
+    return bundle2, cert, split, split2
 
 
 def _mutation(bundle: PotentialBundle, edge_id: str):
-    """(transformed bundle, certificate, checks) from one build of the
-    transformed potential."""
-    bundle2 = graph_potential(elementary_transformation(bundle.graph, edge_id))
-    cert = _certificate(bundle, bundle2, edge_id)
-    local, frozen = _local_on_slots(bundle, edge_id, cert.slot_vars)
-    local2, frozen2 = _local_on_slots(bundle2, edge_id, cert.slot_vars)
+    """(transformed bundle, certificate, checks)."""
+    bundle2, cert, (local, frozen), (local2, frozen2) = _certificate(bundle, edge_id)
     substituted = rexpr_substitute(local, edge_id, cert.substitution)
     checks = {
         "product_identity": cert.product_identity_checked,
@@ -118,8 +120,7 @@ def _mutation(bundle: PotentialBundle, edge_id: str):
 
 def mu_nu_factors(bundle: PotentialBundle, edge_id: str) -> MutationCertificate:
     """Certificate for mutating the bundle at a non-loop internal edge."""
-    bundle2 = graph_potential(elementary_transformation(bundle.graph, edge_id))
-    return _certificate(bundle, bundle2, edge_id)
+    return _certificate(bundle, edge_id)[1]
 
 
 def mutation_report(bundle: PotentialBundle, edge_id: str) -> dict[str, bool]:

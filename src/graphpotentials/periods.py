@@ -7,6 +7,11 @@ the exponent 1-norm is at most L * (K - k), where w_i and L bound the
 per-step change.  The walk keeps exact integer (or Fraction) coefficients
 in a dict keyed by exponent tuples; it is the only brute-force engine, and
 the trace formula in ``tqft`` is the independent check on it.
+
+Boundary states of open graphs (``tqft.k_state``) run the same walk: there
+the leaf variables are kept rather than summed out, and only the internal
+edge exponents are pruned, so a period is the state of a graph without
+leaves.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LaurentPoly
+from .algebra import LaurentPoly, TSeries
 from .graphs import ColoredGraph, genus, homology_ranks_f2, validate
 from .potential import graph_potential
 
@@ -40,16 +45,19 @@ class LaplaceSequence:
     graph_fingerprint: str | None = None
 
 
-def _pure_constant_terms(monomials, nvars: int, order: int) -> list:
-    """Exact dict-based [W^k]_0 for k = 0..order with support pruning."""
-    if nvars == 0:
-        c = sum(c for _, c in monomials)
-        return [c ** k for k in range(order + 1)]
-    w = [max((abs(e[i]) for e, _ in monomials), default=0) for i in range(nvars)]
-    norm = max((sum(abs(x) for x in e) for e, _ in monomials), default=0)
-    zero = (0,) * nvars
-    cur = {zero: 1}
-    out = [1]
+def _walk(monomials, nvars: int, order: int, kept: int) -> list[dict]:
+    """Terms of W^d constant in the summed-out variables, for d = 0..order.
+
+    The last ``kept`` of the ``nvars`` exponents are kept and the others
+    summed out; degree d maps kept exponent tuples to exact coefficients.
+    Only the summed-out exponents are pruned, so with no kept variables the
+    walk gives periods and with leaf variables kept it gives boundary states.
+    """
+    n = nvars - kept
+    w = [max((abs(e[i]) for e, _ in monomials), default=0) for i in range(n)]
+    norm = max((sum(abs(x) for x in e[:n]) for e, _ in monomials), default=0)
+    cur = {(0,) * nvars: 1}
+    out = [{(0,) * kept: 1}]
     for k in range(1, order + 1):
         rem = order - k
         cap = [wi * rem for wi in w]
@@ -58,14 +66,20 @@ def _pure_constant_terms(monomials, nvars: int, order: int) -> list:
         for e, c in cur.items():
             for me, mc in monomials:
                 f = tuple(a + b for a, b in zip(e, me))
-                if sum(abs(x) for x in f) > norm_cap:
+                s = f[:n] if kept else f  # a slice costs time even when it is all of f
+                if sum(abs(x) for x in s) > norm_cap:
                     continue
-                if any(abs(x) > cap[i] for i, x in enumerate(f)):
+                if any(abs(x) > cap[i] for i, x in enumerate(s)):
                     continue
                 nxt[f] = nxt.get(f, 0) + c * mc
         cur = {e: c for e, c in nxt.items() if c}
-        out.append(cur.get(zero, 0))
+        out.append({e[n:]: c for e, c in cur.items() if not any(e[:n])})
     return out
+
+
+def _monomials(p: LaurentPoly) -> list:
+    """(exponents, coefficient) pairs of p, integral coefficients as ints."""
+    return [(e, c.numerator if c.denominator == 1 else c) for e, c in p.terms.items()]
 
 
 def _check_backend(backend: str) -> None:
@@ -81,8 +95,7 @@ def constant_terms_of_powers(p: LaurentPoly, order: int, backend: str = "auto") 
     exact dict walk, and any other name raises ValueError.
     """
     _check_backend(backend)
-    monomials = [(e, c.numerator if c.denominator == 1 else c) for e, c in p.terms.items()]
-    return _pure_constant_terms(monomials, len(p.vars), order)
+    return [t.get((), 0) for t in _walk(_monomials(p), len(p.vars), order, 0)]
 
 
 def periods_bruteforce(p: LaurentPoly, order: int,
@@ -95,6 +108,20 @@ def inverse_laplace(seq: PeriodSequence) -> LaplaceSequence:
     """Divide out k!: pi_hat_k = pi_k / k!."""
     hat = tuple(Fraction(seq.pi[k], math.factorial(k)) for k in range(seq.order + 1))
     return LaplaceSequence(seq.order, hat, seq.graph_fingerprint)
+
+
+def periods_from_laplace(hat: TSeries) -> tuple[int, ...]:
+    """pi_k = k! * pi_hat_k for a Laplace-transformed period series.
+
+    Raises ArithmeticError when some pi_k is not an integer.
+    """
+    pi = []
+    for k, c in enumerate(hat.coeffs):
+        v = c * math.factorial(k)
+        if v.denominator != 1:
+            raise ArithmeticError(f"period {k} is not integral: {v}")
+        pi.append(v.numerator)
+    return tuple(pi)
 
 
 def graph_fingerprint(g: ColoredGraph) -> str:
@@ -119,7 +146,7 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     h0, h1 = homology_ranks_f2(g)
     if h0 != 1:
         raise ValueError("periods are defined for connected graphs")
-    fp = f"g{h1}e{g.coloring_parity()}"
+    fp = graph_fingerprint(g)
     if method == "brute":
         bundle = graph_potential(g)
         return periods_bruteforce(bundle.potential, order, fp)
@@ -127,11 +154,5 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
         from .tqft import trace_formula
 
         hat = trace_formula(h1, g.coloring_parity(), order)
-        pi = []
-        for k in range(order + 1):
-            v = hat[k] * math.factorial(k)
-            if v.denominator != 1:
-                raise ArithmeticError(f"period {k} is not integral: {v}")
-            pi.append(v.numerator)
-        return PeriodSequence(order, tuple(pi), fp)
+        return PeriodSequence(order, periods_from_laplace(hat), fp)
     raise ValueError(f"unknown method {method!r}")

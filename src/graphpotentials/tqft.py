@@ -32,7 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import LaurentPoly, TSeries, pairing_in_var, ts_exp
-from .graphs import ColoredGraph, validate
+from .graphs import ColoredGraph
+from .periods import _monomials, _walk
 from .potential import graph_potential, vertex_potential
 
 
@@ -322,49 +323,19 @@ def k_state(g: ColoredGraph, order: int) -> BoundaryState:
     """Boundary state of an open graph by direct expansion of exp(t W).
 
     Coefficient of t^d is the constant term, in every internal-edge
-    variable, of W^d / d!.  A term of the running product is pruned once
-    its internal exponents can no longer cancel within the remaining
-    factors.
+    variable, of W^d / d!.  It is computed by the pruned walk that gives
+    periods: with the leaf variables kept, not summed out, a closed graph's
+    period is the state of a graph with no leaves.
     """
-    problems = validate(g)
-    if problems:
-        raise ValueError("invalid graph: " + "; ".join(problems))
     bundle = graph_potential(g)
     leaf_vars = tuple(sorted(x.id for x in g.leaves))
-    internal = [i for i, v in enumerate(bundle.variables) if v not in leaf_vars]
-    leaf_idx = [i for i, v in enumerate(bundle.variables) if v in leaf_vars]
-
-    monomials = []
-    for e, c in bundle.potential.terms.items():
-        if c.denominator != 1:
-            raise ArithmeticError("graph potentials have integer coefficients")
-        monomials.append((e, c.numerator))
-    w = {i: max(abs(e[i]) for e, _ in monomials) for i in internal}
-    norm = max(sum(abs(e[i]) for i in internal) for e, _ in monomials) if internal else 0
-
-    nvars = len(bundle.variables)
-    zero = (0,) * nvars
-    cur = {zero: 1}
-    coeffs = [LaurentPoly.one(leaf_vars)]
-    for d in range(1, order + 1):
-        rem = order - d
-        nxt: dict[tuple, int] = {}
-        for e, c in cur.items():
-            for me, mc in monomials:
-                f = tuple(a + b for a, b in zip(e, me))
-                if sum(abs(f[i]) for i in internal) > norm * rem:
-                    continue
-                if any(abs(f[i]) > w[i] * rem for i in internal):
-                    continue
-                nxt[f] = nxt.get(f, 0) + c * mc
-        cur = {e: c for e, c in nxt.items() if c}
+    names = bundle.variables  # sorted, so the leaves stay in leaf_vars order
+    perm = sorted(range(len(names)), key=lambda i: names[i] in leaf_vars)
+    monomials = [(tuple(e[i] for i in perm), c) for e, c in _monomials(bundle.potential)]
+    coeffs = []
+    for d, terms in enumerate(_walk(monomials, len(names), order, len(leaf_vars))):
         fact = math.factorial(d)
-        terms = {}
-        for e, c in cur.items():
-            if all(e[i] == 0 for i in internal):
-                key = tuple(e[i] for i in leaf_idx)
-                terms[key] = terms.get(key, 0) + Fraction(c, fact)
-        coeffs.append(LaurentPoly(leaf_vars, terms))
+        coeffs.append(LaurentPoly(leaf_vars, {e: Fraction(c, fact) for e, c in terms.items()}))
     return BoundaryState(order, leaf_vars, TSeries(order, tuple(coeffs)))
 
 

@@ -166,6 +166,30 @@ class TestTable:
                        "4,384,216,576,384\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("period", "--genus", 2, "--parity", 0, "--order", 4, "--method", "tqft"),
+    ("table", "--genus-max", 2, "--order", 4),
+])
+def test_non_integral_period_exits_3(argv, capsys, monkeypatch):
+    from fractions import Fraction
+    from math import factorial
+
+    from graphpotentials import tqft
+    from graphpotentials.algebra import TSeries
+
+    real = tqft.kernel_trace
+
+    def skewed(p, flips):
+        s = real(p, flips)
+        last = s.coeffs[-1] + Fraction(1, 2 * factorial(s.order))
+        return TSeries(s.order, s.coeffs[:-1] + (last,))
+
+    monkeypatch.setattr(tqft, "kernel_trace", skewed)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "period 4 is not integral" in err
+
+
 class TestKernel:
     def test_nonzero_entries(self, capsys):
         code, out, _ = run(capsys, "kernel", "--order", 4)

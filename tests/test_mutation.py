@@ -167,6 +167,21 @@ class TestThetaDumbbell:
         out, _ = mutate(bundle, "s2")
         assert len(calls) == 1 and out.graph is calls[0]
 
+    def test_mutate_splits_each_potential_once(self, monkeypatch):
+        from graphpotentials import mutation as mutation_mod
+
+        bundle = graph_potential(necklace_graph(3, parity=1))
+        split = mutation_mod.split_potential
+        calls = []
+
+        def counting(b, edge_id):
+            calls.append(b)
+            return split(b, edge_id)
+
+        monkeypatch.setattr(mutation_mod, "split_potential", counting)
+        out, _ = mutate(bundle, "s2")
+        assert calls == [bundle, out]
+
     def test_mutate_swaps_the_pair(self):
         b_theta = graph_potential(theta_graph())
         out, cert = mutate(b_theta, "a")

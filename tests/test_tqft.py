@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
-from graphpotentials.algebra import LaurentPoly, TSeries
-from graphpotentials.graphs import necklace_graph, theta_graph
+from graphpotentials.algebra import LaurentPoly, TSeries, pairing_in_var, ts_exp
+from graphpotentials.graphs import graph_from_json, necklace_graph, theta_graph
+from graphpotentials.potential import graph_potential, vertex_potential
 from graphpotentials.tqft import (
     bessel,
     flip_operator,
@@ -22,6 +25,11 @@ from graphpotentials.tqft import (
 )
 
 XY = ("x", "y")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture(name: str):
+    return graph_from_json(json.loads((FIXTURES / name).read_text()))
 
 
 def xy(terms):
@@ -197,6 +205,22 @@ class TestBoundaryStates:
         state = k_state(theta_graph(), 6)
         assert state.leaf_vars == ()
         assert state.scalar_series() == trace_formula(2, 0, 6)
+
+    def test_k_state_of_caterpillar_pairs_two_vertices(self):
+        # two pants glued along m: the edge variable enters the second
+        # vertex inverted, and its constant term pairs the two exponentials
+        left = ts_exp(vertex_potential(("p", "q", "m"), 0), 6)
+        right = ts_exp(vertex_potential(("r", "s", "m"), 0).negate_var("m"), 6)
+        state = k_state(fixture("caterpillar.json"), 6)
+        assert state.value == pairing_in_var(left, right, "m")
+        assert len(state.value[6].terms) == 256
+
+    def test_k_state_without_internal_edges_is_the_exponential(self):
+        # every variable is kept, so the walk may prune nothing
+        tripod = fixture("tripod.json")
+        state = k_state(tripod, 6)
+        assert state.leaf_vars == ("X", "Y", "Z")
+        assert state.value == ts_exp(graph_potential(tripod).potential, 6)
 
     def test_glue_requires_existing_leaves(self):
         state = necklace_state(1, 0, 4)
