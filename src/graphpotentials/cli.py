@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 on usage errors (bad arguments, malformed
-input files, a negative ``--order``), 3 when a verification or cross-check
-fails.  All output is deterministic: JSON keys are sorted and edges are
-visited in id order.
+input files, a negative ``--order``, a genus above ``MAX_GENUS``), 3 when a
+verification or cross-check fails.  All output is deterministic: JSON keys
+are sorted and edges are visited in id order.
 """
 
 from __future__ import annotations
@@ -16,6 +16,12 @@ import sys
 from fractions import Fraction
 
 
+# Largest genus that ``period --genus`` and ``table --genus-max`` accept: the
+# trace formula runs one kernel product per genus, and brute force expands a
+# necklace with 3g - 3 edges, so a huge genus would run without end in sight.
+MAX_GENUS = 64
+
+
 class UsageError(Exception):
     pass
 
@@ -24,8 +30,9 @@ class VerificationFailure(Exception):
     pass
 
 
-def _load_graph(path: str):
-    from .graphs import graph_from_json, validate
+def _read_graph(path: str):
+    """The graph in a JSON file, parsed but not validated."""
+    from .graphs import graph_from_json
 
     try:
         with open(path) as fh:
@@ -38,9 +45,20 @@ def _load_graph(path: str):
         g = graph_from_json(data)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return g
+
+
+def _invalid_graph(path: str, problems: list[str]) -> UsageError:
+    return UsageError(f"invalid graph in {path}: " + "; ".join(problems))
+
+
+def _load_graph(path: str):
+    from .graphs import validate
+
+    g = _read_graph(path)
     problems = validate(g)
     if problems:
-        raise UsageError(f"invalid graph in {path}: " + "; ".join(problems))
+        raise _invalid_graph(path, problems)
     return g
 
 
@@ -90,15 +108,18 @@ def _resolve_period_graph(args):
     from .graphs import necklace_graph
 
     if args.graph:
-        return _load_graph(args.graph)
+        return _read_graph(args.graph)  # periods_of_graph validates it
     if args.genus is None or args.parity is None:
         raise UsageError("need either --graph or both --genus and --parity")
     if args.genus < 2:
         raise UsageError("closed graphs need genus >= 2")
+    if args.genus > MAX_GENUS:
+        raise UsageError(f"--genus must be <= {MAX_GENUS}")
     return necklace_graph(args.genus, open_ends=False, parity=args.parity)
 
 
 def cmd_period(args) -> int:
+    from .graphs import InvalidGraph
     from .periods import periods_of_graph
 
     g = _resolve_period_graph(args)
@@ -107,6 +128,8 @@ def cmd_period(args) -> int:
     for m in methods:
         try:
             results[m] = periods_of_graph(g, args.order, m)
+        except InvalidGraph as exc:
+            raise _invalid_graph(args.graph, exc.problems) from exc
         except ValueError as exc:
             raise UsageError(f"{m}: {exc}") from exc
         except ArithmeticError as exc:
@@ -217,6 +240,8 @@ def cmd_table(args) -> int:
 
     if args.genus_max < 2:
         raise UsageError("--genus-max must be >= 2")
+    if args.genus_max > MAX_GENUS:
+        raise UsageError(f"--genus-max must be <= {MAX_GENUS}")
     table = trace_formula_table(args.genus_max, args.order)
     columns = []
     for (g, p), hat in table.items():
@@ -345,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="period sequence of a closed graph")
     p.add_argument("--graph")
-    p.add_argument("--genus", type=int)
+    p.add_argument("--genus", type=int,
+                   help=f"genus of the closed necklace, 2 to {MAX_GENUS}")
     p.add_argument("--parity", type=int, choices=(0, 1))
     p.add_argument("--order", type=_order, required=True)
     p.add_argument("--method", choices=("brute", "tqft", "both"), default="both")
@@ -368,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_verify_coloring)
 
     p = sub.add_parser("table", help="CSV period table over genus and parity")
-    p.add_argument("--genus-max", type=int, required=True)
+    p.add_argument("--genus-max", type=int, required=True,
+                   help=f"largest genus in the table, 2 to {MAX_GENUS}")
     p.add_argument("--order", type=_order, required=True)
     p.set_defaults(func=cmd_table)
 

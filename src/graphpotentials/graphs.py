@@ -136,6 +136,21 @@ def validate(g: ColoredGraph) -> list[str]:
     return problems
 
 
+class InvalidGraph(ValueError):
+    """A graph that :func:`validate` rejects; ``problems`` holds its diagnostics."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("invalid graph: " + "; ".join(problems))
+        self.problems = problems
+
+
+def require_valid(g: ColoredGraph) -> None:
+    """Raise InvalidGraph unless :func:`validate` finds nothing wrong with g."""
+    problems = validate(g)
+    if problems:
+        raise InvalidGraph(problems)
+
+
 def _components(g: ColoredGraph) -> list[set[str]]:
     adj: dict[str, set[str]] = {v.id: set() for v in g.vertices}
     for e in g.edges:

@@ -1,17 +1,19 @@
 """Period sequences: constant terms of powers of a graph potential.
 
-pi_k = [W^k]_0 is computed by brute force as a running product with
-support pruning: after k of K factors, a term can still contribute to a
-constant term only if every exponent satisfies |e_i| <= w_i * (K - k) and
-the exponent 1-norm is at most L * (K - k), where w_i and L bound the
-per-step change.  The walk keeps exact integer (or Fraction) coefficients
-in a dict keyed by exponent tuples; it is the only brute-force engine, and
-the trace formula in ``tqft`` is the independent check on it.
+pi_k = [W^k]_0 is computed by brute force, meeting in the middle:
+
+    pi_k = sum_e [W^ceil(k/2)]_e * [W^floor(k/2)]_{-e},
+
+so only the powers of W up to W^ceil(K/2) are expanded for periods up to
+order K, each once and in full, without support pruning.  The walk keeps
+exact integer (or Fraction) coefficients in dicts keyed by packed exponent
+vectors; it is the only brute-force engine, and the trace formula in
+``tqft`` is the independent check on it.
 
 Boundary states of open graphs (``tqft.k_state``) run the same walk: there
-the leaf variables are kept rather than summed out, and only the internal
-edge exponents are pruned, so a period is the state of a graph without
-leaves.
+the leaf variables are kept rather than summed out, the two half-powers
+are paired on opposite internal-edge exponents and their leaf exponents
+add, so a period is the state of a graph without leaves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LaurentPoly, TSeries
-from .graphs import ColoredGraph, genus, homology_ranks_f2, validate
+from .graphs import ColoredGraph, genus, homology_ranks_f2, require_valid
 from .potential import graph_potential
 
 
@@ -50,31 +52,75 @@ def _walk(monomials, nvars: int, order: int, kept: int) -> list[dict]:
 
     The last ``kept`` of the ``nvars`` exponents are kept and the others
     summed out; degree d maps kept exponent tuples to exact coefficients.
-    Only the summed-out exponents are pruned, so with no kept variables the
-    walk gives periods and with leaf variables kept it gives boundary states.
+    With no kept variables the walk gives periods, and with the leaf
+    variables kept it gives boundary states.
+
+    Degree d pairs the half-powers W^ceil(d/2) and W^floor(d/2): a term of
+    one with summed-out exponents s meets each term of the other with
+    summed-out exponents -s, and their kept exponents add.  Only the powers
+    up to W^ceil(order/2) are built, two consecutive ones at a time.
+
+    An exponent tuple e travels as the integer sum_i e[i] * b^i, the summed-
+    out exponents in the low digits.  No exponent met here exceeds
+    w * order in absolute value, where w bounds those of W, so with the odd
+    base b = 2 * w * order + 1 every digit lies in (-b/2, b/2): adding or
+    negating the integers adds or negates the tuples, and the low n digits
+    of a key read back as the balanced remainder modulo b^n.
     """
     n = nvars - kept
-    w = [max((abs(e[i]) for e, _ in monomials), default=0) for i in range(n)]
-    norm = max((sum(abs(x) for x in e[:n]) for e, _ in monomials), default=0)
-    cur = {(0,) * nvars: 1}
+    b = 2 * order * max((abs(x) for e, _ in monomials for x in e), default=0) + 1
+    packed = [(sum(x * b ** i for i, x in enumerate(e)), c) for e, c in monomials]
+    prev = power = {0: 1}
     out = [{(0,) * kept: 1}]
-    for k in range(1, order + 1):
-        rem = order - k
-        cap = [wi * rem for wi in w]
-        norm_cap = norm * rem
-        nxt: dict[tuple, int] = {}
-        for e, c in cur.items():
-            for me, mc in monomials:
-                f = tuple(a + b for a, b in zip(e, me))
-                s = f[:n] if kept else f  # a slice costs time even when it is all of f
-                if sum(abs(x) for x in s) > norm_cap:
-                    continue
-                if any(abs(x) > cap[i] for i, x in enumerate(s)):
-                    continue
-                nxt[f] = nxt.get(f, 0) + c * mc
-        cur = {e: c for e, c in nxt.items() if c}
-        out.append({e[n:]: c for e, c in cur.items() if not any(e[:n])})
+    for j in range(1, (order + 1) // 2 + 1):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for e, c in power.items():
+            for me, mc in packed:
+                f = e + me
+                nxt[f] = get(f, 0) + c * mc
+        prev, power = power, nxt
+        out.append(_pair(power, prev, b, n, kept))
+        if 2 * j <= order:
+            out.append(_pair(power, power, b, n, kept))
     return out
+
+
+def _pair(big: dict, small: dict, b: int, n: int, kept: int) -> dict:
+    """Constant term in the n low digits of the product of two packed powers,
+    as a dict from the ``kept`` high digits, unpacked, to nonzero
+    coefficients.
+
+    The terms of ``small`` are grouped on their summed-out part, and each
+    term of ``big`` looks up the group that cancels it.
+    """
+    if not kept:  # one number: no groups, no kept exponents to add
+        total = sum(c * small.get(-e, 0) for e, c in big.items())
+        return {(): total} if total else {}
+    m = b ** n
+    half = m // 2
+    groups: dict[int, list] = {}
+    for e, c in small.items():
+        low = (e + half) % m - half
+        groups.setdefault(-low, []).append(((e - low) // m, c))
+    acc: dict[int, int] = {}
+    for e, c in big.items():
+        low = (e + half) % m - half
+        high = (e - low) // m
+        for hs, cs in groups.get(low, ()):
+            f = high + hs
+            acc[f] = acc.get(f, 0) + c * cs
+    return {_unpack(k, b, kept): c for k, c in acc.items() if c}
+
+
+def _unpack(key: int, b: int, width: int) -> tuple:
+    """The ``width`` balanced base-b digits of key, lowest first."""
+    digits = []
+    for _ in range(width):
+        d = (key + b // 2) % b - b // 2
+        digits.append(d)
+        key = (key - d) // b
+    return tuple(digits)
 
 
 def _monomials(p: LaurentPoly) -> list:
@@ -138,9 +184,10 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     in :func:`constant_terms_of_powers`.
     """
     _check_backend(backend)
-    problems = validate(g)
-    if problems:
-        raise ValueError("invalid graph: " + "; ".join(problems))
+    if method == "brute":
+        potential = graph_potential(g).potential  # validates g
+    else:
+        require_valid(g)
     if g.leaves:
         raise ValueError("periods are defined for leafless graphs")
     h0, h1 = homology_ranks_f2(g)
@@ -148,8 +195,7 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
         raise ValueError("periods are defined for connected graphs")
     fp = graph_fingerprint(g)
     if method == "brute":
-        bundle = graph_potential(g)
-        return periods_bruteforce(bundle.potential, order, fp)
+        return periods_bruteforce(potential, order, fp)
     if method == "tqft":
         from .tqft import trace_formula
 

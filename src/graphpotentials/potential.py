@@ -16,7 +16,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .algebra import LaurentPoly
-from .graphs import ColoredGraph, genus, validate
+from .graphs import ColoredGraph, genus, require_valid
 
 DEFAULT_ORIENTATION = {0: "out", 1: "in"}
 
@@ -61,9 +61,7 @@ class PotentialBundle:
 
 
 def graph_potential(g: ColoredGraph) -> PotentialBundle:
-    problems = validate(g)
-    if problems:
-        raise ValueError("invalid graph: " + "; ".join(problems))
+    require_valid(g)
     variables = tuple(sorted([e.id for e in g.edges] + [x.id for x in g.leaves]))
     per_vertex = {}
     total = LaurentPoly.zero(variables)
@@ -129,9 +127,7 @@ def grassmannian_limit(g: ColoredGraph, distinguished: Mapping[str, str]) -> Lau
     result is the tau^0 part of tau times the rescaled potential.  Three of
     the four sign-monomials of each vertex survive.
     """
-    problems = validate(g)
-    if problems:
-        raise ValueError("invalid graph: " + "; ".join(problems))
+    require_valid(g)
     if genus(g) != 0:
         raise ValueError("the degeneration is defined for genus-0 graphs")
     if any(v.color != 0 for v in g.vertices):

@@ -120,7 +120,7 @@ def flip_operator(order: int) -> KernelMatrix:
     return KernelMatrix(order, mats)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # bounded: a long-lived process may ask for many orders
 def t1_kernel(order: int) -> KernelMatrix:
     """Coefficient matrix of T1(x, y) = B(t(x+y)) B(t(x^-1+y^-1)).
 
@@ -323,8 +323,10 @@ def k_state(g: ColoredGraph, order: int) -> BoundaryState:
     """Boundary state of an open graph by direct expansion of exp(t W).
 
     Coefficient of t^d is the constant term, in every internal-edge
-    variable, of W^d / d!.  It is computed by the pruned walk that gives
-    periods: with the leaf variables kept, not summed out, a closed graph's
+    variable, of W^d / d!.  It is computed by the walk that gives periods,
+    with the leaf variables kept rather than summed out: degree d pairs the
+    half-powers W^ceil(d/2) and W^floor(d/2) on opposite internal-edge
+    exponents and multiplies them on the leaf exponents.  A closed graph's
     period is the state of a graph with no leaves.
     """
     bundle = graph_potential(g)

@@ -94,6 +94,47 @@ class TestPeriod:
         assert code == 3
         assert "verification failed" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("period", "--method", "both"),
+        ("period", "--method", "brute"),
+        ("glue", "--leaf-a", "x", "--leaf-b", "y"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_graph_validated_at_most_twice(self, argv, capsys, monkeypatch):
+        from graphpotentials import graphs
+
+        real = graphs.validate
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("graphpotentials") and getattr(module, "validate", None) is real:
+                monkeypatch.setattr(module, "validate", counting)
+        graph = "necklace_open_g1.json" if argv[0] == "glue" else "theta.json"
+        code, _, _ = run(capsys, *argv, "--graph", FIXTURES / graph, "--order", 4)
+        assert code == 0
+        assert 1 <= len(calls) <= 2
+
+    @pytest.mark.parametrize("method", ["both", "brute", "tqft"])
+    def test_invalid_graph_message(self, method, tmp_path, capsys):
+        # periods_of_graph validates the file's graph; the CLI reports it as
+        # every other command does
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "vertices": [{"id": "v", "color": 0}],
+            "edges": [],
+            "leaves": [],
+        }))
+        _, _, expected = run(capsys, "potential", "--graph", bad)
+        code, out, err = run(capsys, "period", "--graph", bad, "--order", 4,
+                             "--method", method)
+        assert code == 2
+        assert out == ""
+        assert err == expected
+        assert err.startswith(f"error: invalid graph in {bad}: ")
+
     def test_requires_graph_or_genus(self, capsys):
         code, _, err = run(capsys, "period", "--order", 4)
         assert code == 2
@@ -252,6 +293,32 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "argument --order: must be an integer >= 0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("period", "--genus", cli.MAX_GENUS + 1, "--parity", 1, "--method", "tqft"),
+        ("period", "--genus", 10 ** 12, "--parity", 0),
+        ("table", "--genus-max", cli.MAX_GENUS + 1),
+        ("table", "--genus-max", 10 ** 12),
+    ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+    def test_genus_above_limit_refused(self, argv, capsys):
+        code, out, err = run(capsys, *argv, "--order", 2)
+        assert code == 2
+        assert out == ""
+        assert f"must be <= {cli.MAX_GENUS}" in err
+        assert "Traceback" not in err
+
+    def test_genus_limit_accepted_and_stated(self, capsys):
+        assert cli.MAX_GENUS >= 4 * 16  # above every genus the tests and benchmark use
+        code, out, _ = run(capsys, "table", "--genus-max", cli.MAX_GENUS, "--order", 0)
+        assert code == 0
+        assert out.splitlines()[0].endswith(f"g{cli.MAX_GENUS}e1")
+        code, out, _ = run(capsys, "period", "--genus", cli.MAX_GENUS, "--parity", 1,
+                           "--order", 0, "--method", "tqft")
+        assert code == 0
+        for command in ("period", "table"):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            assert f"2 to {cli.MAX_GENUS}" in capsys.readouterr().out
 
     def test_edge_with_three_ends(self, tmp_path, capsys):
         doc = json.loads((FIXTURES / "theta.json").read_text())

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphpotentials.algebra import LaurentPoly
 from graphpotentials.graphs import dumbbell_graph, necklace_graph, theta_graph, with_colors
 from graphpotentials.periods import (
     PeriodSequence,
+    _walk,
     constant_terms_of_powers,
     graph_fingerprint,
     inverse_laplace,
@@ -98,6 +101,54 @@ class TestBackends:
         assert got == naive
 
 
+def naive_walk(monomials, nvars, order, kept):
+    """Every power of W expanded in full, then the terms constant in the
+    first nvars - kept exponents read off each one."""
+    n = nvars - kept
+    power = {(0,) * nvars: 1}
+    out = []
+    for d in range(order + 1):
+        if d:
+            nxt = {}
+            for e, c in power.items():
+                for me, mc in monomials:
+                    f = tuple(a + b for a, b in zip(e, me))
+                    nxt[f] = nxt.get(f, 0) + c * mc
+            power = nxt
+        terms = {}
+        for e, c in power.items():
+            if not any(e[:n]):
+                terms[e[n:]] = terms.get(e[n:], 0) + c
+        out.append({k: c for k, c in terms.items() if c})
+    return out
+
+
+@st.composite
+def walks(draw):
+    """(monomials, nvars, order, kept) for a random small Laurent polynomial."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * nvars)
+    coeffs = st.one_of(st.integers(min_value=-3, max_value=3),
+                       st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    terms = draw(st.dictionaries(exps, coeffs.filter(bool), min_size=1, max_size=4))
+    return (list(terms.items()), nvars, draw(st.integers(min_value=0, max_value=7)),
+            draw(st.integers(min_value=0, max_value=nvars)))
+
+
+class TestWalk:
+    @given(walks())
+    @settings(max_examples=150, deadline=None)
+    @example(([((1, -1), 1), ((-2, 1), Fraction(1, 2))], 2, 0, 0))
+    @example(([((1, -1), 1), ((-1, 1), 2), ((0, 3), -1)], 2, 1, 1))
+    @example(([((3, -3, 1), 1), ((-3, 3, -1), 1)], 3, 7, 1))
+    def test_matches_naive_expansion(self, case):
+        # an off-by-one where the half-powers meet, at ceil(d/2) and
+        # floor(d/2), shows at odd d; with kept variables the trace formula,
+        # which checks closed graphs only, cannot see it
+        monomials, nvars, order, kept = case
+        assert _walk(monomials, nvars, order, kept) == naive_walk(monomials, nvars, order, kept)
+
+
 class TestGraphPeriods:
     def test_theta_matches_table(self):
         seq = periods_of_graph(theta_graph(), 12, method="brute")
@@ -131,6 +182,14 @@ class TestGraphPeriods:
         for g in (theta_graph(), theta_graph(1), necklace_graph(3)):
             seq = periods_of_graph(g, 9, method="brute")
             assert all(seq.pi[k] == 0 for k in range(1, 10, 2))
+
+    @pytest.mark.parametrize("genus,order", [(4, 10), (5, 12)])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_necklace_matches_trace_formula(self, genus, order, parity):
+        g = necklace_graph(genus, parity=parity)
+        brute = periods_of_graph(g, order, method="brute")
+        assert brute.pi == periods_of_graph(g, order, method="tqft").pi
+        assert any(brute.pi[1:])
 
     def test_fingerprint(self):
         assert graph_fingerprint(theta_graph()) == "g2e0"

@@ -98,6 +98,13 @@ class TestT1Kernel:
         with pytest.raises(IndexError):
             a.entry(5, 0)
 
+    def test_cache_is_bounded(self):
+        limit = t1_kernel.cache_info().maxsize
+        assert limit is not None
+        for order in range(2 * limit):
+            t1_kernel(order)
+        assert t1_kernel.cache_info().currsize <= limit
+
 
 class TestOperators:
     def test_flip_is_an_involution(self):
@@ -180,6 +187,11 @@ class TestBoundaryStates:
     def test_k_state_matches_kernel_power(self, g, parity):
         open_graph = necklace_graph(g, open_ends=True, parity=parity)
         assert k_state(open_graph, 6) == necklace_state(g, parity, 6)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_k_state_of_open_genus3_necklace(self, parity):
+        open_graph = necklace_graph(3, open_ends=True, parity=parity)
+        assert k_state(open_graph, 8) == necklace_state(3, parity, 8)
 
     def test_bessel_product_for_open_genus_one(self):
         # two pairs of pants glued along two of their boundaries
