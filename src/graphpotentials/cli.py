@@ -31,34 +31,24 @@ class VerificationFailure(Exception):
 
 
 def _read_graph(path: str):
-    """The graph in a JSON file, parsed but not validated."""
+    """The graph in a JSON file, parsed but not validated: the library
+    validates it where it is used, and :func:`main` reports what it finds."""
     from .graphs import graph_from_json
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # invalid JSON, an integer too long to convert, or nesting too deep
+        raise UsageError(f"{path} is not readable JSON: {exc}") from exc
     try:
         g = graph_from_json(data)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return g
-
-
-def _invalid_graph(path: str, problems: list[str]) -> UsageError:
-    return UsageError(f"invalid graph in {path}: " + "; ".join(problems))
-
-
-def _load_graph(path: str):
-    from .graphs import validate
-
-    g = _read_graph(path)
-    problems = validate(g)
-    if problems:
-        raise _invalid_graph(path, problems)
     return g
 
 
@@ -89,7 +79,7 @@ def _print_json(data):
 def cmd_potential(args) -> int:
     from .potential import graph_potential
 
-    g = _load_graph(args.graph)
+    g = _read_graph(args.graph)
     bundle = graph_potential(g)
     if args.json:
         _print_json({
@@ -128,8 +118,8 @@ def cmd_period(args) -> int:
     for m in methods:
         try:
             results[m] = periods_of_graph(g, args.order, m)
-        except InvalidGraph as exc:
-            raise _invalid_graph(args.graph, exc.problems) from exc
+        except InvalidGraph:
+            raise  # main names the file
         except ValueError as exc:
             raise UsageError(f"{m}: {exc}") from exc
         except ArithmeticError as exc:
@@ -158,7 +148,7 @@ def cmd_mutate(args) -> int:
     from .mutation import mutate
     from .potential import graph_potential
 
-    g = _load_graph(args.graph)
+    g = _read_graph(args.graph)
     bundle = graph_potential(g)
     try:
         bundle2, cert = mutate(bundle, args.edge)
@@ -188,7 +178,7 @@ def cmd_verify_mutation(args) -> int:
     from .mutation import mutation_report
     from .potential import graph_potential
 
-    g = _load_graph(args.graph)
+    g = _read_graph(args.graph)
     bundle = graph_potential(g)
     if args.edge:
         edges = [args.edge]
@@ -218,7 +208,7 @@ def cmd_verify_coloring(args) -> int:
     from .graphs import coloring_boundary_move
     from .potential import graph_potential
 
-    g = _load_graph(args.graph)
+    g = _read_graph(args.graph)
     bundle = graph_potential(g)
     failed = False
     for e in sorted(g.edges, key=lambda e: e.id):
@@ -274,9 +264,10 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_grassmann(args) -> int:
+    from .graphs import InvalidGraph
     from .potential import grassmannian_limit
 
-    g = _load_graph(args.graph)
+    g = _read_graph(args.graph)
     distinguished = {}
     for item in args.distinguished:
         if "=" not in item:
@@ -285,6 +276,8 @@ def cmd_grassmann(args) -> int:
         distinguished[v] = s
     try:
         p = grassmannian_limit(g, distinguished)
+    except InvalidGraph:
+        raise  # main names the file
     except (ValueError, ArithmeticError) as exc:
         raise UsageError(str(exc)) from exc
     if args.json:
@@ -312,9 +305,8 @@ def cmd_wdvv(args) -> int:
 def cmd_glue(args) -> int:
     from .tqft import glue, k_state
 
-    g = _load_graph(args.graph)
+    state = k_state(_read_graph(args.graph), args.order)
     try:
-        state = k_state(g, args.order)
         glued = glue(state, args.leaf_a, args.leaf_b)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -427,10 +419,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .graphs import InvalidGraph
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidGraph as exc:
+        # the library validates the --graph file's graph where it uses it
+        print(f"error: invalid graph in {args.graph}: " + "; ".join(exc.problems),
+              file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
@@ -389,7 +390,8 @@ def _perfect_matchings(stubs):
             yield [(first, stubs[i])] + m
 
 
-def enumerate_trivalent(g: int) -> list[ColoredGraph]:
+@cache  # the graphs are frozen, so every caller may share one tuple
+def enumerate_trivalent(g: int) -> tuple[ColoredGraph, ...]:
     """All connected trivalent leafless graphs of first Betti number g,
     one uncolored representative per isomorphism class, deterministically
     labeled.  Supported for g in {2, 3}."""
@@ -415,7 +417,7 @@ def enumerate_trivalent(g: int) -> list[ColoredGraph]:
                 [(f"v{i}", 0) for i in range(nv)],
                 [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(canon_edges)],
             )
-    return [seen[k] for k in sorted(seen)]
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def with_colors(g: ColoredGraph, colors: Mapping[str, int]) -> ColoredGraph:

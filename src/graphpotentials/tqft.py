@@ -15,6 +15,12 @@ transformed period series
 The exponent g-1+eps is forced by the recursion and is cross-validated
 against brute-force periods in the tests.
 
+Every chain is therefore a power of A with at most one flip.  T1 is
+invariant under (x, y) -> (1/x, 1/y), so AS = SA, and S^2 = 1: the flips
+of a chain move to its end and cancel in pairs.  One generator yields the
+powers A, A^2, ..., one product at a time, and a flip is a reversed view
+of the rows or columns of a power, never a product.
+
 All matrices are stored per t-degree d with entries scaled by d!, which
 keeps every intermediate an integer: the scaled T1 entries are multinomial
 sums and the scaled product rule only multiplies by binomials.
@@ -26,8 +32,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from typing import Sequence
+from itertools import islice, permutations
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,16 +43,14 @@ from .periods import _monomials, _walk
 from .potential import graph_potential, vertex_potential
 
 
+def _even_series(order: int, f: Callable, zero=Fraction(0)) -> TSeries:
+    """The series with f(u) at t^(2u) and ``zero`` at every odd degree."""
+    return TSeries(order, tuple(zero if d % 2 else f(d // 2) for d in range(order + 1)))
+
+
 def bessel(order: int) -> TSeries:
     """B(z) = sum z^(2m) / (m!)^2 truncated at the given order."""
-    coeffs = []
-    for d in range(order + 1):
-        if d % 2 == 0:
-            m = d // 2
-            coeffs.append(Fraction(1, math.factorial(m) ** 2))
-        else:
-            coeffs.append(Fraction(0))
-    return TSeries(order, tuple(coeffs))
+    return _even_series(order, lambda m: Fraction(1, math.factorial(m) ** 2))
 
 
 class KernelMatrix:
@@ -78,28 +82,14 @@ class KernelMatrix:
         D = self.order
         if abs(i) > D or abs(j) > D:
             raise IndexError(f"mode ({i}, {j}) out of range for order {D}")
-        coeffs = []
-        for d in range(D + 1):
-            if d % 2 == 0:
-                v = self.mats[d // 2][D + i, D + j]
-                coeffs.append(Fraction(int(v), math.factorial(d)))
-            else:
-                coeffs.append(Fraction(0))
-        return TSeries(D, tuple(coeffs))
+        return _even_series(D, lambda u: Fraction(int(self.mats[u][D + i, D + j]),
+                                                  math.factorial(2 * u)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KernelMatrix):
             return NotImplemented
         return self.order == other.order and all(
             (a == b).all() for a, b in zip(self.mats, other.mats))
-
-    def __hash__(self):
-        return hash((self.order, tuple(tuple(map(int, m.flat)) for m in self.mats)))
-
-
-def _flip_rows(m: np.ndarray) -> np.ndarray:
-    # left action of S: (S m)[i, j] = m[-i, j]
-    return m[::-1, :]
 
 
 def _zero_mats(order: int) -> list[np.ndarray]:
@@ -152,14 +142,8 @@ def t1_kernel_direct(order: int) -> KernelMatrix:
     minus = LaurentPoly(vs, {(-1, 0): 1, (0, -1): 1})
 
     def bessel_of(p: LaurentPoly) -> TSeries:
-        coeffs = []
-        for d in range(order + 1):
-            if d % 2 == 0:
-                m = d // 2
-                coeffs.append(p ** (2 * m) * Fraction(1, math.factorial(m) ** 2))
-            else:
-                coeffs.append(LaurentPoly.zero(vs))
-        return TSeries(order, tuple(coeffs))
+        return _even_series(order, lambda m: p ** (2 * m) * Fraction(1, math.factorial(m) ** 2),
+                            LaurentPoly.zero(vs))
 
     prod = bessel_of(plus) * bessel_of(minus)
     D = order
@@ -174,57 +158,56 @@ def t1_kernel_direct(order: int) -> KernelMatrix:
     return KernelMatrix(D, mats)
 
 
-def _convolve(p: KernelMatrix, q: KernelMatrix, insert_flip: bool) -> KernelMatrix:
+def _product(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
+    """Matrix product of two kernels: at t^d, with d!-scaled entries, the
+    sum over even a of C(d, a) p_a q_(d-a)."""
     if p.order != q.order:
         raise ValueError("kernel orders differ")
-    D = p.order
-    out = _zero_mats(D)
-    for u in range(D // 2 + 1):
-        d = 2 * u
-        acc = None
-        for a_half in range(u + 1):
-            a = 2 * a_half
-            left = p.mats[a_half]
-            right = q.mats[u - a_half]
-            if insert_flip:
-                right = _flip_rows(right)
-            term = math.comb(d, a) * (left @ right)
-            acc = term if acc is None else acc + term
-        out[u] = acc
-    return KernelMatrix(D, out)
+    out = []
+    for u in range(p.order // 2 + 1):
+        acc = p.mats[0] @ q.mats[u]
+        for a in range(1, u + 1):
+            acc += math.comb(2 * u, 2 * a) * (p.mats[a] @ q.mats[u - a])
+        out.append(acc)
+    return KernelMatrix(p.order, out)
 
 
 def kernel_compose(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
     """Compose two kernels along a shared boundary circle.
 
     [p(x, z) q(z, y)]_{z^0}: mode i of p's second variable pairs with mode
-    -i of q's first, so the matrix product carries one flip between the
-    factors.  The flip kernel itself is the identity of this product.
+    -i of q's first, so the product is p S q, with S q a row-reversed view
+    of q.  The flip kernel itself is the identity of this product.
     """
-    return _convolve(p, q, insert_flip=True)
+    return _product(p, KernelMatrix(q.order, [m[::-1] for m in q.mats]))
 
 
 def kernel_matmul(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
     """Plain matrix product of coefficient matrices (no flip inserted)."""
-    return _convolve(p, q, insert_flip=False)
+    return _product(p, q)
 
 
 def kernel_trace(p: KernelMatrix, flips: int) -> TSeries:
-    """tr(p S^flips) as a scalar series."""
-    D = p.order
-    size = p.size
-    coeffs = []
-    for d in range(D + 1):
-        if d % 2 == 0:
-            m = p.mats[d // 2]
-            if flips % 2:
-                t = sum(int(m[i, size - 1 - i]) for i in range(size))
-            else:
-                t = sum(int(m[i, i]) for i in range(size))
-            coeffs.append(Fraction(t, math.factorial(d)))
-        else:
-            coeffs.append(Fraction(0))
-    return TSeries(D, tuple(coeffs))
+    """tr(S^flips p) as a scalar series; S p is a row-reversed view of p."""
+    mats = [m[::-1] for m in p.mats] if flips % 2 else p.mats
+    return _even_series(p.order, lambda u: Fraction(int(mats[u].trace()), math.factorial(2 * u)))
+
+
+def _powers(order: int) -> Iterator[KernelMatrix]:
+    """A, A^2, A^3, ... for the T1 kernel A, one kernel_matmul per step,
+    taken only when the next power is asked for."""
+    a = t1_kernel(order)
+    power = a
+    while True:
+        yield power
+        # looked up by module name, so a wrapper (perfbench/tracing.py, the
+        # tests) sees every product
+        power = kernel_matmul(power, a)
+
+
+def _power(order: int, n: int) -> KernelMatrix:
+    """A^n for n >= 1, in n - 1 products."""
+    return next(islice(_powers(order), n - 1, None))
 
 
 def trace_formula(g: int, parity: int, order: int) -> TSeries:
@@ -233,11 +216,7 @@ def trace_formula(g: int, parity: int, order: int) -> TSeries:
         raise ValueError("the trace formula needs genus >= 2")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    a = t1_kernel(order)
-    power = a
-    for _ in range(g - 2):
-        power = kernel_matmul(power, a)
-    return kernel_trace(power, (g - 1 + parity) % 2)
+    return kernel_trace(_power(order, g - 1), g - 1 + parity)
 
 
 def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], TSeries]:
@@ -245,14 +224,11 @@ def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], TSeries
     the accumulated kernel powers."""
     if g_max < 2:
         raise ValueError("need g_max >= 2")
-    a = t1_kernel(order)
     table = {}
-    power = a
-    for g in range(2, g_max + 1):
+    # range first: zip stops before asking for a power past A^(g_max-1)
+    for g, power in zip(range(2, g_max + 1), _powers(order)):
         for parity in (0, 1):
-            table[(g, parity)] = kernel_trace(power, (g - 1 + parity) % 2)
-        if g < g_max:
-            power = kernel_matmul(power, a)
+            table[(g, parity)] = kernel_trace(power, g - 1 + parity)
     return table
 
 
@@ -280,42 +256,31 @@ class BoundaryState:
 
 def _state_from_matrix(kernel: KernelMatrix, names: tuple[str, str] = ("x", "y")) -> BoundaryState:
     D = kernel.order
-    coeffs = []
-    for d in range(D + 1):
-        if d % 2 == 0:
-            m = kernel.mats[d // 2]
-            terms = {}
-            fact = math.factorial(d)
-            for i in range(-D, D + 1):
-                for j in range(-D, D + 1):
-                    v = m[D + i, D + j]
-                    if v:
-                        terms[(i, j)] = Fraction(int(v), fact)
-            coeffs.append(LaurentPoly(names, terms))
-        else:
-            coeffs.append(LaurentPoly.zero(names))
-    return BoundaryState(D, names, TSeries(D, tuple(coeffs)))
+
+    def poly(u: int) -> LaurentPoly:
+        fact = math.factorial(2 * u)
+        return LaurentPoly(names, {(i - D, j - D): Fraction(int(v), fact)
+                                   for (i, j), v in np.ndenumerate(kernel.mats[u]) if v})
+
+    return BoundaryState(D, names, _even_series(D, poly, LaurentPoly.zero(names)))
 
 
 def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
     """State T_g(x, y^(+-1)) of the open genus-g necklace, via kernel powers.
 
     The chain of g doubled-edge beads composes to A^g S^(g-1); odd parity
-    inverts the second variable, one more flip on the right.  Equals the
-    brute-force k_state of the matching open necklace graph.
+    inverts the second variable, one more flip on the right.  As AS = SA
+    and S^2 = 1 this is A^g with one column-reversed view when g - 1 +
+    parity is odd.  Equals the brute-force k_state of the matching open
+    necklace graph.
     """
     if g < 1:
         raise ValueError("need genus >= 1")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    a = t1_kernel(order)
-    power = a
-    for _ in range(g - 1):
-        power = kernel_compose(power, a)
-    if parity:
-        D = order
-        mats = [m[:, ::-1] for m in power.mats]  # right action of S: j -> -j
-        power = KernelMatrix(D, mats)
+    power = _power(order, g)
+    if (g - 1 + parity) % 2:
+        power = KernelMatrix(order, [m[:, ::-1] for m in power.mats])  # right action of S: j -> -j
     return _state_from_matrix(power)
 
 

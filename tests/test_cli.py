@@ -18,6 +18,24 @@ def run(capsys, *argv):
     return code, out, err
 
 
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The graphs passed to graphs.validate, wherever the library calls it."""
+    from graphpotentials import graphs
+
+    real = graphs.validate
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("graphpotentials") and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
 class TestPotential:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "potential", "--graph", FIXTURES / "dumbbell.json")
@@ -99,28 +117,24 @@ class TestPeriod:
         ("period", "--method", "brute"),
         ("glue", "--leaf-a", "x", "--leaf-b", "y"),
     ], ids=lambda argv: " ".join(argv))
-    def test_graph_validated_at_most_twice(self, argv, capsys, monkeypatch):
-        from graphpotentials import graphs
-
-        real = graphs.validate
-        calls = []
-
-        def counting(g):
-            calls.append(g)
-            return real(g)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("graphpotentials") and getattr(module, "validate", None) is real:
-                monkeypatch.setattr(module, "validate", counting)
+    def test_graph_validated_at_most_twice(self, argv, capsys, validate_calls):
         graph = "necklace_open_g1.json" if argv[0] == "glue" else "theta.json"
         code, _, _ = run(capsys, *argv, "--graph", FIXTURES / graph, "--order", 4)
         assert code == 0
-        assert 1 <= len(calls) <= 2
+        assert 1 <= len(validate_calls) <= 2
 
-    @pytest.mark.parametrize("method", ["both", "brute", "tqft"])
-    def test_invalid_graph_message(self, method, tmp_path, capsys):
-        # periods_of_graph validates the file's graph; the CLI reports it as
-        # every other command does
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(("period", "--order", 4, "--method", m), id=m)
+          for m in ("both", "brute", "tqft")),
+        pytest.param(("glue", "--leaf-a", "x", "--leaf-b", "y", "--order", 4), id="glue"),
+        pytest.param(("mutate", "--edge", "a"), id="mutate"),
+        pytest.param(("verify", "mutation"), id="verify mutation"),
+        pytest.param(("grassmann", "--distinguished", "v=X"), id="grassmann"),
+    ])
+    def test_invalid_graph_message(self, argv, tmp_path, capsys):
+        # the library validates the file's graph where it uses it; the CLI
+        # reports it as every other command does, and no command's own
+        # ValueError handling swallows the file name
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "vertices": [{"id": "v", "color": 0}],
@@ -128,12 +142,23 @@ class TestPeriod:
             "leaves": [],
         }))
         _, _, expected = run(capsys, "potential", "--graph", bad)
-        code, out, err = run(capsys, "period", "--graph", bad, "--order", 4,
-                             "--method", method)
+        code, out, err = run(capsys, *argv, "--graph", bad)
         assert code == 2
         assert out == ""
         assert err == expected
         assert err.startswith(f"error: invalid graph in {bad}: ")
+
+    @pytest.mark.parametrize("argv,graph,expected", [
+        (("potential",), "theta.json", 1),
+        (("glue", "--leaf-a", "x", "--leaf-b", "y", "--order", 4), "necklace_open_g1.json", 1),
+        (("grassmann", "--distinguished", "v=X"), "tripod.json", 1),
+        # the input and the transformed graph
+        (("mutate", "--edge", "a"), "theta.json", 2),
+    ], ids=["potential", "glue", "grassmann", "mutate"])
+    def test_graph_validated_once_per_use(self, argv, graph, expected, capsys, validate_calls):
+        code, _, _ = run(capsys, *argv, "--graph", FIXTURES / graph)
+        assert code == 0
+        assert len(validate_calls) == expected
 
     def test_requires_graph_or_genus(self, capsys):
         code, _, err = run(capsys, "period", "--order", 4)
@@ -319,6 +344,31 @@ class TestUsageErrors:
             with pytest.raises(SystemExit):
                 cli.main([command, "--help"])
             assert f"2 to {cli.MAX_GENUS}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"\xff\xfe{", id="not-utf8"),
+        pytest.param(b"[" * 200000, id="nested-too-deep"),
+        pytest.param(b'{"vertices": [{"id": "v", "color": ' + b"1" * 5000 + b"}]}",
+                     id="integer-too-long"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("potential",),
+        ("period", "--order", 4),
+        ("mutate", "--edge", "a"),
+        ("verify", "mutation"),
+        ("verify", "coloring"),
+        ("grassmann", "--distinguished", "v=X"),
+        ("glue", "--leaf-a", "x", "--leaf-b", "y", "--order", 4),
+    ], ids=["potential", "period", "mutate", "verify mutation", "verify coloring",
+            "grassmann", "glue"])
+    def test_unreadable_graph_file(self, argv, content, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, *argv, "--graph", bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad} is ")
+        assert "Traceback" not in err
 
     def test_edge_with_three_ends(self, tmp_path, capsys):
         doc = json.loads((FIXTURES / "theta.json").read_text())

@@ -163,6 +163,28 @@ class TestTraceFormula:
         with pytest.raises(ValueError):
             trace_formula(1, 0, 4)
 
+    @pytest.mark.parametrize("g", [2, 3, 4, 7])
+    def test_one_product_per_genus_step(self, g, monkeypatch):
+        # the power loop draws A^(g-1) in g - 2 products, and calls them
+        # through the module name so that a wrapper sees each one
+        from graphpotentials import tqft
+
+        real = tqft.kernel_matmul
+        calls = []
+
+        def counting(p, q):
+            calls.append(1)
+            return real(p, q)
+
+        monkeypatch.setattr(tqft, "kernel_matmul", counting)
+        for parity in (0, 1):
+            calls.clear()
+            trace_formula(g, parity, 6)
+            assert len(calls) == g - 2
+        calls.clear()
+        trace_formula_table(g, 6)
+        assert len(calls) == g - 2
+
     def test_table_matches_single_calls(self):
         table = trace_formula_table(5, 8)
         for g in range(2, 6):
@@ -192,6 +214,25 @@ class TestBoundaryStates:
     def test_k_state_of_open_genus3_necklace(self, parity):
         open_graph = necklace_graph(3, open_ends=True, parity=parity)
         assert k_state(open_graph, 8) == necklace_state(3, parity, 8)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_necklace_state_is_the_composed_chain(self, parity):
+        # A o A o ... o A (each o inserts a flip), then one right flip for
+        # odd parity: pins necklace_state's A^g S^(g-1+parity) without k_state
+        order = 10
+        a = t1_kernel(order)
+        chain = a
+        for g in range(1, 6):
+            if g > 1:
+                chain = kernel_compose(chain, a)
+            expect = kernel_matmul(chain, flip_operator(order)) if parity else chain
+            state = necklace_state(g, parity, order)
+            assert state.leaf_vars == XY
+            for d in range(order + 1):
+                terms = state.value[d].terms
+                for i in range(-order, order + 1):
+                    for j in range(-order, order + 1):
+                        assert terms.get((i, j), 0) == expect.entry(i, j).coeffs[d]
 
     def test_bessel_product_for_open_genus_one(self):
         # two pairs of pants glued along two of their boundaries
