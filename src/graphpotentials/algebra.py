@@ -86,10 +86,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        z = (0,) * len(self.vars)
-        return all(e == z for e in self.terms)
-
     def constant_coefficient(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), Fraction(0))
 
@@ -474,14 +470,6 @@ class TSeries:
     def from_list(cls, coeffs: Sequence) -> "TSeries":
         return cls(len(coeffs) - 1, tuple(coeffs))
 
-    @classmethod
-    def zero(cls, order: int) -> "TSeries":
-        return cls(order, (Fraction(0),) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TSeries":
-        return cls(order, (Fraction(1),) + (Fraction(0),) * order)
-
     def __getitem__(self, d: int):
         return self.coeffs[d]
 
@@ -518,7 +506,10 @@ class TSeries:
 
 
 def ts_exp(w: LaurentPoly, order: int) -> TSeries:
-    """exp(t*w) truncated at the given order, coefficient k equals w**k / k!."""
+    """exp(t*w) truncated at the given order, coefficient k equals w**k / k!.
+
+    With :func:`pairing_in_var`, the reference the tests check the walk of
+    ``periods.walk_terms`` against."""
     coeffs = [LaurentPoly.one(w.vars)]
     for k in range(1, order + 1):
         coeffs.append(coeffs[-1] * w * Fraction(1, k))
@@ -557,7 +548,7 @@ def pairing_in_var(f: TSeries, g: TSeries, name: str) -> TSeries:
 
     Degree d of the result is ``sum_{a+b=d} [f_a(...) g_b(... name^-1 ...)]``
     with the constant term taken in ``name``, which is removed from the
-    coefficient variables.
+    coefficient variables.  A reference for the walk, as :func:`ts_exp` is.
     """
     d = min(f.order, g.order)
     out = []

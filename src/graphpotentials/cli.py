@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 on usage errors (bad arguments, malformed
-input files, a negative ``--order``, a genus above ``MAX_GENUS``), 3 when a
-verification or cross-check fails.  All output is deterministic: JSON keys
-are sorted and edges are visited in id order.
+input files, an ``--order`` outside 0..``MAX_ORDER``, a genus above
+``MAX_GENUS``), 3 when a verification or cross-check fails.  All output is
+deterministic: JSON keys are sorted and edges are visited in id order.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from fractions import Fraction
 # trace formula runs one kernel product per genus, and brute force expands a
 # necklace with 3g - 3 edges, so a huge genus would run without end in sight.
 MAX_GENUS = 64
+
+# Largest ``--order`` of every command: the kernel commands allocate order // 2
+# + 1 object matrices of size (2 * order + 1)^2 before they print anything.
+MAX_ORDER = 64
 
 
 class UsageError(Exception):
@@ -338,17 +342,20 @@ def cmd_glue(args) -> int:
 
 
 def _order(text: str) -> int:
-    """argparse type of every ``--order``: a non-negative integer."""
+    """argparse type of every ``--order``: an integer from 0 to MAX_ORDER."""
     try:
         value = int(text)
     except ValueError:
         value = None
     if value is None or value < 0:
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_ORDER}, got {text!r}")
     return value
 
 
 def build_parser() -> argparse.ArgumentParser:
+    order_help = f"truncation order in t, 0 to {MAX_ORDER}"
     parser = argparse.ArgumentParser(
         prog="graphpot",
         description="Graph potentials: periods, mutations, and kernel traces "
@@ -365,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int,
                    help=f"genus of the closed necklace, 2 to {MAX_GENUS}")
     p.add_argument("--parity", type=int, choices=(0, 1))
-    p.add_argument("--order", type=_order, required=True)
+    p.add_argument("--order", type=_order, required=True, help=order_help)
     p.add_argument("--method", choices=("brute", "tqft", "both"), default="both")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_period)
@@ -388,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="CSV period table over genus and parity")
     p.add_argument("--genus-max", type=int, required=True,
                    help=f"largest genus in the table, 2 to {MAX_GENUS}")
-    p.add_argument("--order", type=_order, required=True)
+    p.add_argument("--order", type=_order, required=True, help=order_help)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("kernel", help="dump the T1 kernel matrix")
-    p.add_argument("--order", type=_order, required=True)
+    p.add_argument("--order", type=_order, required=True, help=order_help)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("grassmann", help="degenerate a genus-0 potential")
@@ -403,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grassmann)
 
     p = sub.add_parser("wdvv", help="four-point symmetry check")
-    p.add_argument("--order", type=_order, required=True)
+    p.add_argument("--order", type=_order, required=True, help=order_help)
     p.add_argument("--parity", choices=("0", "1", "both"), default="both")
     p.set_defaults(func=cmd_wdvv)
 
@@ -411,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--leaf-a", required=True)
     p.add_argument("--leaf-b", required=True)
-    p.add_argument("--order", type=_order, required=True)
+    p.add_argument("--order", type=_order, required=True, help=order_help)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_glue)
 

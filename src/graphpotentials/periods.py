@@ -10,10 +10,11 @@ exact integer (or Fraction) coefficients in dicts keyed by packed exponent
 vectors; it is the only brute-force engine, and the trace formula in
 ``tqft`` is the independent check on it.
 
-Boundary states of open graphs (``tqft.k_state``) run the same walk: there
-the leaf variables are kept rather than summed out, the two half-powers
-are paired on opposite internal-edge exponents and their leaf exponents
-add, so a period is the state of a graph without leaves.
+:func:`walk_terms` is the one entry to the walk.  Boundary states of open
+graphs (``tqft.k_state``) and the four-point check (``tqft.wdvv_check``)
+run it too: there some variables are kept rather than summed out, the two
+half-powers are paired on opposite summed-out exponents and their kept
+exponents add, so a period is the state of a graph without leaves.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ def _walk(monomials, nvars: int, order: int, kept: int) -> list[dict]:
 
     The last ``kept`` of the ``nvars`` exponents are kept and the others
     summed out; degree d maps kept exponent tuples to exact coefficients.
-    With no kept variables the walk gives periods, and with the leaf
-    variables kept it gives boundary states.
 
     Degree d pairs the half-powers W^ceil(d/2) and W^floor(d/2): a term of
     one with summed-out exponents s meets each term of the other with
@@ -123,9 +122,19 @@ def _unpack(key: int, b: int, width: int) -> tuple:
     return tuple(digits)
 
 
-def _monomials(p: LaurentPoly) -> list:
-    """(exponents, coefficient) pairs of p, integral coefficients as ints."""
-    return [(e, c.numerator if c.denominator == 1 else c) for e, c in p.terms.items()]
+def walk_terms(p: LaurentPoly, order: int, kept: tuple[str, ...] = ()) -> list[dict]:
+    """Terms of p^d constant in every variable not in ``kept``, d = 0..order.
+
+    Degree d maps the exponents of the kept variables, in ``p.vars`` order,
+    to exact coefficients, integral ones as ints.  Nothing kept gives the
+    periods; the leaf variables kept give a boundary state.
+    """
+    if not set(kept) <= set(p.vars):
+        raise ValueError(f"kept variables {sorted(set(kept) - set(p.vars))} not in {p.vars}")
+    perm = sorted(range(len(p.vars)), key=lambda i: p.vars[i] in kept)  # kept ones last
+    monomials = [(tuple(e[i] for i in perm), c.numerator if c.denominator == 1 else c)
+                 for e, c in p.terms.items()]
+    return _walk(monomials, len(p.vars), order, len(set(kept)))
 
 
 def _check_backend(backend: str) -> None:
@@ -141,7 +150,7 @@ def constant_terms_of_powers(p: LaurentPoly, order: int, backend: str = "auto") 
     exact dict walk, and any other name raises ValueError.
     """
     _check_backend(backend)
-    return [t.get((), 0) for t in _walk(_monomials(p), len(p.vars), order, 0)]
+    return [t.get((), 0) for t in walk_terms(p, order)]
 
 
 def periods_bruteforce(p: LaurentPoly, order: int,

@@ -24,6 +24,9 @@ of the rows or columns of a power, never a product.
 All matrices are stored per t-degree d with entries scaled by d!, which
 keeps every intermediate an integer: the scaled T1 entries are multinomial
 sums and the scaled product rule only multiplies by binomials.
+
+Brute-force states and the four-point check come from the one walk entry,
+``periods.walk_terms``; one helper builds kernel and walk states alike.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import LaurentPoly, TSeries, pairing_in_var, ts_exp
+from .algebra import LaurentPoly, TSeries
 from .graphs import ColoredGraph
-from .periods import _monomials, _walk
+from .periods import walk_terms
 from .potential import graph_potential, vertex_potential
 
 
@@ -254,15 +257,12 @@ class BoundaryState:
         return self.value.map_coeffs(lambda p: p.constant_coefficient())
 
 
-def _state_from_matrix(kernel: KernelMatrix, names: tuple[str, str] = ("x", "y")) -> BoundaryState:
-    D = kernel.order
-
-    def poly(u: int) -> LaurentPoly:
-        fact = math.factorial(2 * u)
-        return LaurentPoly(names, {(i - D, j - D): Fraction(int(v), fact)
-                                   for (i, j), v in np.ndenumerate(kernel.mats[u]) if v})
-
-    return BoundaryState(D, names, _even_series(D, poly, LaurentPoly.zero(names)))
+def _state(order: int, leaf_vars: tuple[str, ...], terms: Sequence[dict]) -> BoundaryState:
+    """The state with terms[d] / d! at t^d, terms[d] mapping leaf exponents
+    to d!-scaled coefficients."""
+    return BoundaryState(order, leaf_vars, TSeries(order, tuple(
+        LaurentPoly(leaf_vars, {e: Fraction(c, math.factorial(d)) for e, c in t.items()})
+        for d, t in enumerate(terms))))
 
 
 def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
@@ -278,32 +278,28 @@ def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
         raise ValueError("need genus >= 1")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    power = _power(order, g)
+    mats = _power(order, g).mats
     if (g - 1 + parity) % 2:
-        power = KernelMatrix(order, [m[:, ::-1] for m in power.mats])  # right action of S: j -> -j
-    return _state_from_matrix(power)
+        mats = [m[:, ::-1] for m in mats]  # right action of S: j -> -j
+    terms = [{(i - order, j - order): int(v) for (i, j), v in np.ndenumerate(mats[d // 2]) if v}
+             if d % 2 == 0 else {} for d in range(order + 1)]
+    return _state(order, ("x", "y"), terms)
 
 
 def k_state(g: ColoredGraph, order: int) -> BoundaryState:
     """Boundary state of an open graph by direct expansion of exp(t W).
 
     Coefficient of t^d is the constant term, in every internal-edge
-    variable, of W^d / d!.  It is computed by the walk that gives periods,
-    with the leaf variables kept rather than summed out: degree d pairs the
-    half-powers W^ceil(d/2) and W^floor(d/2) on opposite internal-edge
+    variable, of W^d / d!.  ``periods.walk_terms`` computes it as it does
+    periods, with the leaf variables kept rather than summed out: it pairs
+    the half-powers W^ceil(d/2) and W^floor(d/2) on opposite internal-edge
     exponents and multiplies them on the leaf exponents.  A closed graph's
     period is the state of a graph with no leaves.
     """
-    bundle = graph_potential(g)
-    leaf_vars = tuple(sorted(x.id for x in g.leaves))
-    names = bundle.variables  # sorted, so the leaves stay in leaf_vars order
-    perm = sorted(range(len(names)), key=lambda i: names[i] in leaf_vars)
-    monomials = [(tuple(e[i] for i in perm), c) for e, c in _monomials(bundle.potential)]
-    coeffs = []
-    for d, terms in enumerate(_walk(monomials, len(names), order, len(leaf_vars))):
-        fact = math.factorial(d)
-        coeffs.append(LaurentPoly(leaf_vars, {e: Fraction(c, fact) for e, c in terms.items()}))
-    return BoundaryState(order, leaf_vars, TSeries(order, tuple(coeffs)))
+    # graph_potential is looked up by module name, so a wrapper sees the call
+    potential = graph_potential(g).potential
+    leaf_vars = tuple(sorted(x.id for x in g.leaves))  # in potential.vars order: both sorted
+    return _state(order, leaf_vars, walk_terms(potential, order, leaf_vars))
 
 
 def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
@@ -338,26 +334,21 @@ def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
 def wdvv_check(parity: int, order: int, drop_monomial: int | None = None) -> bool:
     """Whether the glued four-point function is symmetric in its four slots.
 
-    M3 = exp(t W(x1, x2, m)) for the vertex potential of the given parity;
-    pairing two copies along m gives M4(x1, x2, x3, x4), which must be
-    invariant under all 24 slot permutations.  ``drop_monomial`` removes
-    one term of the vertex potential first (by sorted support index) and
-    makes the check fail, which guards the test against vacuity.
+    Pairing two copies of exp(t w(x1, x2, m)) along m, for the vertex
+    potential w, gives M4(x1, x2, x3, x4), which must be invariant under all
+    24 slot permutations.  M4 at t^d is the walk's degree d, over d!, of
+    W = w(x1, x2, m) + w(x3, x4, 1/m) with x1..x4 kept.  ``drop_monomial``
+    removes one term of w first (by sorted support index) and makes the
+    check fail, which guards the test against vacuity.
     """
     w = vertex_potential(("s1", "s2", "s3"), parity)
     if drop_monomial is not None:
         supp = w.support()
         e = supp[drop_monomial % len(supp)]
         w = w - LaurentPoly(w.vars, {e: w.terms[e]})
-    f = ts_exp(w.rename_vars({"s1": "x1", "s2": "x2", "s3": "m"}), order)
-    h = ts_exp(w.rename_vars({"s1": "x3", "s2": "x4", "s3": "m"}), order)
-    m4 = pairing_in_var(f, h, "m")
     names = ("x1", "x2", "x3", "x4")
-    for perm in permutations(names):
-        if perm == names:
-            continue
-        mapping = dict(zip(names, perm))
-        permuted = m4.map_coeffs(lambda p: p.rename_vars(mapping))
-        if permuted != m4:
-            return False
-    return True
+    left = w.rename_vars({"s1": "x1", "s2": "x2", "s3": "m"}).embed(("m",) + names)
+    right = w.rename_vars({"s1": "x3", "s2": "x4", "s3": "m"}).negate_var("m").embed(("m",) + names)
+    terms = walk_terms(left + right, order, names)
+    return all({tuple(e[i] for i in perm): c for e, c in t.items()} == t
+               for perm in islice(permutations(range(4)), 1, None) for t in terms)

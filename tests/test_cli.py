@@ -303,14 +303,18 @@ class TestGlue:
         assert code == 2
 
 
+# the argv of every command that takes --order, less the --order itself
+EVERY_ORDER_COMMAND = pytest.mark.parametrize("argv", [
+    ("period", "--genus", 3, "--parity", 1),
+    ("table", "--genus-max", 3),
+    ("kernel",),
+    ("wdvv",),
+    ("glue", "--graph", FIXTURES / "necklace_open_g1.json", "--leaf-a", "x", "--leaf-b", "y"),
+], ids=lambda argv: argv[0])
+
+
 class TestUsageErrors:
-    @pytest.mark.parametrize("argv", [
-        ("period", "--genus", 3, "--parity", 1),
-        ("table", "--genus-max", 3),
-        ("kernel",),
-        ("wdvv",),
-        ("glue", "--graph", FIXTURES / "necklace_open_g1.json", "--leaf-a", "x", "--leaf-b", "y"),
-    ], ids=lambda argv: argv[0])
+    @EVERY_ORDER_COMMAND
     def test_negative_order_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([str(a) for a in argv] + ["--order", "-1"])
@@ -318,6 +322,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "argument --order: must be an integer >= 0" in err
         assert "Traceback" not in err
+
+    @EVERY_ORDER_COMMAND
+    def test_order_above_limit_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(a) for a in argv] + ["--order", str(cli.MAX_ORDER + 1)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --order: must be <= {cli.MAX_ORDER}" in err
+        assert "Traceback" not in err
+
+    def test_order_limit_accepted_and_stated(self, capsys):
+        assert cli.MAX_ORDER >= 48  # above every order the tests and benchmark use (32)
+        code, out, _ = run(capsys, "table", "--genus-max", 2, "--order", cli.MAX_ORDER)
+        assert code == 0
+        assert len(out.splitlines()) == cli.MAX_ORDER + 2
+        with pytest.raises(SystemExit):
+            cli.main(["kernel", "--help"])
+        assert f"0 to {cli.MAX_ORDER}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ("period", "--genus", cli.MAX_GENUS + 1, "--parity", 1, "--method", "tqft"),

@@ -14,6 +14,7 @@ from graphpotentials.periods import (
     inverse_laplace,
     periods_bruteforce,
     periods_of_graph,
+    walk_terms,
 )
 
 # nonzero entries of the two genus-2 period sequences through k = 12
@@ -147,6 +148,19 @@ class TestWalk:
         # which checks closed graphs only, cannot see it
         monomials, nvars, order, kept = case
         assert _walk(monomials, nvars, order, kept) == naive_walk(monomials, nvars, order, kept)
+
+    def test_entry_keeps_named_variables_in_place(self):
+        # the kept variables a and c are not last; keys list them in p.vars order
+        p = LaurentPoly(("a", "b", "c"), {(1, -1, 0): 1, (0, 1, -1): 2, (-1, 2, 1): 3})
+        bac = [((e[1], e[0], e[2]), int(c)) for e, c in p.terms.items()]
+        got = walk_terms(p, 6, ("a", "c"))
+        assert got == naive_walk(bac, 3, 6, 2)
+        assert all(type(c) is int for t in got for c in t.values())
+        assert walk_terms(p, 6) == naive_walk(bac, 3, 6, 0)
+
+    def test_entry_refuses_unknown_kept_variable(self):
+        with pytest.raises(ValueError):
+            walk_terms(xy_poly({(1, -1): 1}), 2, ("z",))
 
 
 class TestGraphPeriods:

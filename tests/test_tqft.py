@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from graphpotentials.algebra import LaurentPoly, TSeries, pairing_in_var, ts_exp
 from graphpotentials.graphs import graph_from_json, necklace_graph, theta_graph
+from graphpotentials.periods import walk_terms
 from graphpotentials.potential import graph_potential, vertex_potential
 from graphpotentials.tqft import (
     bessel,
@@ -281,6 +283,26 @@ class TestBoundaryStates:
             glue(state, "x", "nope")
 
 
+def vertex_w(parity, drop_monomial=None):
+    w = vertex_potential(("s1", "s2", "s3"), parity)
+    if drop_monomial is not None:
+        e = w.support()[drop_monomial % len(w.terms)]
+        w = w - LaurentPoly(w.vars, {e: w.terms[e]})
+    return w
+
+
+def series_wdvv_check(parity, order, drop_monomial=None):
+    """The four-point check on the series engine: pair exp(t w(x1, x2, m))
+    with exp(t w(x3, x4, m)) along m and permute the variables of M4."""
+    w = vertex_w(parity, drop_monomial)
+    f = ts_exp(w.rename_vars({"s1": "x1", "s2": "x2", "s3": "m"}), order)
+    h = ts_exp(w.rename_vars({"s1": "x3", "s2": "x4", "s3": "m"}), order)
+    m4 = pairing_in_var(f, h, "m")
+    names = ("x1", "x2", "x3", "x4")
+    return all(m4.map_coeffs(lambda p: p.rename_vars(dict(zip(names, perm)))) == m4
+               for perm in permutations(names))
+
+
 class TestWdvv:
     @pytest.mark.parametrize("parity", [0, 1])
     def test_four_point_symmetry(self, parity):
@@ -289,3 +311,21 @@ class TestWdvv:
     @pytest.mark.parametrize("drop", [0, 1, 2, 3])
     def test_corrupted_potential_fails(self, drop):
         assert not wdvv_check(0, 6, drop_monomial=drop)
+
+    @pytest.mark.parametrize("order", [5, 8])  # 5: the odd-degree pairing of the walk
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_verdicts_match_series_engine(self, order, parity):
+        for drop in (None, 0, 1, 2, 3):
+            assert wdvv_check(parity, order, drop) == series_wdvv_check(parity, order, drop)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_walk_terms_are_the_series_pairing(self, parity):
+        names = ("x1", "x2", "x3", "x4")
+        w = vertex_w(parity)
+        left = w.rename_vars({"s1": "x1", "s2": "x2", "s3": "m"})
+        right = w.rename_vars({"s1": "x3", "s2": "x4", "s3": "m"})
+        big = left.embed(("m",) + names) + right.negate_var("m").embed(("m",) + names)
+        terms = walk_terms(big, 8, names)
+        m4 = pairing_in_var(ts_exp(left, 8), ts_exp(right, 8), "m")
+        for d, t in enumerate(terms):
+            assert LaurentPoly(names, {e: Fraction(c, factorial(d)) for e, c in t.items()}) == m4[d]
