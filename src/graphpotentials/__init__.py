@@ -11,8 +11,9 @@ Submodules:
 * ``cli``: the ``graphpot`` command
 
 Symbols are re-exported lazily so that importing the package stays cheap:
-numpy is loaded only with ``tqft``, so brute-force periods, mutation and
-the commands that use nothing else start without it.
+numpy is loaded only where ``tqft`` builds a kernel matrix, so brute-force
+periods, mutation, walk states, gluing and the four-point check start and
+run without it.
 """
 
 from importlib import import_module

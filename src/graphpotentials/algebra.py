@@ -264,51 +264,6 @@ class LaurentPoly:
             out[tuple(f)] = c
         return LaurentPoly._raw(self.vars, out)
 
-    def substitute_monomial(self, mapping: Mapping[str, tuple[Scalar, Mapping[str, int]]],
-                            variables: Sequence[str] | None = None) -> "LaurentPoly":
-        """Substitute a signed monomial for every variable.
-
-        ``mapping[v] = (coeff, {target_var: exponent, ...})`` with nonzero
-        rational ``coeff``.  Every variable of ``self`` must be mapped.  The
-        target variable tuple defaults to the sorted union of all monomial
-        variables.
-        """
-        for v in self.vars:
-            if v not in mapping:
-                raise ValueError(f"no substitution given for {v!r}")
-        if variables is None:
-            tv: set[str] = set()
-            for v in self.vars:
-                tv.update(mapping[v][1])
-            variables = sorted(tv)
-        vs = tuple(variables)
-        n = len(vs)
-        index = {v: i for i, v in enumerate(vs)}
-        # per source variable: (coeff, dense target exponent vector)
-        table = []
-        for v in self.vars:
-            coeff, mono = mapping[v]
-            coeff = _as_fraction(coeff)
-            if coeff == 0:
-                raise ValueError(f"substitution for {v!r} has zero coefficient")
-            vec = [0] * n
-            for name, k in mono.items():
-                vec[index[name]] += k
-            table.append((coeff, vec))
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            vec = [0] * n
-            coeff = c
-            for k, (mc, mv) in zip(e, table):
-                if k == 0:
-                    continue
-                coeff = coeff * mc ** k
-                for i in range(n):
-                    vec[i] += k * mv[i]
-            key = tuple(vec)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return LaurentPoly(vs, out)
-
     def rename_vars(self, mapping: Mapping[str, str]) -> "LaurentPoly":
         """Bijectively rename variables (result re-sorted)."""
         new = [mapping.get(v, v) for v in self.vars]

@@ -156,7 +156,9 @@ def cmd_mutate(args) -> int:
     bundle = graph_potential(g)
     try:
         bundle2, cert = mutate(bundle, args.edge)
-    except (KeyError, ValueError) as exc:
+    except KeyError:
+        raise UsageError(f"no edge {args.edge!r} in {args.graph}") from None
+    except ValueError as exc:
         raise UsageError(f"cannot mutate at {args.edge!r}: {exc}") from exc
     except ArithmeticError as exc:
         raise VerificationFailure(str(exc)) from exc
@@ -194,7 +196,9 @@ def cmd_verify_mutation(args) -> int:
     for eid in edges:
         try:
             reports[eid] = mutation_report(bundle, eid)
-        except (KeyError, ValueError) as exc:
+        except KeyError:
+            raise UsageError(f"no edge {eid!r} in {args.graph}") from None
+        except ValueError as exc:
             raise UsageError(f"edge {eid!r}: {exc}") from exc
     failed = False
     for eid in edges:
@@ -277,6 +281,8 @@ def cmd_grassmann(args) -> int:
         if "=" not in item:
             raise UsageError(f"--distinguished takes VERTEX=SLOT, got {item!r}")
         v, s = item.split("=", 1)
+        if v in distinguished:
+            raise UsageError(f"--distinguished names vertex {v!r} twice")
         distinguished[v] = s
     try:
         p = grassmannian_limit(g, distinguished)

@@ -58,10 +58,6 @@ class ColoredGraph:
     def color(self, vid: str) -> int:
         return self.vertex(vid).color
 
-    def degree(self, vid: str) -> int:
-        d = sum((e.ends[0] == vid) + (e.ends[1] == vid) for e in self.edges)
-        return d + sum(leaf.vertex == vid for leaf in self.leaves)
-
     def coloring_parity(self) -> int:
         return sum(v.color for v in self.vertices) % 2
 
@@ -117,10 +113,9 @@ def validate(g: ColoredGraph) -> list[str]:
             problems.append(f"leaf {leaf.id}: orientation must be 'out' or 'in'")
     if problems:
         return problems
-    for v in g.vertices:
-        d = g.degree(v.id)
-        if d != 3:
-            problems.append(f"vertex {v.id}: degree {d}, expected 3")
+    for vid, slots in vertex_slots(g).items():
+        if len(slots) != 3:
+            problems.append(f"vertex {vid}: degree {len(slots)}, expected 3")
     if problems:
         return problems
     # count identities per connected component: with n leaves and first Betti
@@ -199,15 +194,27 @@ def coloring_boundary_move(g: ColoredGraph, edge_id: str) -> ColoredGraph:
     """Flip the colors of both endpoints of an internal edge.
 
     For a loop both flips hit the same vertex and the coloring is unchanged.
-    The graph potential is invariant under this move up to inverting the
-    edge variable, which is why only the total parity of a coloring matters.
+    Every leaf keeps its sign (:func:`_keep_leaf_signs`).  The graph
+    potential is invariant under this move up to inverting the edge
+    variable, which is why only the total parity of a coloring matters.
     """
     e = g.edge(edge_id)
     flips = {e.ends[0]: 0, e.ends[1]: 0}
     flips[e.ends[0]] += 1
     flips[e.ends[1]] += 1
     new = tuple(replace(v, color=(v.color + flips.get(v.id, 0)) % 2) for v in g.vertices)
-    return replace(g, vertices=new)
+    return _keep_leaf_signs(g, replace(g, vertices=new))
+
+
+def _keep_leaf_signs(old: ColoredGraph, new: ColoredGraph) -> ColoredGraph:
+    """``new`` with the orientation flipped on every leaf whose vertex color
+    differs from ``old``: a leaf's variable is inverted iff its orientation is
+    not its vertex color's default, so each leaf keeps its sign."""
+    before = {x.id: old.color(x.vertex) for x in old.leaves}
+    flipped = {"out": "in", "in": "out"}
+    return replace(new, leaves=tuple(
+        replace(x, orientation=flipped[x.orientation]) if new.color(x.vertex) != before[x.id] else x
+        for x in new.leaves))
 
 
 def normalize_coloring(g: ColoredGraph) -> tuple[ColoredGraph, list[str]]:
@@ -251,23 +258,21 @@ def normalize_coloring(g: ColoredGraph) -> tuple[ColoredGraph, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _slots_at(g: ColoredGraph, vid: str, skip_edge: str) -> list[tuple]:
-    """Non-``skip_edge`` incidences at a vertex, ordered by ascending id.
+def vertex_slots(g: ColoredGraph) -> dict[str, list[tuple]]:
+    """The incidences at every vertex, in the order of ``g.vertices``.
 
-    A slot is ("edge", edge id, end index) or ("leaf", leaf id); a loop
-    contributes two adjacent slots.  Every trivalent vertex on a non-loop
-    edge ``skip_edge`` has exactly two remaining slots.
+    A slot is ("edge", edge id, end index) or ("leaf", leaf id), listed
+    edges by ascending id first, then leaves by ascending id; a loop
+    contributes two adjacent slots.  The slot id (index 1) is the variable
+    the slot carries in the potential.  Every endpoint and leaf vertex must
+    name a vertex of ``g``.
     """
-    slots = []
+    slots: dict[str, list[tuple]] = {v.id: [] for v in g.vertices}
     for e in sorted(g.edges, key=lambda e: e.id):
-        if e.id == skip_edge:
-            continue
-        for j in (0, 1):
-            if e.ends[j] == vid:
-                slots.append(("edge", e.id, j))
+        for j, end in enumerate(e.ends):
+            slots[end].append(("edge", e.id, j))
     for leaf in sorted(g.leaves, key=lambda x: x.id):
-        if leaf.vertex == vid:
-            slots.append(("leaf", leaf.id))
+        slots[leaf.vertex].append(("leaf", leaf.id))
     return slots
 
 
@@ -278,8 +283,8 @@ def _edge_slots(g: ColoredGraph, edge_id: str) -> tuple[list[tuple], list[tuple]
     v1, v2 = e.ends
     if v1 == v2:
         raise ValueError(f"edge {edge_id} is a loop")
-    s1 = _slots_at(g, v1, edge_id)
-    s2 = _slots_at(g, v2, edge_id)
+    slots = vertex_slots(g)
+    s1, s2 = ([s for s in slots[v] if s[:2] != ("edge", edge_id)] for v in (v1, v2))
     if len(s1) != 2 or len(s2) != 2:
         raise ValueError(f"edge {edge_id}: endpoints are not trivalent")
     return s1, s2
@@ -297,7 +302,8 @@ def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:
     With slots (a, b) at one endpoint and (c, d) at the other, ordered by
     ascending id, the pairing (a, b | c, d) becomes (a, c | b, d): slot b
     crosses to the second endpoint and slot c to the first.  All ids and
-    all vertex colors are preserved.
+    all vertex colors are preserved, and a leaf that crosses to a vertex of
+    the other color keeps its sign (:func:`_keep_leaf_signs`).
     """
     v1, v2 = g.edge(edge_id).ends
     s1, s2 = _edge_slots(g, edge_id)
@@ -319,7 +325,7 @@ def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:
                 if leaf.id == lid:
                     leaves[i] = replace(leaf, vertex=target)
                     break
-    return replace(g, edges=tuple(edges), leaves=tuple(leaves))
+    return _keep_leaf_signs(g, replace(g, edges=tuple(edges), leaves=tuple(leaves)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +345,8 @@ def mgamma_member(g: ColoredGraph, weights: Mapping[str, Fraction | int]) -> boo
     w = {k: Fraction(v) for k, v in weights.items()}
     if any((2 * x).denominator != 1 for x in w.values()):
         return False
-    for v in g.vertices:
-        s = Fraction(0)
-        for e in g.edges:
-            s += w[e.id] * ((e.ends[0] == v.id) + (e.ends[1] == v.id))
-        if s.denominator != 1:
-            return False
-    return True
+    return all(sum(w[s[1]] for s in slots if s[0] == "edge").denominator == 1
+               for slots in vertex_slots(g).values())
 
 
 # ---------------------------------------------------------------------------

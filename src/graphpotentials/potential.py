@@ -16,7 +16,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .algebra import LaurentPoly
-from .graphs import ColoredGraph, genus, require_valid
+from .graphs import ColoredGraph, genus, require_valid, vertex_slots
 
 DEFAULT_ORIENTATION = {0: "out", 1: "in"}
 
@@ -63,20 +63,15 @@ class PotentialBundle:
 def graph_potential(g: ColoredGraph) -> PotentialBundle:
     require_valid(g)
     variables = tuple(sorted([e.id for e in g.edges] + [x.id for x in g.leaves]))
+    orientation = {x.id: x.orientation for x in g.leaves}
+    slots = vertex_slots(g)
     per_vertex = {}
     total = LaurentPoly.zero(variables)
     for v in g.vertices:
-        slots = []
-        for e in g.edges:
-            for end in e.ends:
-                if end == v.id:
-                    slots.append(e.id)
-        leaf_slots = [x for x in g.leaves if x.vertex == v.id]
-        slots.extend(x.id for x in leaf_slots)
-        w = vertex_potential(slots, v.color)
-        for x in leaf_slots:
-            if x.orientation != DEFAULT_ORIENTATION[v.color]:
-                w = w.negate_var(x.id)
+        w = vertex_potential([s[1] for s in slots[v.id]], v.color)
+        for s in slots[v.id]:
+            if s[0] == "leaf" and orientation[s[1]] != DEFAULT_ORIENTATION[v.color]:
+                w = w.negate_var(s[1])
         w = w.embed(variables)
         per_vertex[v.id] = w
         total = total + w
@@ -100,21 +95,15 @@ def quadrivalent_potential(slots: Sequence[str], z: str, parity: int) -> Laurent
         raise ValueError("parity must be 0 or 1")
     if z in slots:
         raise ValueError(f"the split variable {z!r} collides with a slot")
-    gen = ("qa", "qb", "qc", "qd")
-    a, b, c, d = (LaurentPoly.variable(gen, v) for v in gen)
-
-    def mono(*exps):
-        return LaurentPoly(gen, {tuple(exps): 1})
-
+    target = tuple(sorted(set(slots) | {z}))
+    a, b, c, d = (LaurentPoly.variable(target, s) for s in slots)
     if parity == 0:
         mu = (a * b + c * d) * (a * d + b * c) * (a * c + b * d) \
-            * (LaurentPoly.one(gen) + a * b * c * d)
+            * (LaurentPoly.one(target) + a * b * c * d)
     else:
         mu = (a + b * c * d) * (b + a * c * d) * (c + a * b * d) * (d + a * b * c)
-    mu = mu * mono(-2, -2, -2, -2)
-    mapping = {gv: (1, {sv: 1}) for gv, sv in zip(gen, slots)}
-    target = tuple(sorted(set(slots) | {z}))
-    mu = mu.substitute_monomial(mapping, target)
+    for s in slots:
+        mu = mu * LaurentPoly.variable(target, s, -2)
     return mu * LaurentPoly.variable(target, z, -1) + LaurentPoly.variable(target, z)
 
 
@@ -124,50 +113,36 @@ def grassmannian_limit(g: ColoredGraph, distinguished: Mapping[str, str]) -> Lau
     Every vertex must name one incident slot variable as distinguished.
     Per vertex the slots (x, y, z) with x distinguished are rescaled by an
     auxiliary variable tau as x -> tau/x, y -> y/tau, z -> z/tau; the
-    result is the tau^0 part of tau times the rescaled potential.  Three of
-    the four sign-monomials of each vertex survive.
+    result is the tau^0 part of tau times the rescaled potential, taken of
+    the graph's own potential, leaf orientations included.  On all-out
+    leaves three of the four sign-monomials of each vertex survive.
     """
-    require_valid(g)
+    bundle = graph_potential(g)
     if genus(g) != 0:
         raise ValueError("the degeneration is defined for genus-0 graphs")
     if any(v.color != 0 for v in g.vertices):
         raise ValueError("the degeneration is defined for uncolored graphs")
-    variables = tuple(sorted([e.id for e in g.edges] + [x.id for x in g.leaves]))
-    tau = "_tau"
-    while tau in variables:
-        tau = "_" + tau
-    augmented = tuple(sorted(variables + (tau,)))
-    acc = LaurentPoly.zero(augmented)
-    for v in g.vertices:
-        slots = []
-        for e in g.edges:
-            for end in e.ends:
-                if end == v.id:
-                    slots.append(e.id)
-        slots.extend(x.id for x in g.leaves if x.vertex == v.id)
-        marked = distinguished.get(v.id)
-        if marked is None:
-            raise ValueError(f"vertex {v.id}: no distinguished slot")
-        if marked not in slots:
-            raise ValueError(f"vertex {v.id}: {marked!r} is not an incident slot")
-        w = vertex_potential(slots, 0)
-        mapping = {}
-        for s in set(slots):
-            if s == marked:
-                mapping[s] = (1, {s: -1, tau: 1})
-            else:
-                mapping[s] = (1, {s: 1, tau: -1})
-        acc = acc + w.substitute_monomial(mapping, augmented)
-    tau_idx = augmented.index(tau)
+    unknown = sorted(set(distinguished) - set(bundle.per_vertex))
+    if unknown:
+        raise ValueError(f"distinguished slots name no vertex: {', '.join(unknown)}")
+    slots = vertex_slots(g)
     surviving = {}
-    for e, c in acc.terms.items():
-        k = e[tau_idx] + 1  # multiply by tau
-        if k < 0:
-            raise ArithmeticError("negative tau power; the limit does not exist")
-        if k == 0:
-            key = tuple(x for i, x in enumerate(e) if i != tau_idx)
-            surviving[key] = c
-    return LaurentPoly(variables, surviving)
+    for vid, w in bundle.per_vertex.items():
+        marked = distinguished.get(vid)
+        if marked is None:
+            raise ValueError(f"vertex {vid}: no distinguished slot")
+        if marked not in [s[1] for s in slots[vid]]:
+            raise ValueError(f"vertex {vid}: {marked!r} is not an incident slot")
+        i = bundle.variables.index(marked)
+        for e, c in w.terms.items():
+            # tau-degree of tau times the rescaled monomial; only the slots of vid occur in e
+            k = 1 + e[i] - (sum(e) - e[i])
+            if k < 0:
+                raise ArithmeticError("negative tau power; the limit does not exist")
+            if k == 0:
+                key = e[:i] + (-e[i],) + e[i + 1:]
+                surviving[key] = surviving.get(key, 0) + c
+    return LaurentPoly(bundle.variables, surviving)
 
 
 def newton_support(p: LaurentPoly) -> list[tuple[int, ...]]:

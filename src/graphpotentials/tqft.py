@@ -36,14 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, permutations
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .algebra import LaurentPoly, TSeries
 from .graphs import ColoredGraph
 from .periods import walk_terms
 from .potential import graph_potential, vertex_potential
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _even_series(order: int, f: Callable, zero=Fraction(0)) -> TSeries:
@@ -96,6 +97,8 @@ class KernelMatrix:
 
 
 def _zero_mats(order: int) -> list[np.ndarray]:
+    import numpy as np  # here, where every KernelMatrix starts: states and walks need none
+
     size = 2 * order + 1
     return [np.zeros((size, size), dtype=object) for _ in range(order // 2 + 1)]
 
@@ -281,7 +284,8 @@ def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
     mats = _power(order, g).mats
     if (g - 1 + parity) % 2:
         mats = [m[:, ::-1] for m in mats]  # right action of S: j -> -j
-    terms = [{(i - order, j - order): int(v) for (i, j), v in np.ndenumerate(mats[d // 2]) if v}
+    terms = [{(i - order, j - order): int(v)
+              for i, row in enumerate(mats[d // 2]) for j, v in enumerate(row) if v}
              if d % 2 == 0 else {} for d in range(order + 1)]
     return _state(order, ("x", "y"), terms)
 

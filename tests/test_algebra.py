@@ -76,16 +76,6 @@ class TestLaurentPoly:
         with pytest.raises(ValueError):
             q.drop_vars(["a"])
 
-    def test_substitute_monomial(self):
-        # a -> 3 * x*y^-1, b -> b; every source variable must be mapped
-        p = P({(2, 1): 1})
-        out = p.substitute_monomial(
-            {"a": (Fraction(3), {"x": 1, "y": -1}), "b": (1, {"b": 1})},
-            variables=("b", "x", "y"))
-        assert out == P({(1, 2, -2): 9}, ("b", "x", "y"))
-        with pytest.raises(ValueError):
-            p.substitute_monomial({"a": (1, {"x": 1})})
-
     def test_rename_vars(self):
         p = P({(1, -2): 5})
         q = p.rename_vars({"a": "u", "b": "v"})

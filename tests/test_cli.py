@@ -187,6 +187,14 @@ class TestMutate:
                            "--edge", "b")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("mutate",), ("verify", "mutation")],
+                             ids=["mutate", "verify-mutation"])
+    def test_missing_edge_is_named(self, argv, capsys):
+        graph = FIXTURES / "theta.json"
+        code, _, err = run(capsys, *argv, "--graph", graph, "--edge", "zz")
+        assert code == 2
+        assert err == f"error: no edge 'zz' in {graph}\n"
+
 
 class TestVerify:
     def test_mutation_all_edges(self, capsys):
@@ -208,6 +216,13 @@ class TestVerify:
                            "--graph", FIXTURES / "theta.json")
         assert code == 0
         assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize("what", ["coloring", "mutation"])
+    def test_open_necklace_moves_keep_leaf_signs(self, what, capsys):
+        code, out, _ = run(capsys, "verify", what,
+                           "--graph", FIXTURES / "necklace_open_g1.json")
+        assert code == 0
+        assert out.count("PASS") == 2
 
     def test_corrupted_check_exits_3(self, capsys, monkeypatch):
         from graphpotentials import mutation as mutation_mod
@@ -279,6 +294,25 @@ class TestGrassmann:
     def test_missing_distinguished_slot(self, capsys):
         code, _, err = run(capsys, "grassmann", "--graph", FIXTURES / "tripod.json")
         assert code == 2
+
+    def test_leaf_orientation_without_limit(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "tripod.json").read_text())
+        doc["leaves"][1]["orientation"] = "in"  # leaf Y
+        graph = tmp_path / "tripod_y_in.json"
+        graph.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "grassmann", "--graph", graph, "--distinguished", "v=X")
+        assert code == 2
+        assert "negative tau power" in err
+
+    @pytest.mark.parametrize("extra, message", [
+        ("w=Y", "name no vertex: w"),
+        ("v=Y", "names vertex 'v' twice"),
+    ], ids=["unknown-vertex", "vertex-twice"])
+    def test_bad_distinguished_entry(self, extra, message, capsys):
+        code, _, err = run(capsys, "grassmann", "--graph", FIXTURES / "tripod.json",
+                           "--distinguished", "v=X", "--distinguished", extra)
+        assert code == 2
+        assert message in err
 
 
 class TestWdvv:
@@ -404,12 +438,19 @@ class TestUsageErrors:
 
 
 def test_brute_force_path_does_not_import_numpy():
-    # numpy is needed only by the trace formula; the CLI, brute-force periods
-    # and mutation stay clear of its start-up cost
+    # numpy is needed only where a KernelMatrix is built; the CLI, brute-force
+    # periods, mutation, walk states, gluing and the four-point check stay
+    # clear of its start-up cost
     src = str(Path(graphpotentials.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, graphpotentials.cli, graphpotentials.periods, graphpotentials.mutation; "
+    code = ("import sys, graphpotentials.cli, graphpotentials.periods, graphpotentials.mutation\n"
+            "from graphpotentials import graphs, tqft\n"
+            "state = tqft.k_state(graphs.necklace_graph(1, open_ends=True), 4)\n"
+            "tqft.glue(state, 'x', 'y')\n"
+            "assert tqft.wdvv_check(0, 4)\n"
+            "print('numpy' in sys.modules)\n"
+            "tqft.t1_kernel(4)\n"
             "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "True"]

@@ -1,13 +1,19 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from graphpotentials.algebra import LaurentPoly, rexpr_equal
 from graphpotentials.graphs import (
+    coloring_boundary_move,
     dumbbell_graph,
+    elementary_transformation,
+    graph_from_json,
     is_isomorphic,
     make_graph,
     necklace_graph,
+    normalize_coloring,
     theta_graph,
 )
 from graphpotentials.mutation import (
@@ -18,8 +24,10 @@ from graphpotentials.mutation import (
     verify_mutation,
 )
 from graphpotentials.potential import graph_potential
+from graphpotentials.tqft import k_state
 
 ABCD = ("a", "b", "c", "d")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def P(terms, variables=ABCD):
@@ -87,15 +95,15 @@ class TestFactoredForms:
         assert cert.nu_prime * ABCD_MONO == a_bcd * c_abd
 
     def test_leaf_slots_carry_their_orientation(self):
-        # when the four slots are leaves, rewiring moves each leaf together
-        # with its stored orientation; at the new endpoint that can disagree
-        # with the color default, which inverts the variable and swaps the
-        # roles of the two transformed coefficients (x' versus 1/x')
+        # when the four slots are leaves, rewiring flips the stored
+        # orientation of a leaf that crosses to the vertex of the other
+        # color, so every leaf keeps its sign and the certificate is the one
+        # of the same four slots as internal edges
         cert = mu_nu_factors(graph_potential(h_graph(True)), "x")
         ref = mu_nu_factors(graph_potential(four_slot_graph(True)), "x")
         assert cert.mu == ref.mu and cert.nu == ref.nu
-        assert cert.mu_prime == ref.nu_prime
-        assert cert.nu_prime == ref.mu_prime
+        assert cert.mu_prime == ref.mu_prime
+        assert cert.nu_prime == ref.nu_prime
         assert verify_mutation(graph_potential(h_graph(True)), "x")
 
     @pytest.mark.parametrize("colored", [False, True])
@@ -230,3 +238,26 @@ class TestEdgeCases:
         p1 = periods_bruteforce(b1.potential, 8)
         p2 = periods_bruteforce(b2.potential, 8)
         assert p1.pi == p2.pi
+
+
+class TestLeafSigns:
+    """Both graph moves keep every leaf's sign, with the walk's boundary
+    state as the oracle: a move changes no state."""
+
+    GRAPHS = [pytest.param(necklace_graph(g, open_ends=True, parity=p), id=f"open-g{g}-p{p}")
+              for g in (1, 2, 3) for p in (0, 1)] + [
+        pytest.param(graph_from_json(json.loads((FIXTURES / "caterpillar.json").read_text())),
+                     id="caterpillar")]
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_moves_keep_the_state(self, g):
+        state = k_state(g, 8)
+        bundle = graph_potential(g)
+        for e in g.edges:
+            moved = coloring_boundary_move(g, e.id)
+            assert graph_potential(moved).potential == bundle.potential.negate_var(e.id)
+            assert k_state(moved, 8) == state
+            if e.ends[0] != e.ends[1]:
+                assert all(mutation_report(bundle, e.id).values())
+                assert k_state(elementary_transformation(g, e.id), 8) == state
+        assert k_state(normalize_coloring(g)[0], 8) == state

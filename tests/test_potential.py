@@ -167,8 +167,15 @@ class TestQuadrivalent:
         assert w == mu * nu * zinv + z
 
     def test_repeated_slots_allowed(self):
-        w = quadrivalent_potential(("a", "a", "b", "b"), "z", 0)
-        assert "z" in w.vars
+        # repeated slots merge: the potential on (a, a, b, b) is the
+        # distinct-slot one with c identified with a and d with b
+        for parity in (0, 1):
+            w = quadrivalent_potential(("a", "a", "b", "b"), "z", parity)
+            distinct = quadrivalent_potential(("a", "b", "c", "d"), "z", parity)
+            merged = {}
+            for (a, b, c, d, z), coeff in distinct.terms.items():
+                merged[(a + c, b + d, z)] = merged.get((a + c, b + d, z), 0) + coeff
+            assert w == P("abz", merged)
 
 
 class TestGrassmannianLimit:
@@ -183,6 +190,20 @@ class TestGrassmannianLimit:
                        [("X", "v", "out"), ("Y", "v", "out"), ("Z", "v", "out")])
         with pytest.raises(ValueError):
             grassmannian_limit(g, {})
+
+    def test_leaf_orientation_counts(self):
+        # Y "in" inverts Y in the potential: the term X^-1 Y^-1 Z^-1 takes
+        # tau to the power -2, so the limit does not exist
+        g = make_graph([("v", 0)], [],
+                       [("X", "v", "out"), ("Y", "v", "in"), ("Z", "v", "out")])
+        with pytest.raises(ArithmeticError):
+            grassmannian_limit(g, {"v": "X"})
+
+    def test_distinguished_vertex_must_exist(self):
+        g = make_graph([("v", 0)], [],
+                       [("X", "v", "out"), ("Y", "v", "out"), ("Z", "v", "out")])
+        with pytest.raises(ValueError, match="no vertex"):
+            grassmannian_limit(g, {"v": "X", "w": "Y"})
 
     def test_two_vertex_tree(self):
         # caterpillar: bridge m, leaves p,q on v1 and r,s on v2
