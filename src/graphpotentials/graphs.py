@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, Mapping, Sequence
 
 ORIENTATIONS = ("out", "in")
@@ -113,9 +113,15 @@ def validate(g: ColoredGraph) -> list[str]:
             problems.append(f"leaf {leaf.id}: orientation must be 'out' or 'in'")
     if problems:
         return problems
-    for vid, slots in vertex_slots(g).items():
-        if len(slots) != 3:
-            problems.append(f"vertex {vid}: degree {len(slots)}, expected 3")
+    degree = dict.fromkeys(vids, 0)
+    for e in g.edges:
+        for end in e.ends:
+            degree[end] += 1
+    for leaf in g.leaves:
+        degree[leaf.vertex] += 1
+    for vid, d in degree.items():
+        if d != 3:
+            problems.append(f"vertex {vid}: degree {d}, expected 3")
     if problems:
         return problems
     # count identities per connected component: with n leaves and first Betti
@@ -290,12 +296,6 @@ def _edge_slots(g: ColoredGraph, edge_id: str) -> tuple[list[tuple], list[tuple]
     return s1, s2
 
 
-def edge_slot_vars(g: ColoredGraph, edge_id: str) -> tuple[tuple[str, str], tuple[str, str]]:
-    """Variable names (a, b), (c, d) of the non-x slots at the ends of x."""
-    s1, s2 = _edge_slots(g, edge_id)
-    return (s1[0][1], s1[1][1]), (s2[0][1], s2[1][1])
-
-
 def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:
     """Re-pair the four strands around a non-loop internal edge.
 
@@ -305,6 +305,14 @@ def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:
     all vertex colors are preserved, and a leaf that crosses to a vertex of
     the other color keeps its sign (:func:`_keep_leaf_signs`).
     """
+    return elementary_move(g, edge_id)[0]
+
+
+def elementary_move(g: ColoredGraph, edge_id: str
+                    ) -> tuple[ColoredGraph, tuple[tuple[str, str], tuple[str, str]]]:
+    """:func:`elementary_transformation` at ``edge_id`` together with the
+    variable names (a, b), (c, d) of the slots it re-pairs, from one build
+    of the slot table."""
     v1, v2 = g.edge(edge_id).ends
     s1, s2 = _edge_slots(g, edge_id)
     reassign = [(s1[1], v2), (s2[0], v1)]
@@ -325,7 +333,8 @@ def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:
                 if leaf.id == lid:
                     leaves[i] = replace(leaf, vertex=target)
                     break
-    return _keep_leaf_signs(g, replace(g, edges=tuple(edges), leaves=tuple(leaves)))
+    moved = _keep_leaf_signs(g, replace(g, edges=tuple(edges), leaves=tuple(leaves)))
+    return moved, ((s1[0][1], s1[1][1]), (s2[0][1], s2[1][1]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +366,89 @@ def mgamma_member(g: ColoredGraph, weights: Mapping[str, Fraction | int]) -> boo
 def canonical_form(g: ColoredGraph):
     """Label-independent canonical key of a colored graph with leaves.
 
-    Minimum over all vertex bijections of (colors, edge multiset, leaf
-    multiset).  Brute force over permutations; fine for the graph sizes
-    handled here.
+    The key is ``(colors, edges, leaves)``: the minimum over all bijections
+    from the vertices to positions 0..V-1 of the vertex colors by position,
+    the sorted ``(low, high)`` position pairs of the edges and the sorted
+    ``(position, orientation)`` pairs of the leaves.
+
+    The least colors are the sorted colors, so each color owns a block of
+    positions.  The search fills positions 0, 1, ... in order.  Row ``a``
+    lists, sorted, the positions ``>= a`` at the other ends of the edges at
+    the vertex in position ``a`` (a loop once), closed by the sentinel V so
+    that a shorter row ranks higher; comparing rows in turn is comparing
+    the sorted edge lists.  In a labeling with the least edges, the
+    unplaced neighbors of the vertex in position ``a`` take the smallest
+    free positions of their color blocks, those with more edges to it
+    first: otherwise swapping two vertices would leave the earlier rows
+    unchanged and make row ``a`` smaller.  So the search branches only on
+    which vertex takes a position that no earlier row filled, and on the
+    order of new neighbors with the same color and edge count.  A branch
+    stops once its rows exceed those of the best labeling found so far;
+    ties go on, and leaves decide between complete labelings.
     """
-    vids = sorted(v.id for v in g.vertices)
-    colors = {v.id: v.color for v in g.vertices}
+    n = len(g.vertices)
+    index = {v.id: i for i, v in enumerate(g.vertices)}
+    color = [v.color for v in g.vertices]
+    colors = tuple(sorted(color))
+    adjacent: list[dict[int, int]] = [{} for _ in range(n)]
+    for e in g.edges:
+        a, b = index[e.ends[0]], index[e.ends[1]]
+        adjacent[a][b] = adjacent[a].get(b, 0) + 1
+        if a != b:
+            adjacent[b][a] = adjacent[b].get(a, 0) + 1
+    free = {}  # color -> smallest free position of its block
+    for p, c in enumerate(colors):
+        free.setdefault(c, p)
+    pos: list[int | None] = [None] * n
+    at: list[int | None] = [None] * n
+    rows: list[tuple[int, ...]] = []
+    best_rows: list[tuple[int, ...]] | None = None
     best = None
-    for perm in permutations(range(len(vids))):
-        pos = {vid: perm[i] for i, vid in enumerate(vids)}
-        key = (
-            tuple(colors[vid] for vid in sorted(vids, key=lambda x: pos[x])),
-            tuple(sorted(tuple(sorted((pos[e.ends[0]], pos[e.ends[1]]))) for e in g.edges)),
-            tuple(sorted((pos[leaf.vertex], leaf.orientation) for leaf in g.leaves)),
-        )
-        if best is None or key < best:
-            best = key
+
+    def fill(a: int) -> None:
+        nonlocal best_rows, best
+        if a == n:
+            key = (colors,
+                   tuple((i, j) for i, row in enumerate(rows) for j in row[:-1]),
+                   tuple(sorted((pos[index[x.vertex]], x.orientation) for x in g.leaves)))
+            if best is None or key < best:
+                best_rows, best = list(rows), key
+            return
+        if at[a] is not None:
+            extend(a)
+            return
+        for v in range(n):
+            if pos[v] is None and color[v] == colors[a]:
+                pos[v], at[a] = a, v
+                free[colors[a]] += 1
+                extend(a)
+                free[colors[a]] -= 1
+                pos[v] = at[a] = None
+
+    def extend(a: int) -> None:
+        here = adjacent[at[a]]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for u, m in here.items():
+            if pos[u] is None:
+                groups.setdefault((color[u], -m), []).append(u)
+        for orders in product(*(permutations(groups[k]) for k in sorted(groups))):
+            placed = [u for order in orders for u in order]
+            for u in placed:
+                pos[u] = free[color[u]]
+                at[pos[u]] = u
+                free[color[u]] += 1
+            row = tuple(sorted(pos[u] for u, m in here.items() if pos[u] >= a
+                               for _ in range(m))) + (n,)
+            rows.append(row)
+            if best_rows is None or rows <= best_rows[:a + 1]:
+                fill(a + 1)
+            rows.pop()
+            for u in reversed(placed):
+                free[color[u]] -= 1
+                at[pos[u]] = None
+                pos[u] = None
+
+    fill(0)
     return best
 
 
@@ -400,24 +476,22 @@ def enumerate_trivalent(g: int) -> tuple[ColoredGraph, ...]:
         raise ValueError("enumeration is implemented for genus 2 and 3")
     nv = 2 * g - 2
     stubs = [(v, s) for v in range(nv) for s in range(3)]
+    multisets = set()
     seen = {}
     for m in _perfect_matchings(stubs):
-        pairs = [(a[0], b[0]) for a, b in m]
+        # many matchings give the same labeled multigraph; build each once,
+        # with edges sorted by endpoint pairs so the labeling is stable
+        edges = tuple(sorted(tuple(sorted((a[0], b[0]))) for a, b in m))
+        if edges in multisets:
+            continue
+        multisets.add(edges)
         graph = make_graph(
             [(f"v{i}", 0) for i in range(nv)],
-            [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(pairs)],
+            [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(edges)],
         )
         if len(_components(graph)) != 1:
             continue
-        key = canonical_form(graph)
-        if key not in seen:
-            # rebuild with edges sorted by canonical endpoint pairs so the
-            # representative labeling is stable
-            canon_edges = sorted(tuple(sorted(p)) for p in pairs)
-            seen[key] = make_graph(
-                [(f"v{i}", 0) for i in range(nv)],
-                [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(canon_edges)],
-            )
+        seen.setdefault(canonical_form(graph), graph)
     return tuple(seen[k] for k in sorted(seen))
 
 

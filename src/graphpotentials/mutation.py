@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly, RationalExpr, rexpr_equal, rexpr_substitute
-from .graphs import ColoredGraph, edge_slot_vars, elementary_transformation
+from .graphs import ColoredGraph, elementary_move
 from .potential import PotentialBundle, graph_potential
 
 
@@ -80,8 +80,8 @@ def _certificate(bundle: PotentialBundle, edge_id: str):
     potential and one split of each potential."""
     g = bundle.graph
     v1, v2 = g.edge(edge_id).ends
-    slots = edge_slot_vars(g, edge_id)
-    bundle2 = graph_potential(elementary_transformation(g, edge_id))
+    moved, slots = elementary_move(g, edge_id)
+    bundle2 = graph_potential(moved)
     split = _local_on_slots(bundle, edge_id, slots)
     split2 = _local_on_slots(bundle2, edge_id, slots)
     mu, nu = _x_coefficients(split[0], edge_id)

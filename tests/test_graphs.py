@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,51 @@ from graphpotentials.graphs import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+JOBS = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
+
+
+def _canonical_form_bruteforce(g):
+    """The reference canonical key: the least key over all V! vertex orders."""
+    vids = sorted(v.id for v in g.vertices)
+    colors = {v.id: v.color for v in g.vertices}
+    best = None
+    for perm in permutations(range(len(vids))):
+        pos = {vid: perm[i] for i, vid in enumerate(vids)}
+        key = (
+            tuple(colors[vid] for vid in sorted(vids, key=lambda x: pos[x])),
+            tuple(sorted(tuple(sorted((pos[e.ends[0]], pos[e.ends[1]]))) for e in g.edges)),
+            tuple(sorted((pos[leaf.vertex], leaf.orientation) for leaf in g.leaves)),
+        )
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _random_multigraph(rng, max_vertices):
+    """Degrees 2 to 4, loops, parallel edges, leaves of both orientations,
+    colors 0 to 2, often disconnected; not a valid trivalent graph."""
+    n = rng.randint(1, max_vertices)
+    stubs = [v for v in range(n) for _ in range(rng.randint(2, 4))]
+    rng.shuffle(stubs)
+    edges, leaves = [], []
+    while len(stubs) >= 2:
+        if rng.random() < 0.15:
+            leaves.append(stubs.pop())
+        else:
+            edges.append((stubs.pop(), stubs.pop()))
+    leaves += stubs
+    return make_graph([(f"v{i}", rng.choice((0, 0, 1, 2))) for i in range(n)],
+                      [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(edges)],
+                      [(f"l{j}", f"v{v}", rng.choice(("out", "in"))) for j, v in enumerate(leaves)])
+
+
+def _colored_cubic_16():
+    """The Moebius-Kantor graph (generalized Petersen GP(8, 3)), half colored."""
+    outer = [(f"o{i}", f"o{(i + 1) % 8}") for i in range(8)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(8)]
+    inner = [(f"i{i}", f"i{(i + 3) % 8}") for i in range(8)]
+    vertices = [(f"o{i}", i % 2) for i in range(8)] + [(f"i{i}", int(i < 4)) for i in range(8)]
+    return make_graph(vertices, [(f"e{j}", a, b) for j, (a, b) in enumerate(outer + spokes + inner)])
 
 
 def tripod():
@@ -179,15 +227,45 @@ class TestEnumeration:
         assert shapes == [(0, 1), (0, 2), (1, 2), (2, 2), (3, 1)]
 
     def test_canonical_form_is_relabeling_invariant(self):
-        g = necklace_graph(3)
-        # reverse vertex naming, permute edge insertion order
-        mapping = {v.id: f"w{9 - i}" for i, v in enumerate(g.vertices)}
-        relabeled = make_graph(
-            [(mapping[v.id], v.color) for v in reversed(g.vertices)],
-            [(e.id, mapping[e.ends[0]], mapping[e.ends[1]]) for e in reversed(g.edges)],
-        )
-        assert canonical_form(relabeled) == canonical_form(g)
-        assert is_isomorphic(relabeled, g)
+        # V = 22 for the genus-12 necklaces, far past the V! orders
+        rng = random.Random(12)
+        for g in (necklace_graph(3), necklace_graph(12, parity=0), necklace_graph(12, parity=1),
+                  _colored_cubic_16()):
+            # shuffled vertex naming, reversed vertex and edge insertion order
+            names = [f"w{i}" for i in range(len(g.vertices))]
+            rng.shuffle(names)
+            mapping = {v.id: name for v, name in zip(g.vertices, names)}
+            relabeled = make_graph(
+                [(mapping[v.id], v.color) for v in reversed(g.vertices)],
+                [(e.id, mapping[e.ends[0]], mapping[e.ends[1]]) for e in reversed(g.edges)],
+            )
+            assert canonical_form(relabeled) == canonical_form(g)
+            assert is_isomorphic(relabeled, g)
+
+    def test_canonical_form_matches_bruteforce(self):
+        rng = random.Random(2024)
+        graphs = [_random_multigraph(rng, 7) for _ in range(150)]
+        for g in enumerate_trivalent(2) + enumerate_trivalent(3):
+            graphs += [g] + [with_colors(g, {v.id: 1}) for v in g.vertices]
+        for parity in (0, 1):
+            graphs += [necklace_graph(k, parity=parity) for k in (2, 3, 4)]
+            graphs += [necklace_graph(k, open_ends=True, parity=parity) for k in (1, 2, 3)]
+        for g in graphs:
+            assert canonical_form(g) == _canonical_form_bruteforce(g), graph_to_json(g)
+
+    def test_canonical_form_key_shape(self):
+        # perfbench/jobs.py rebuilds a class's representative from its key
+        spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
+        jobs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(jobs)
+        key = canonical_form(necklace_graph(4, parity=1))
+        colors, edges, leaves = key
+        assert colors == (0,) * 5 + (1,)
+        assert all(type(a) is int and a <= b for a, b in edges) and list(edges) == sorted(edges)
+        assert leaves == ()
+        assert canonical_form(jobs.representative(key)) == key
+        open_key = canonical_form(necklace_graph(2, open_ends=True, parity=1))
+        assert open_key[2] == ((1, "out"), (3, "in"))
 
     def test_isomorphism_respects_colors(self):
         a = with_colors(theta_graph(), {"v1": 1})

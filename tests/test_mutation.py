@@ -190,6 +190,24 @@ class TestThetaDumbbell:
         out, _ = mutate(bundle, "s2")
         assert calls == [bundle, out]
 
+    def test_mutate_builds_two_slot_tables(self, monkeypatch):
+        # one for the source graph's re-pairing, one for the moved graph's potential
+        from graphpotentials import graphs as graphs_mod
+        from graphpotentials import potential as potential_mod
+
+        bundle = graph_potential(necklace_graph(4))
+        real = graphs_mod.vertex_slots
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        for module in (graphs_mod, potential_mod):
+            monkeypatch.setattr(module, "vertex_slots", counting)
+        out, _ = mutate(bundle, "s2")
+        assert calls == [bundle.graph, out.graph]
+
     def test_mutate_swaps_the_pair(self):
         b_theta = graph_potential(theta_graph())
         out, cert = mutate(b_theta, "a")
