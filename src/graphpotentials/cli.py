@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 
 # Largest genus that ``period --genus`` and ``table --genus-max`` accept: the
@@ -65,10 +64,6 @@ def _poly_json(p) -> dict:
         "variables": list(p.vars),
         "terms": {_exps_key(e): str(p.terms[e]) for e in sorted(p.terms)},
     }
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _print_json(data):
@@ -266,7 +261,7 @@ def cmd_kernel(args) -> int:
         for j in range(-D, D + 1):
             series = kernel.entry(i, j)
             if any(series.coeffs):
-                entries[f"{i},{j}"] = [_frac_str(c) for c in series.coeffs]
+                entries[f"{i},{j}"] = [str(c) for c in series.coeffs]
     _print_json({"order": D, "entries": entries})
     return 0
 
@@ -324,7 +319,7 @@ def cmd_glue(args) -> int:
         "order": glued.order,
         "leaf_vars": list(glued.leaf_vars),
         "coefficients": [
-            {"degree": d, "terms": {_exps_key(e): _frac_str(c)
+            {"degree": d, "terms": {_exps_key(e): str(c)
                                     for e, c in sorted(glued.value[d].terms.items())}}
             for d in range(glued.order + 1)
         ],

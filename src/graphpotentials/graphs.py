@@ -282,20 +282,6 @@ def vertex_slots(g: ColoredGraph) -> dict[str, list[tuple]]:
     return slots
 
 
-def _edge_slots(g: ColoredGraph, edge_id: str) -> tuple[list[tuple], list[tuple]]:
-    """The two remaining slots at each end of a non-loop edge between
-    trivalent vertices, in the order of ``edge.ends``."""
-    e = g.edge(edge_id)
-    v1, v2 = e.ends
-    if v1 == v2:
-        raise ValueError(f"edge {edge_id} is a loop")
-    slots = vertex_slots(g)
-    s1, s2 = ([s for s in slots[v] if s[:2] != ("edge", edge_id)] for v in (v1, v2))
-    if len(s1) != 2 or len(s2) != 2:
-        raise ValueError(f"edge {edge_id}: endpoints are not trivalent")
-    return s1, s2
-
-
 def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:
     """Re-pair the four strands around a non-loop internal edge.
 
@@ -314,7 +300,12 @@ def elementary_move(g: ColoredGraph, edge_id: str
     variable names (a, b), (c, d) of the slots it re-pairs, from one build
     of the slot table."""
     v1, v2 = g.edge(edge_id).ends
-    s1, s2 = _edge_slots(g, edge_id)
+    if v1 == v2:
+        raise ValueError(f"edge {edge_id} is a loop")
+    slots = vertex_slots(g)
+    s1, s2 = ([s for s in slots[v] if s[:2] != ("edge", edge_id)] for v in (v1, v2))
+    if len(s1) != 2 or len(s2) != 2:
+        raise ValueError(f"edge {edge_id}: endpoints are not trivalent")
     reassign = [(s1[1], v2), (s2[0], v1)]
     edges = list(g.edges)
     leaves = list(g.leaves)
@@ -456,43 +447,55 @@ def is_isomorphic(a: ColoredGraph, b: ColoredGraph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _perfect_matchings(stubs):
-    if not stubs:
-        yield []
-        return
-    first = stubs[0]
-    for i in range(1, len(stubs)):
-        rest = stubs[1:i] + stubs[i + 1:]
-        for m in _perfect_matchings(rest):
-            yield [(first, stubs[i])] + m
+# Largest genus enumerate_trivalent accepts: genus 6 (388 classes) takes seconds, 7x genus 5.
+MAX_ENUMERATION_GENUS = 6
+
+
+def _subdivide(ends: list[tuple[int, int]], i: int, p: int) -> list[tuple[int, int]]:
+    """``ends`` with edge ``i`` replaced by its two halves through vertex ``p``."""
+    a, b = ends[i]
+    return ends[:i] + [(a, p), (p, b)] + ends[i + 1:]
+
+
+def _uncolored(ends: Sequence[tuple[int, int]], n: int) -> ColoredGraph:
+    """The uncolored graph on v0..v(n-1) with edges e0, e1, ... at ``ends``."""
+    return make_graph([(f"v{i}", 0) for i in range(n)],
+                      [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(ends)])
 
 
 @cache  # the graphs are frozen, so every caller may share one tuple
 def enumerate_trivalent(g: int) -> tuple[ColoredGraph, ...]:
     """All connected trivalent leafless graphs of first Betti number g,
-    one uncolored representative per isomorphism class, deterministically
-    labeled.  Supported for g in {2, 3}."""
-    if g not in (2, 3):
-        raise ValueError("enumeration is implemented for genus 2 and 3")
-    nv = 2 * g - 2
-    stubs = [(v, s) for v in range(nv) for s in range(3)]
-    multisets = set()
-    seen = {}
-    for m in _perfect_matchings(stubs):
-        # many matchings give the same labeled multigraph; build each once,
-        # with edges sorted by endpoint pairs so the labeling is stable
-        edges = tuple(sorted(tuple(sorted((a[0], b[0]))) for a, b in m))
-        if edges in multisets:
-            continue
-        multisets.add(edges)
-        graph = make_graph(
-            [(f"v{i}", 0) for i in range(nv)],
-            [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(edges)],
-        )
-        if len(_components(graph)) != 1:
-            continue
-        seen.setdefault(canonical_form(graph), graph)
-    return tuple(seen[k] for k in sorted(seen))
+    one uncolored representative per isomorphism class, sorted by
+    :func:`canonical_form` and labeled by canonical position (``v0``, ...,
+    ``e0``, ...).  Supported for 2 <= g <= MAX_ENUMERATION_GENUS.
+
+    Genus 2 is the theta and the dumbbell.  Each genus-(g - 1) class grows
+    into genus g in two ways: subdivide two edges, or one edge twice, and
+    join the two new vertices; or subdivide one edge and hang a lollipop (a
+    vertex with a loop) from the new vertex.  This reaches every class: a
+    connected cubic multigraph of genus g >= 3 either has a loop, whose
+    lollipop comes off when the vertex it hangs from is suppressed, or has
+    an edge on a cycle, which can be deleted with its two ends suppressed.
+    What is left is connected and cubic of genus g - 1, because the only
+    cases where this fails, a lollipop hanging from a loop and an edge of a
+    triple edge, are the genus-2 dumbbell and theta.
+    """
+    if not 2 <= g <= MAX_ENUMERATION_GENUS:
+        raise ValueError(f"enumeration is implemented for genus 2 to {MAX_ENUMERATION_GENUS}")
+    if g == 2:
+        found = {canonical_form(theta_graph()), canonical_form(dumbbell_graph())}
+    else:
+        found = set()
+        for h in enumerate_trivalent(g - 1):
+            ends, p, q = list(canonical_form(h)[1]), 2 * g - 4, 2 * g - 3
+            for i in range(len(ends)):
+                once = _subdivide(ends, i, p)
+                # j = i subdivides the half (p, b) of edge i, at position i + 1
+                grown = [once + [(p, q), (q, q)]]
+                grown += [_subdivide(once, j + 1, q) + [(p, q)] for j in range(i, len(ends))]
+                found.update(canonical_form(_uncolored(x, 2 * g - 2)) for x in grown)
+    return tuple(_uncolored(key[1], 2 * g - 2) for key in sorted(found))
 
 
 def with_colors(g: ColoredGraph, colors: Mapping[str, int]) -> ColoredGraph:

@@ -7,6 +7,7 @@ clock bounds, which are generous on purpose.
 
 import time
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 from graphpotentials.algebra import LaurentPoly
@@ -22,7 +23,7 @@ from graphpotentials.graphs import (
     with_colors,
 )
 from graphpotentials.mutation import mutate, verify_mutation
-from graphpotentials.periods import periods_bruteforce, periods_of_graph
+from graphpotentials.periods import periods_bruteforce, periods_from_laplace, periods_of_graph
 from graphpotentials.potential import grassmannian_limit, graph_potential
 from graphpotentials.tqft import (
     flip_operator,
@@ -79,18 +80,33 @@ def test_criterion_03_central_binomial_closed_form():
 
 
 def test_criterion_04_genus3_oracle_equivalence():
-    classes = enumerate_trivalent(3)
-    ok = len(classes) == 5
+    # the paper's claim over every class: the periods depend only on genus
+    # and coloring parity, so brute force on any graph equals one column of
+    # the trace-formula table
+    hats, tt = timed(lambda: trace_formula_table(5, 10))
+    table = {key: periods_from_laplace(hat) for key, hat in hats.items()}
+    ok = tt < 5.0
+    checked = 0
     slowest = 0.0
-    for g0 in classes:
-        for parity in (0, 1):
-            g = with_colors(g0, {g0.vertices[0].id: parity})
-            brute, tb = timed(lambda: periods_of_graph(g, 8, method="brute"))
-            tqft, tt = timed(lambda: periods_of_graph(g, 8, method="tqft"))
-            slowest = max(slowest, tb)
-            ok = ok and brute.pi == tqft.pi and tb <= 60.0 and tt < 1.0
-    report(4, f"5 genus-3 classes x 2 parities, brute == tqft at K=8 "
-              f"(slowest brute {slowest:.2f}s)", ok)
+    for genus_ in range(2, 6):
+        order = 10 if genus_ <= 4 else 8
+        for g0 in enumerate_trivalent(genus_):
+            if genus_ <= 3:
+                # every coloring: V <= 4 gives at most 16
+                vids = [v.id for v in g0.vertices]
+                colorings = [with_colors(g0, dict(zip(vids, bits)))
+                             for bits in product((0, 1), repeat=len(vids))]
+            else:
+                colorings = [with_colors(g0, {g0.vertices[0].id: parity}) for parity in (0, 1)]
+            for g in colorings:
+                brute, tb = timed(lambda: periods_of_graph(g, order, method="brute"))
+                slowest = max(slowest, tb)
+                checked += 1
+                want = table[(genus_, g.coloring_parity())][:order + 1]
+                ok = ok and brute.pi == want and tb <= 60.0
+    report(4, f"every class at genus 2-5 at both parities, every coloring through "
+              f"genus 3: brute == trace formula at K=10 (K=8 at genus 5), "
+              f"{checked} graphs (slowest brute {slowest:.2f}s, table {tt:.2f}s)", ok)
 
 
 def test_criterion_05_mutation_suite():

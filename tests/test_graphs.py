@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from graphpotentials.graphs import (
+    MAX_ENUMERATION_GENUS,
     EdgeWeightVector,
+    _components,
     canonical_form,
     coloring_boundary_move,
     dumbbell_graph,
@@ -25,6 +28,7 @@ from graphpotentials.graphs import (
     normalize_coloring,
     theta_graph,
     validate,
+    vertex_slots,
     with_colors,
 )
 
@@ -47,6 +51,81 @@ def _canonical_form_bruteforce(g):
         if best is None or key < best:
             best = key
     return best
+
+
+def _perfect_matchings(stubs):
+    if not stubs:
+        yield []
+        return
+    first = stubs[0]
+    for i in range(1, len(stubs)):
+        rest = stubs[1:i] + stubs[i + 1:]
+        for m in _perfect_matchings(rest):
+            yield [(first, stubs[i])] + m
+
+
+def _enumerate_trivalent_stubs(g):
+    """The reference enumeration: every perfect matching of the 3V vertex
+    stubs, one representative per class, sorted by canonical key.  There
+    are (6g - 7)!! matchings, so it runs at genus 2 and 3 only."""
+    nv = 2 * g - 2
+    stubs = [(v, s) for v in range(nv) for s in range(3)]
+    multisets = set()
+    seen = {}
+    for m in _perfect_matchings(stubs):
+        # many matchings give the same labeled multigraph; build each once,
+        # with edges sorted by endpoint pairs so the labeling is stable
+        edges = tuple(sorted(tuple(sorted((a[0], b[0]))) for a, b in m))
+        if edges in multisets:
+            continue
+        multisets.add(edges)
+        graph = make_graph(
+            [(f"v{i}", 0) for i in range(nv)],
+            [(f"e{j}", f"v{a}", f"v{b}") for j, (a, b) in enumerate(edges)],
+        )
+        if len(_components(graph)) != 1:
+            continue
+        seen.setdefault(canonical_form(graph), graph)
+    return tuple(seen[k] for k in sorted(seen))
+
+
+def _both_re_pairings(g, edge_id):
+    """The two graphs that re-pair the strands at a non-loop edge.
+
+    elementary_transformation picks one re-pairing by id order; the other
+    comes from the same move on g with the ids of the two other edges at
+    the edge's second end swapped.  Where one of those is parallel to the
+    edge, the swap may reorder the first end too, but the results still
+    include the re-pairing that makes a loop, and the other one there gives
+    a graph isomorphic to g.
+    """
+    v2 = g.edge(edge_id).ends[1]
+    c, d = (s[1] for s in vertex_slots(g)[v2] if s[1] != edge_id)
+    swap = {c: d, d: c}
+    swapped = replace(g, edges=tuple(replace(e, id=swap.get(e.id, e.id)) for e in g.edges))
+    return elementary_transformation(g, edge_id), elementary_transformation(swapped, edge_id)
+
+
+def _reached(nodes, moves):
+    """The number of classes reached from the first of ``nodes`` (a dict
+    from canonical key to graph) by ``moves``, and the number of moves made;
+    every move must land in ``nodes``."""
+    start = next(iter(nodes))
+    seen = {start}
+    frontier = [start]
+    made = 0
+    while frontier:
+        found = []
+        for key in frontier:
+            for out in moves(nodes[key]):
+                made += 1
+                k = canonical_form(out)
+                assert k in nodes, graph_to_json(out)
+                if k not in seen:
+                    seen.add(k)
+                    found.append(k)
+        frontier = found
+    return len(seen), made
 
 
 def _random_multigraph(rng, max_vertices):
@@ -197,17 +276,63 @@ class TestElementaryTransformation:
                 assert validate(out) == []
                 assert genus(out) == 3
 
+    @pytest.mark.parametrize("genus_,moves", [(3, 48), (4, 262), (5, 1498)])
+    def test_uncolored_classes_are_one_component(self, genus_, moves):
+        # the paper's homotopy statement: every class reaches every other
+        nodes = {canonical_form(g): g for g in enumerate_trivalent(genus_)}
+
+        def neighbors(g):
+            for e in g.edges:
+                if e.ends[0] != e.ends[1]:
+                    yield from _both_re_pairings(g, e.id)
+
+        assert _reached(nodes, neighbors) == (len(nodes), moves)
+
+    @pytest.mark.parametrize("genus_", [3, 4])
+    def test_one_vertex_colored_classes_are_one_component(self, genus_):
+        # boundary moves at the colored vertex carry its color to a neighbor
+        nodes = {}
+        for g in enumerate_trivalent(genus_):
+            for v in g.vertices:
+                colored = with_colors(g, {v.id: 1})
+                nodes.setdefault(canonical_form(colored), colored)
+
+        def neighbors(g):
+            for e in g.edges:
+                if e.ends[0] != e.ends[1]:
+                    yield from _both_re_pairings(g, e.id)
+                    if 1 in (g.color(e.ends[0]), g.color(e.ends[1])):
+                        yield coloring_boundary_move(g, e.id)
+
+        assert _reached(nodes, neighbors)[0] == len(nodes)
+
 
 class TestEnumeration:
     def test_counts(self):
-        assert len(enumerate_trivalent(2)) == 2
-        assert len(enumerate_trivalent(3)) == 5
+        # OEIS A005967: connected cubic multigraphs with loops on 2g - 2 vertices
+        assert [len(enumerate_trivalent(g)) for g in range(2, 6)] == [2, 5, 17, 71]
+
+    def test_matches_stub_matching_oracle(self):
+        for g in (2, 3):
+            assert ([canonical_form(x) for x in enumerate_trivalent(g)]
+                    == [canonical_form(x) for x in _enumerate_trivalent_stubs(g)])
+
+    def test_representatives_are_connected_cubic(self):
+        for g in range(2, 6):
+            for x in enumerate_trivalent(g):
+                assert validate(x) == []
+                assert homology_ranks_f2(x) == (1, g)
+                assert len(x.vertices) == 2 * g - 2 and len(x.edges) == 3 * g - 3
 
     def test_classes_are_pairwise_distinct(self):
-        classes = enumerate_trivalent(3)
-        for i, a in enumerate(classes):
-            for b in classes[i + 1:]:
-                assert not is_isomorphic(a, b)
+        for g in range(2, 6):
+            keys = [canonical_form(x) for x in enumerate_trivalent(g)]
+            assert keys == sorted(set(keys))
+
+    @pytest.mark.parametrize("g", [1, MAX_ENUMERATION_GENUS + 1])
+    def test_out_of_range_genus_is_refused(self, g):
+        with pytest.raises(ValueError, match="genus 2 to"):
+            enumerate_trivalent(g)
 
     def test_genus_2_is_theta_and_dumbbell(self):
         classes = enumerate_trivalent(2)
