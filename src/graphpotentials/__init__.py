@@ -29,7 +29,6 @@ _EXPORTS = {
     "rexpr_equal": "algebra",
     "rexpr_substitute": "algebra",
     "ColoredGraph": "graphs",
-    "EdgeWeightVector": "graphs",
     "validate": "graphs",
     "genus": "graphs",
     "homology_ranks_f2": "graphs",
@@ -48,16 +47,13 @@ _EXPORTS = {
     "graph_potential": "potential",
     "quadrivalent_potential": "potential",
     "grassmannian_limit": "potential",
-    "newton_support": "potential",
     "MutationCertificate": "mutation",
     "split_potential": "mutation",
     "mu_nu_factors": "mutation",
     "verify_mutation": "mutation",
     "mutate": "mutation",
     "PeriodSequence": "periods",
-    "LaplaceSequence": "periods",
     "periods_bruteforce": "periods",
-    "inverse_laplace": "periods",
     "periods_of_graph": "periods",
     "KernelMatrix": "tqft",
     "BoundaryState": "tqft",

@@ -89,9 +89,6 @@ class LaurentPoly:
     def constant_coefficient(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), Fraction(0))
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def support(self) -> list[Exponents]:
         """Sorted exponent vectors with nonzero coefficient."""
         return sorted(self.terms)
@@ -232,6 +229,19 @@ class LaurentPoly:
         vs = tuple(self.vars[i] for i in idx)
         return LaurentPoly._raw(vs, {tuple(e[i] for i in idx): c for e, c in self.terms.items()})
 
+    def by_degree(self, name: str) -> dict[int, "LaurentPoly"]:
+        """{k: coefficient of name**k}, each over the other variables.
+
+        Only the degrees that occur are keys, in the order of the terms.
+        """
+        i = self.vars.index(name)
+        parts: dict[int, dict] = {}
+        for e, c in self.terms.items():
+            # exponent tuples are distinct, so are their rests within a degree
+            parts.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
+        rest = self.vars[:i] + self.vars[i + 1:]
+        return {k: LaurentPoly._raw(rest, t) for k, t in parts.items()}
+
     def constant_term(self, names: Iterable[str] | None = None) -> "LaurentPoly":
         """Part with exponent 0 in every named variable, those variables dropped.
 
@@ -244,15 +254,12 @@ class LaurentPoly:
         for v in drop:
             if v not in self.vars:
                 raise ValueError(f"unknown variable {v!r}")
-        keep_idx = [i for i, v in enumerate(self.vars) if v not in drop]
-        drop_idx = [i for i, v in enumerate(self.vars) if v in drop]
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if all(e[i] == 0 for i in drop_idx):
-                k = tuple(e[i] for i in keep_idx)
-                out[k] = out.get(k, Fraction(0)) + c
-        vs = tuple(self.vars[i] for i in keep_idx)
-        return LaurentPoly(vs, out)
+        out = self
+        for v in drop:
+            out = out.by_degree(v).get(0)
+            if out is None:
+                return LaurentPoly.zero(tuple(x for x in self.vars if x not in drop))
+        return out
 
     def negate_var(self, name: str) -> "LaurentPoly":
         """Substitute ``name -> name**-1``."""
@@ -345,15 +352,6 @@ class RationalExpr:
     def embed(self, variables: Sequence[str]) -> "RationalExpr":
         return RationalExpr(self.num.embed(variables), self.den.embed(variables))
 
-    def __add__(self, other: "RationalExpr") -> "RationalExpr":
-        return RationalExpr(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "RationalExpr") -> "RationalExpr":
-        return RationalExpr(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "RationalExpr":
-        return RationalExpr(self.den, self.num)
-
     def __str__(self) -> str:
         if self.den == LaurentPoly.one(self.den.vars):
             return str(self.num)
@@ -377,25 +375,21 @@ def rexpr_substitute(p: LaurentPoly, name: str, value: RationalExpr) -> Rational
     """
     if name not in p.vars:
         raise ValueError(f"unknown variable {name!r}")
-    rest = [v for v in p.vars if v != name]
-    target = sorted(set(rest) | set(value.num.vars))
-    i = p.vars.index(name)
-    m_pos = max((max(e[i], 0) for e in p.terms), default=0)
-    m_neg = max((max(-e[i], 0) for e in p.terms), default=0)
+    parts = p.by_degree(name)
+    target = tuple(sorted((set(p.vars) - {name}) | set(value.num.vars)))
+    m_pos = max(max(parts, default=0), 0)
+    m_neg = max(-min(parts, default=0), 0)
     num_v = value.num.embed(target)
     den_v = value.den.embed(target)
     # precompute powers
-    npows = [LaurentPoly.one(tuple(target))]
-    dpows = [LaurentPoly.one(tuple(target))]
+    npows = [LaurentPoly.one(target)]
+    dpows = [LaurentPoly.one(target)]
     for _ in range(m_pos + m_neg):
         npows.append(npows[-1] * num_v)
         dpows.append(dpows[-1] * den_v)
-    acc = LaurentPoly.zero(tuple(target))
-    for e, c in p.terms.items():
-        k = e[i]
-        mono = {tuple(x for j, x in enumerate(e) if j != i): c}
-        rest_poly = LaurentPoly(tuple(rest), mono).embed(target)
-        acc = acc + rest_poly * npows[k + m_neg] * dpows[m_pos - k]
+    acc = LaurentPoly.zero(target)
+    for k, part in parts.items():
+        acc = acc + part.embed(target) * npows[k + m_neg] * dpows[m_pos - k]
     return RationalExpr(acc, npows[m_neg] * dpows[m_pos])
 
 
@@ -427,11 +421,6 @@ class TSeries:
 
     def __getitem__(self, d: int):
         return self.coeffs[d]
-
-    def truncate(self, order: int) -> "TSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TSeries(order, self.coeffs[: order + 1])
 
     def __add__(self, other: "TSeries") -> "TSeries":
         d = min(self.order, other.order)
@@ -477,20 +466,15 @@ def _pair_polys(p: LaurentPoly, q: LaurentPoly, name: str) -> LaurentPoly:
     Pairs the coefficient of ``name**k`` in ``p`` with the coefficient of
     ``name**k`` in ``q`` for every k, over the union of remaining variables.
     """
-    union = sorted((set(p.vars) | set(q.vars)) - {name})
+    union = tuple(sorted((set(p.vars) | set(q.vars)) - {name}))
 
     def split(r: LaurentPoly) -> dict[int, LaurentPoly]:
-        i = r.vars.index(name)
-        buckets: dict[int, dict] = {}
-        for e, c in r.terms.items():
-            rest = tuple(x for j, x in enumerate(e) if j != i)
-            buckets.setdefault(e[i], {})[rest] = c
-        rest_vars = tuple(v for v in r.vars if v != name)
-        return {k: LaurentPoly(rest_vars, t).embed(union) for k, t in buckets.items()}
+        r = r.embed(sorted(set(r.vars) | {name}))
+        return {k: part.embed(union) for k, part in r.by_degree(name).items()}
 
-    ps = split(p if name in p.vars else p.embed(sorted(set(p.vars) | {name})))
-    qs = split(q if name in q.vars else q.embed(sorted(set(q.vars) | {name})))
-    acc = LaurentPoly.zero(tuple(union))
+    ps = split(p)
+    qs = split(q)
+    acc = LaurentPoly.zero(union)
     for k, part in ps.items():
         other = qs.get(k)
         if other is not None:

@@ -62,17 +62,6 @@ class ColoredGraph:
         return sum(v.color for v in self.vertices) % 2
 
 
-@dataclass(frozen=True)
-class EdgeWeightVector:
-    """Rational weights on the internal edges of a graph."""
-
-    graph: ColoredGraph
-    weights: Mapping[str, Fraction]
-
-    def in_lattice(self) -> bool:
-        return mgamma_member(self.graph, self.weights)
-
-
 # ---------------------------------------------------------------------------
 # construction and validation
 # ---------------------------------------------------------------------------
@@ -122,19 +111,6 @@ def validate(g: ColoredGraph) -> list[str]:
     for vid, d in degree.items():
         if d != 3:
             problems.append(f"vertex {vid}: degree {d}, expected 3")
-    if problems:
-        return problems
-    # count identities per connected component: with n leaves and first Betti
-    # number b, a trivalent component has 2b - 2 + n vertices and
-    # 3b - 3 + n internal edges
-    for comp in _components(g):
-        nv = len(comp)
-        ne = sum(e.ends[0] in comp and e.ends[1] in comp for e in g.edges)
-        nl = sum(leaf.vertex in comp for leaf in g.leaves)
-        b = ne - nv + 1
-        if nv != 2 * b - 2 + nl or ne != 3 * b - 3 + nl:
-            problems.append(f"component {sorted(comp)}: count identities fail "
-                            f"(V={nv}, E={ne}, leaves={nl}, b1={b})")
     return problems
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly, RationalExpr, rexpr_equal, rexpr_substitute
-from .graphs import ColoredGraph, elementary_move
+from .graphs import elementary_move
 from .potential import PotentialBundle, graph_potential
 
 
@@ -51,19 +51,12 @@ def split_potential(bundle: PotentialBundle, edge_id: str) -> tuple[LaurentPoly,
 
 def _x_coefficients(local: LaurentPoly, x: str) -> tuple[LaurentPoly, LaurentPoly]:
     """Split ``local = mu * x**-1 + nu * x``; x-degrees must be exactly +-1."""
-    i = local.vars.index(x)
-    rest_vars = tuple(v for v in local.vars if v != x)
-    mu: dict[tuple, object] = {}
-    nu: dict[tuple, object] = {}
-    for e, c in local.terms.items():
-        rest = tuple(v for j, v in enumerate(e) if j != i)
-        if e[i] == -1:
-            mu[rest] = mu.get(rest, 0) + c
-        elif e[i] == 1:
-            nu[rest] = nu.get(rest, 0) + c
-        else:
-            raise ValueError(f"local potential has x-degree {e[i]}, expected +-1")
-    return LaurentPoly(rest_vars, mu), LaurentPoly(rest_vars, nu)
+    parts = local.by_degree(x)
+    for k in parts:
+        if k not in (-1, 1):
+            raise ValueError(f"local potential has x-degree {k}, expected +-1")
+    zero = LaurentPoly.zero(tuple(v for v in local.vars if v != x))
+    return parts.get(-1, zero), parts.get(1, zero)
 
 
 def _local_on_slots(bundle: PotentialBundle, x: str,

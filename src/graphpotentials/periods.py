@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import LaurentPoly, TSeries
 from .graphs import ColoredGraph, genus, homology_ranks_f2, require_valid
@@ -39,13 +38,6 @@ class PeriodSequence:
             raise ValueError(f"need {self.order + 1} values, got {len(self.pi)}")
         if self.pi[0] != 1:
             raise ValueError("pi[0] must be 1")
-
-
-@dataclass(frozen=True)
-class LaplaceSequence:
-    order: int
-    pi_hat: tuple[Fraction, ...]
-    graph_fingerprint: str | None = None
 
 
 def _walk(monomials, nvars: int, order: int, kept: int) -> list[dict]:
@@ -157,12 +149,6 @@ def periods_bruteforce(p: LaurentPoly, order: int,
                        fingerprint: str | None = None) -> PeriodSequence:
     values = constant_terms_of_powers(p, order)
     return PeriodSequence(order, tuple(values), fingerprint)
-
-
-def inverse_laplace(seq: PeriodSequence) -> LaplaceSequence:
-    """Divide out k!: pi_hat_k = pi_k / k!."""
-    hat = tuple(Fraction(seq.pi[k], math.factorial(k)) for k in range(seq.order + 1))
-    return LaplaceSequence(seq.order, hat, seq.graph_fingerprint)
 
 
 def periods_from_laplace(hat: TSeries) -> tuple[int, ...]:

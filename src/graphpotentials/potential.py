@@ -143,8 +143,3 @@ def grassmannian_limit(g: ColoredGraph, distinguished: Mapping[str, str]) -> Lau
                 key = e[:i] + (-e[i],) + e[i + 1:]
                 surviving[key] = surviving.get(key, 0) + c
     return LaurentPoly(bundle.variables, surviving)
-
-
-def newton_support(p: LaurentPoly) -> list[tuple[int, ...]]:
-    """Sorted exponent vectors of the nonzero terms."""
-    return p.support()

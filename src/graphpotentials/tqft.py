@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice, permutations
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -116,7 +115,6 @@ def flip_operator(order: int) -> KernelMatrix:
     return KernelMatrix(order, mats)
 
 
-@lru_cache(maxsize=8)  # bounded: a long-lived process may ask for many orders
 def t1_kernel(order: int) -> KernelMatrix:
     """Coefficient matrix of T1(x, y) = B(t(x+y)) B(t(x^-1+y^-1)).
 
@@ -335,21 +333,16 @@ def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
 # ---------------------------------------------------------------------------
 
 
-def wdvv_check(parity: int, order: int, drop_monomial: int | None = None) -> bool:
+def wdvv_check(parity: int, order: int) -> bool:
     """Whether the glued four-point function is symmetric in its four slots.
 
     Pairing two copies of exp(t w(x1, x2, m)) along m, for the vertex
     potential w, gives M4(x1, x2, x3, x4), which must be invariant under all
     24 slot permutations.  M4 at t^d is the walk's degree d, over d!, of
-    W = w(x1, x2, m) + w(x3, x4, 1/m) with x1..x4 kept.  ``drop_monomial``
-    removes one term of w first (by sorted support index) and makes the
-    check fail, which guards the test against vacuity.
+    W = w(x1, x2, m) + w(x3, x4, 1/m) with x1..x4 kept.
     """
+    # vertex_potential is looked up by module name, so the tests can corrupt it
     w = vertex_potential(("s1", "s2", "s3"), parity)
-    if drop_monomial is not None:
-        supp = w.support()
-        e = supp[drop_monomial % len(supp)]
-        w = w - LaurentPoly(w.vars, {e: w.terms[e]})
     names = ("x1", "x2", "x3", "x4")
     left = w.rename_vars({"s1": "x1", "s2": "x2", "s3": "m"}).embed(("m",) + names)
     right = w.rename_vars({"s1": "x3", "s2": "x4", "s3": "m"}).negate_var("m").embed(("m",) + names)

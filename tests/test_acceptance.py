@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
+from graphpotentials import tqft
 from graphpotentials.algebra import LaurentPoly
 from graphpotentials.graphs import (
     canonical_form,
@@ -24,7 +25,7 @@ from graphpotentials.graphs import (
 )
 from graphpotentials.mutation import mutate, verify_mutation
 from graphpotentials.periods import periods_bruteforce, periods_from_laplace, periods_of_graph
-from graphpotentials.potential import grassmannian_limit, graph_potential
+from graphpotentials.potential import grassmannian_limit, graph_potential, vertex_potential
 from graphpotentials.tqft import (
     flip_operator,
     glue,
@@ -174,10 +175,13 @@ def test_criterion_07_bessel_product_and_glue():
               "genus-2 trace", ok)
 
 
-def test_criterion_08_wdvv():
+def test_criterion_08_wdvv(monkeypatch):
     (ok_even, t_even) = timed(lambda: wdvv_check(0, 6))
     (ok_odd, t_odd) = timed(lambda: wdvv_check(1, 6))
-    corrupted_fails = not wdvv_check(0, 6, drop_monomial=0)
+    w = vertex_potential(("s1", "s2", "s3"), 0)
+    corrupted = w - LaurentPoly(w.vars, {min(w.terms): 1})
+    monkeypatch.setattr(tqft, "vertex_potential", lambda slots, parity: corrupted)
+    corrupted_fails = not wdvv_check(0, 6)
     ok = ok_even and ok_odd and corrupted_fails and (t_even + t_odd) < 30.0
     report(8, f"four-point symmetry at order 6, both parities "
               f"({t_even + t_odd:.1f}s); corrupted potential fails", ok)

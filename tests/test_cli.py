@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphpotentials
 from graphpotentials import cli
+from graphpotentials.graphs import enumerate_trivalent, graph_to_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -454,3 +460,97 @@ def test_brute_force_path_does_not_import_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "True"]
+
+
+def test_every_export_resolves():
+    for name in graphpotentials.__all__:
+        assert getattr(graphpotentials, name) is not None, name
+
+
+# valid starting points: every genus-2 and genus-3 class and every fixture,
+# open graphs and genus-0 graphs among them
+BASE_DOCUMENTS = [graph_to_json(g) for g in enumerate_trivalent(2) + enumerate_trivalent(3)] + [
+    json.loads(f.read_text()) for f in sorted(FIXTURES.glob("*.json"))]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+
+
+def _places(node):
+    """(container, key) for every value below node, node's own keys first."""
+    keys = range(len(node)) if isinstance(node, list) else list(node)
+    out = [(node, k) for k in keys]
+    for k in keys:
+        if isinstance(node[k], (list, dict)):
+            out += _places(node[k])
+    return out
+
+
+@st.composite
+def graph_files(draw):
+    """(document, argv) for one --graph command: a valid graph, its colors
+    kept or drawn, then zero to two flaws, and arguments naming its ids."""
+    command = draw(st.sampled_from(
+        ("potential", "period", "mutate", "verify mutation", "verify coloring", "grassmann", "glue")))
+    # half of the glue and grassmann cases start from a graph with leaves, where they can succeed
+    open_only = command in ("glue", "grassmann") and draw(st.booleans())
+    base = draw(st.sampled_from([d for d in BASE_DOCUMENTS if d["leaves"] or not open_only]))
+    doc = copy.deepcopy(base)
+    if draw(st.booleans()):
+        for v in doc["vertices"]:
+            v["color"] = draw(st.integers(0, 1))
+    vertices = [v["id"] for v in base["vertices"]]
+    edges = [e["id"] for e in base["edges"]]
+    leaves = [x["id"] for x in base["leaves"]]
+    for flaw in draw(st.lists(st.sampled_from(
+            ("type", "delete", "endpoint", "degree", "orientation")), max_size=2)):
+        if flaw == "type":  # any value anywhere, the document itself aside
+            container, key = draw(st.sampled_from(_places(doc)))
+            container[key] = draw(JSON_VALUES)
+        elif flaw == "delete":
+            container, key = draw(st.sampled_from(_places(doc)))
+            del container[key]
+        elif flaw == "endpoint" and isinstance(doc.get("edges"), list):
+            doc["edges"].append({"id": "fresh", "ends": [draw(st.sampled_from(vertices)), "nowhere"]})
+        elif flaw == "degree" and isinstance(doc.get("edges"), list):
+            a, b = draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=2))
+            doc["edges"].append({"id": "extra", "ends": [a, b]})
+        elif flaw == "orientation" and isinstance(doc.get("leaves"), list):
+            doc["leaves"].append({"id": "odd", "vertex": draw(st.sampled_from(vertices)),
+                                  "orientation": draw(st.text(max_size=4))})
+    ids = st.sampled_from(edges + leaves + ["a", "x"])
+    order = st.integers(0, 4).map(str)
+    if command == "potential":
+        argv = ["potential"] + draw(st.sampled_from([[], ["--json"]]))
+    elif command == "period":
+        argv = ["period", "--order", draw(order),
+                "--method", draw(st.sampled_from(("brute", "tqft", "both")))]
+    elif command == "mutate":
+        argv = ["mutate", f"--edge={draw(ids)}"]
+    elif command == "verify mutation":
+        argv = ["verify", "mutation"] + draw(st.sampled_from([[], [f"--edge={draw(ids)}"]]))
+    elif command == "verify coloring":
+        argv = ["verify", "coloring"]
+    elif command == "grassmann":  # one incident slot per vertex succeeds on genus 0
+        slots = {v: [e["id"] for e in base["edges"] if v in e["ends"]]
+                 + [x["id"] for x in base["leaves"] if x["vertex"] == v] for v in vertices}
+        argv = ["grassmann"] + [f"--distinguished={v}={draw(st.sampled_from(slots[v]))}"
+                                for v in vertices]
+    else:
+        leaf_ids = st.sampled_from(leaves + ["x"])
+        argv = ["glue", f"--leaf-a={draw(leaf_ids)}", f"--leaf-b={draw(leaf_ids)}", "--order", draw(order)]
+    return doc, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=graph_files())
+def test_graph_commands_exit_cleanly_on_any_document(case, tmp_path_factory):
+    # the contract of main: exit 0, 2 or 3, and never an exception
+    doc, argv = case
+    path = tmp_path_factory.mktemp("doc") / "graph.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--graph", str(path)])
+    assert code in (0, 2, 3)

@@ -10,7 +10,6 @@ import pytest
 
 from graphpotentials.graphs import (
     MAX_ENUMERATION_GENUS,
-    EdgeWeightVector,
     _components,
     canonical_form,
     coloring_boundary_move,
@@ -190,11 +189,13 @@ class TestValidation:
         assert any("degree" in d for d in validate(g))
 
     def test_count_identities_follow_from_trivalence(self):
-        # per component: V = 2b - 2 + n and E_int = 3b - 3 + n
-        for g in enumerate_trivalent(2) + enumerate_trivalent(3):
-            b = genus(g)
-            assert len(g.vertices) == 2 * b - 2
-            assert len(g.edges) == 3 * b - 3
+        # per component with n leaves 3V = 2E_int + n, so with b = E_int - V + 1
+        # V = 2b - 2 + n and E_int = 3b - 3 + n: validate need not check them
+        for g in enumerate_trivalent(2) + enumerate_trivalent(3) + (
+                necklace_graph(3, open_ends=True), tripod()):
+            b, n = genus(g), len(g.leaves)
+            assert len(g.vertices) == 2 * b - 2 + n
+            assert len(g.edges) == 3 * b - 3 + n
 
 
 class TestGenusAndHomology:
@@ -442,11 +443,6 @@ class TestLattice:
     def test_quarter_weights_rejected(self):
         g = theta_graph()
         assert not mgamma_member(g, {"a": Fraction(1, 4), "b": Fraction(1, 4), "c": Fraction(1, 2)})
-
-    def test_weight_vector_wrapper(self):
-        g = theta_graph()
-        w = EdgeWeightVector(g, {"a": Fraction(1, 2), "b": Fraction(1, 2), "c": 0})
-        assert w.in_lattice()
 
 
 class TestJson:

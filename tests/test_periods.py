@@ -11,7 +11,6 @@ from graphpotentials.periods import (
     _walk,
     constant_terms_of_powers,
     graph_fingerprint,
-    inverse_laplace,
     periods_bruteforce,
     periods_of_graph,
     walk_terms,
@@ -210,14 +209,3 @@ class TestGraphPeriods:
         assert graph_fingerprint(dumbbell_graph(1)) == "g2e1"
         seq = periods_of_graph(theta_graph(1), 4)
         assert seq.graph_fingerprint == "g2e1"
-
-
-class TestInverseLaplace:
-    def test_divides_by_factorials(self):
-        seq = periods_of_graph(theta_graph(1), 6)
-        hat = inverse_laplace(seq)
-        assert hat.pi_hat[0] == 1
-        assert hat.pi_hat[2] == Fraction(8, 2)
-        assert hat.pi_hat[4] == Fraction(216, 24)
-        assert hat.pi_hat[6] == Fraction(8000, 720)
-        assert hat.graph_fingerprint == seq.graph_fingerprint

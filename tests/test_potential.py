@@ -15,7 +15,6 @@ from graphpotentials.potential import (
     DEFAULT_ORIENTATION,
     grassmannian_limit,
     graph_potential,
-    newton_support,
     quadrivalent_potential,
     vertex_potential,
 )
@@ -138,7 +137,7 @@ class TestGraphPotential:
 class TestNewtonSupport:
     def test_support_of_theta(self):
         w = graph_potential(theta_graph()).potential
-        assert sorted(newton_support(w)) == [(-1, -1, 1), (-1, 1, -1), (1, -1, -1), (1, 1, 1)]
+        assert w.support() == [(-1, -1, 1), (-1, 1, -1), (1, -1, -1), (1, 1, 1)]
 
 
 class TestQuadrivalent:
