@@ -25,6 +25,13 @@ All matrices are stored per t-degree d with entries scaled by d!, which
 keeps every intermediate an integer: the scaled T1 entries are multinomial
 sums and the scaled product rule only multiplies by binomials.
 
+The stored matrices are almost all zero: an entry of a power of A vanishes
+unless i = j (mod 2), and at t^d unless |i|, |j| <= d.  The product
+multiplies each pair of degree blocks only over its nonzero rows, columns
+and shared modes, one mode parity at a time.  It reads these windows from
+the data rather than from the two rules, because not every kernel obeys
+them: S is nonzero on its whole antidiagonal at t^0.
+
 Brute-force states and the four-point check come from the one walk entry,
 ``periods.walk_terms``; one helper builds kernel and walk states alike.
 """
@@ -60,8 +67,9 @@ class KernelMatrix:
     """Two-boundary kernel in Fourier modes -D..D, truncated at t^D.
 
     Entry (i, j) at t^d is stored in ``mats[d // 2][D + i, D + j]`` scaled
-    by d!; odd t-degrees vanish identically for every kernel built here,
-    as do entries with i + j odd or max(|i|, |j|) > d.
+    by d!, as a Python integer in an object array; odd t-degrees vanish
+    identically for every kernel built here, as do entries with i + j odd
+    or max(|i|, |j|) > d.
     """
 
     __slots__ = ("order", "mats")
@@ -73,6 +81,8 @@ class KernelMatrix:
         for m in mats:
             if m.shape != (size, size):
                 raise ValueError(f"matrix shape {m.shape} does not match order {order}")
+            if m.dtype != object:  # fixed-width entries wrap or round without notice
+                raise ValueError(f"matrix dtype is {m.dtype}, need object (exact integers)")
         self.order = order
         self.mats = tuple(mats)
 
@@ -164,15 +174,35 @@ def t1_kernel_direct(order: int) -> KernelMatrix:
 
 def _product(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
     """Matrix product of two kernels: at t^d, with d!-scaled entries, the
-    sum over even a of C(d, a) p_a q_(d-a)."""
+    sum over even a of C(d, a) p_a q_(d-a).
+
+    Each pair of degree blocks is multiplied only over its nonzero support.
+    It contracts over the modes k where p_a has a nonzero column and
+    q_(d-a) a nonzero row, one parity class of k at a time, and for each
+    class keeps only the rows of p_a and the columns of q_(d-a) that are
+    nonzero there.  For powers of A this skips the two zero patterns:
+    entries vanish unless i = j (mod 2), and at t^d unless |i|, |j| <= d.
+    The windows are read from the data, not from those two rules, so the
+    product stays exact for every kernel: S, at t^0, is nonzero on its whole
+    antidiagonal.
+    """
     if p.order != q.order:
         raise ValueError("kernel orders differ")
-    out = []
-    for u in range(p.order // 2 + 1):
-        acc = p.mats[0] @ q.mats[u]
-        for a in range(1, u + 1):
-            acc += math.comb(2 * u, 2 * a) * (p.mats[a] @ q.mats[u - a])
-        out.append(acc)
+    p_nz = [m != 0 for m in p.mats]
+    q_nz = [m != 0 for m in q.mats]
+    p_cols = [nz.any(axis=0) for nz in p_nz]
+    q_rows = [nz.any(axis=1) for nz in q_nz]
+    out = _zero_mats(p.order)
+    for u, acc in enumerate(out):
+        for a in range(u + 1):
+            b = u - a
+            shared = (p_cols[a] & q_rows[b]).nonzero()[0]
+            for k in (shared[shared % 2 == 0], shared[shared % 2 == 1]):
+                if k.size:
+                    rows = p_nz[a][:, k].any(axis=1).nonzero()[0]
+                    cols = q_nz[b][k].any(axis=0).nonzero()[0]
+                    block = p.mats[a][rows[:, None], k] @ q.mats[b][k[:, None], cols]
+                    acc[rows[:, None], cols] += math.comb(2 * u, 2 * a) * block
     return KernelMatrix(p.order, out)
 
 

@@ -1,9 +1,11 @@
 import json
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphpotentials import tqft
@@ -12,6 +14,7 @@ from graphpotentials.graphs import graph_from_json, necklace_graph, theta_graph
 from graphpotentials.periods import walk_terms
 from graphpotentials.potential import graph_potential, vertex_potential
 from graphpotentials.tqft import (
+    KernelMatrix,
     bessel,
     flip_operator,
     glue,
@@ -106,6 +109,87 @@ class TestT1Kernel:
         for m in t1_kernel(4).mats:
             m[4, 4] = 99
         assert trace_formula(2, 0, 4) == want
+
+
+def dense_product(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
+    """The product over full dense matrices: at t^d, with d!-scaled entries,
+    the sum over even a of C(d, a) p_a q_(d-a).  Oracle for tqft._product."""
+    if p.order != q.order:
+        raise ValueError("kernel orders differ")
+    out = []
+    for u in range(p.order // 2 + 1):
+        acc = p.mats[0] @ q.mats[u]
+        for a in range(1, u + 1):
+            acc += comb(2 * u, 2 * a) * (p.mats[a] @ q.mats[u - a])
+        out.append(acc)
+    return KernelMatrix(p.order, out)
+
+
+def random_kernel(order: int, rng: random.Random, density: float) -> KernelMatrix:
+    """Signed entries anywhere, odd i + j and |i|, |j| > d included."""
+    size = 2 * order + 1
+    mats = [np.zeros((size, size), dtype=object) for _ in range(order // 2 + 1)]
+    for m in mats:
+        for i in range(size):
+            for j in range(size):
+                if rng.random() < density:
+                    m[i, j] = rng.randint(-2 ** 70, 2 ** 70)
+    return KernelMatrix(order, mats)
+
+
+class TestProduct:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_powers_of_a(self, n):
+        a = t1_kernel(12)
+        assert tqft._power(12, n) == dense_product(tqft._power(12, n - 1), a)
+
+    def test_flip_on_either_side(self):
+        # S is nonzero on its whole antidiagonal at t^0, outside |i|, |j| <= 0
+        s = flip_operator(12)
+        for x in (t1_kernel(12), tqft._power(12, 3), s):
+            assert kernel_matmul(x, s) == dense_product(x, s)
+            assert kernel_matmul(s, x) == dense_product(s, x)
+
+    def test_compose_on_reversed_views(self):
+        a = t1_kernel(10)
+        a3 = tqft._power(10, 3)
+        s = flip_operator(10)
+        for p, q in ((a, a), (a3, a), (a, s), (s, a3)):
+            view = KernelMatrix(q.order, [m[::-1] for m in q.mats])
+            assert kernel_compose(p, q) == dense_product(p, view)
+
+    def test_zero_kernel(self):
+        zero = KernelMatrix(8, tqft._zero_mats(8))
+        a = t1_kernel(8)
+        for p, q in ((zero, a), (a, zero), (zero, zero)):
+            assert kernel_matmul(p, q) == dense_product(p, q) == zero
+
+    @pytest.mark.parametrize("order", [0, 5, 8])
+    @pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
+    def test_random_kernels(self, order, density):
+        rng = random.Random(f"{order}:{density}")
+        for _ in range(3):
+            p = random_kernel(order, rng, density)
+            q = random_kernel(order, rng, density)
+            assert kernel_matmul(p, q) == dense_product(p, q)
+
+    def test_table_matches_dense_chain(self):
+        a = t1_kernel(16)
+        power = a
+        table = trace_formula_table(12, 16)
+        for g in range(2, 13):
+            for parity in (0, 1):
+                assert table[(g, parity)] == kernel_trace(power, g - 1 + parity)
+            power = dense_product(power, a)
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_fixed_width_entries_rejected(self, dtype):
+        # int64 would wrap 2**40 * 2**40 to 0, float64 would round it
+        mats = [np.full((9, 9), 2 ** 40, dtype=dtype) for _ in range(3)]
+        with pytest.raises(ValueError, match="dtype"):
+            KernelMatrix(4, mats)
 
 
 class TestOperators:
