@@ -1,9 +1,14 @@
 """Exact sparse Laurent-polynomial and truncated power-series arithmetic.
 
-Everything here is exact: coefficients are ``fractions.Fraction`` and
-exponents are arbitrary Python ints.  A Laurent polynomial is a dict from
-exponent tuples to coefficients, keyed by a canonical sorted variable order
-fixed at construction.  Truncated series carry their order explicitly and
+Everything here is exact: exponents are arbitrary Python ints, and each
+coefficient is kept as the arithmetic produces it, an ``int`` or a
+``fractions.Fraction``.  Integer inputs give integer coefficients, so a graph
+potential and its powers stay ``int``; a Fraction appears only where one
+goes in, as a Fraction coefficient or scalar (a division by d!, say).  A
+``bool`` is stored as the ``int`` it equals, and any other type raises
+``TypeError``.  A Laurent polynomial is a dict from exponent tuples to
+nonzero coefficients, keyed by a canonical sorted variable order fixed at
+construction.  Truncated series carry their order explicitly and
 all products are truncated to the smaller order of the operands.
 """
 
@@ -11,18 +16,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Exponents = tuple  # tuple[int, ...], length == len(vars)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _coefficient(x) -> Scalar:
+    if type(x) is int or isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, int):  # bool, which would print as True
+        return int(x)
     raise TypeError(f"expected an int or Fraction coefficient, got {type(x).__name__}")
+
+
+def _accumulate(out: dict, terms: Iterable[tuple[Exponents, Scalar]]) -> dict:
+    """Add each (exponents, coefficient) pair into ``out``, which holds no
+    zeros and holds none after: a key whose sum is zero is deleted."""
+    get = out.get
+    for e, c in terms:
+        acc = get(e)
+        if acc is not None:
+            c = acc + c
+        if c:
+            out[e] = c
+        elif acc is not None:
+            del out[e]
+    return out
 
 
 class LaurentPoly:
@@ -40,25 +61,13 @@ class LaurentPoly:
         if list(vs) != sorted(set(vs)):
             raise ValueError(f"variables must be sorted and unique, got {vs!r}")
         self.vars = vs
-        clean: dict[Exponents, Fraction] = {}
-        if terms:
-            n = len(vs)
-            for exps, c in terms.items():
-                e = tuple(exps)
-                if len(e) != n:
-                    raise ValueError(f"exponent tuple {e!r} does not match {n} variables")
-                c = _as_fraction(c)
-                if c != 0:
-                    acc = clean.get(e)
-                    if acc is None:
-                        clean[e] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            clean[e] = acc
-                        else:
-                            del clean[e]
-        self.terms = clean
+        self.terms = _accumulate({}, (self._term(e, c) for e, c in (terms or {}).items()))
+
+    def _term(self, exps, c) -> tuple[Exponents, Scalar]:
+        e = tuple(exps)
+        if len(e) != len(self.vars):
+            raise ValueError(f"exponent tuple {e!r} does not match {len(self.vars)} variables")
+        return e, _coefficient(c)
 
     # ---- constructors -------------------------------------------------
 
@@ -86,16 +95,12 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_coefficient(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+    def constant_coefficient(self) -> Scalar:
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def support(self) -> list[Exponents]:
         """Sorted exponent vectors with nonzero coefficient."""
         return sorted(self.terms)
-
-    def eval_at_one(self) -> Fraction:
-        """Value at every variable set to 1."""
-        return sum(self.terms.values(), Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -122,18 +127,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-        return self._raw(self.vars, out)
+        return self._raw(self.vars, _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -152,28 +146,16 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _coefficient(other)
             if c == 0:
                 return LaurentPoly.zero(self.vars)
             return self._raw(self.vars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_vars(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                if acc is None:
-                    out[e] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[e] = acc
-                    else:
-                        del out[e]
-        return self._raw(self.vars, out)
+        pairs = other.terms.items()
+        return self._raw(self.vars, _accumulate({}, (
+            (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in pairs)))
 
     __rmul__ = __mul__
 
@@ -349,9 +331,6 @@ class RationalExpr:
     def from_poly(cls, p: LaurentPoly) -> "RationalExpr":
         return cls(p, LaurentPoly.one(p.vars))
 
-    def embed(self, variables: Sequence[str]) -> "RationalExpr":
-        return RationalExpr(self.num.embed(variables), self.den.embed(variables))
-
     def __str__(self) -> str:
         if self.den == LaurentPoly.one(self.den.vars):
             return str(self.num)
@@ -361,9 +340,7 @@ class RationalExpr:
 def rexpr_equal(a: RationalExpr, b: RationalExpr) -> bool:
     """Exact equality by cross-multiplication."""
     vs = sorted(set(a.num.vars) | set(b.num.vars))
-    a = a.embed(vs)
-    b = b.embed(vs)
-    return a.num * b.den == b.num * a.den
+    return a.num.embed(vs) * b.den.embed(vs) == b.num.embed(vs) * a.den.embed(vs)
 
 
 def rexpr_substitute(p: LaurentPoly, name: str, value: RationalExpr) -> RationalExpr:

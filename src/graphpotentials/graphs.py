@@ -419,10 +419,6 @@ def canonical_form(g: ColoredGraph):
     return best
 
 
-def is_isomorphic(a: ColoredGraph, b: ColoredGraph) -> bool:
-    return canonical_form(a) == canonical_form(b)
-
-
 # Largest genus enumerate_trivalent accepts: genus 6 (388 classes) takes seconds, 7x genus 5.
 MAX_ENUMERATION_GENUS = 6
 

@@ -118,14 +118,14 @@ def walk_terms(p: LaurentPoly, order: int, kept: tuple[str, ...] = ()) -> list[d
     """Terms of p^d constant in every variable not in ``kept``, d = 0..order.
 
     Degree d maps the exponents of the kept variables, in ``p.vars`` order,
-    to exact coefficients, integral ones as ints.  Nothing kept gives the
-    periods; the leaf variables kept give a boundary state.
+    to exact coefficients of the types ``p`` holds: a polynomial with int
+    coefficients, such as a graph potential, gives ints.  Nothing kept gives
+    the periods; the leaf variables kept give a boundary state.
     """
     if not set(kept) <= set(p.vars):
         raise ValueError(f"kept variables {sorted(set(kept) - set(p.vars))} not in {p.vars}")
     perm = sorted(range(len(p.vars)), key=lambda i: p.vars[i] in kept)  # kept ones last
-    monomials = [(tuple(e[i] for i in perm), c.numerator if c.denominator == 1 else c)
-                 for e, c in p.terms.items()]
+    monomials = [(tuple(e[i] for i in perm), c) for e, c in p.terms.items()]
     return _walk(monomials, len(p.vars), order, len(set(kept)))
 
 

@@ -17,7 +17,6 @@ from graphpotentials.graphs import (
     dumbbell_graph,
     elementary_transformation,
     enumerate_trivalent,
-    is_isomorphic,
     make_graph,
     necklace_graph,
     theta_graph,
@@ -144,7 +143,7 @@ def test_criterion_06_theta_dumbbell():
     ok = True
     for parity in (0, 1):
         out = elementary_transformation(theta_graph(parity), "a")
-        ok = ok and is_isomorphic(out, dumbbell_graph(parity))
+        ok = ok and canonical_form(out) == canonical_form(dumbbell_graph(parity))
         pt = periods_of_graph(theta_graph(parity), 12, method="brute")
         pd = periods_of_graph(dumbbell_graph(parity), 12, method="brute")
         ok = ok and pt.pi == pd.pi

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,7 @@ class TestLaurentPoly:
         p = P({(0, 0): 7, (1, -1): 3})
         assert p.constant_term() == P({(): 7}, ())
         assert p.constant_coefficient() == 7
+        assert type(P({(1, -1): 3}).constant_coefficient()) is int  # 0, not Fraction(0)
 
     def test_constant_term_some_vars(self):
         # killing only `a` keeps the b-dependence of the a-free part
@@ -92,10 +94,6 @@ class TestLaurentPoly:
         r = p.rename_vars({"a": "b", "b": "a"})
         assert r == P({(-2, 1): 5})
 
-    def test_eval_at_one(self):
-        p = P({(3, -2): 2, (0, 0): -1, (1, 1): Fraction(1, 2)})
-        assert p.eval_at_one() == Fraction(3, 2)
-
     def test_str_roundtrippable_shape(self):
         p = P({(1, -2): 1, (0, 0): -3})
         s = str(p)
@@ -104,7 +102,10 @@ class TestLaurentPoly:
 
 exps = st.integers(min_value=-3, max_value=3)
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-polys = st.dictionaries(st.tuples(exps, exps), coeffs, max_size=5).map(P)
+ints = st.integers(min_value=-5, max_value=5)
+# the ring laws run on int coefficients, Fraction ones and mixtures of both
+int_polys = st.dictionaries(st.tuples(exps, exps), ints, max_size=5).map(lambda t: LaurentPoly(AB, t))
+polys = st.one_of(int_polys, st.dictionaries(st.tuples(exps, exps), coeffs, max_size=5).map(P))
 
 
 class TestRingLaws:
@@ -128,7 +129,40 @@ class TestRingLaws:
     @settings(max_examples=30, deadline=None)
     def test_eval_at_one_is_ring_map(self, p):
         q = P({(1, -1): 3})
-        assert (p * q).eval_at_one() == p.eval_at_one() * q.eval_at_one()
+        assert sum((p * q).terms.values()) == sum(p.terms.values()) * sum(q.terms.values())
+
+
+class TestCoefficientPolicy:
+    """Coefficients stay as arithmetic makes them: ints from ints, never zero."""
+
+    @given(polys, polys, st.one_of(ints, coeffs, st.booleans()))
+    @settings(max_examples=80, deadline=None)
+    def test_operations_keep_int_and_fraction(self, p, q, k):
+        ints_only = all(type(c) is int for c in (*p.terms.values(), *q.terms.values(), k))
+        results = [p + q, p - q, p * q, p * k, k * p, p + k, k - p, p.embed(("a", "b", "c")),
+                   p.negate_var("a"), p.constant_term(["a"]), *p.by_degree("b").values()]
+        for r in results:
+            for c in r.terms.values():
+                assert c != 0
+                assert type(c) is int if ints_only else type(c) in (int, Fraction), (r, c)
+
+    def test_bool_is_stored_as_int(self):
+        a = LaurentPoly(("a",), {(1,): 1})
+        for p in (a + True, True + a, a * True, LaurentPoly(("a",), {(0,): True, (1,): 1})):
+            assert all(type(c) is int for c in p.terms.values())
+        assert str(a + True) == "1 + a"
+        assert (a * False).is_zero()
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, "1", np.int64(1)])
+    def test_other_coefficients_raise(self, bad):
+        a = LaurentPoly(("a",), {(1,): 1})
+        with pytest.raises(TypeError):
+            LaurentPoly(("a",), {(1,): bad})
+        if not isinstance(bad, np.generic):  # numpy applies its own scalar rules first
+            with pytest.raises(TypeError):
+                a * bad
+            with pytest.raises(TypeError):
+                a + bad
 
 
 class TestRationalExpr:

@@ -554,3 +554,16 @@ def test_graph_commands_exit_cleanly_on_any_document(case, tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv + ["--graph", str(path)])
     assert code in (0, 2, 3)
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_cli.json").read_text())
+
+
+def test_printed_polynomials_match_golden(capsys):
+    # stdout of `potential --json` on every fixture and of `mutate --edge` on
+    # every non-loop edge, byte for byte: a coefficient printed as True, 2.0
+    # or Fraction(2, 1) shows up here
+    for case in GOLDEN:
+        argv = [FIXTURES / a if a.endswith(".json") else a for a in case["argv"]]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, case["stdout"]), case["argv"]

@@ -20,7 +20,6 @@ from graphpotentials.graphs import (
     graph_from_json,
     graph_to_json,
     homology_ranks_f2,
-    is_isomorphic,
     make_graph,
     mgamma_member,
     necklace_graph,
@@ -258,11 +257,11 @@ class TestColoring:
 class TestElementaryTransformation:
     def test_theta_becomes_dumbbell(self):
         out = elementary_transformation(theta_graph(), "a")
-        assert is_isomorphic(out, dumbbell_graph())
+        assert canonical_form(out) == canonical_form(dumbbell_graph())
 
     def test_dumbbell_bridge_becomes_theta(self):
         out = elementary_transformation(dumbbell_graph(), "a")
-        assert is_isomorphic(out, theta_graph())
+        assert canonical_form(out) == canonical_form(theta_graph())
 
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -337,8 +336,9 @@ class TestEnumeration:
 
     def test_genus_2_is_theta_and_dumbbell(self):
         classes = enumerate_trivalent(2)
-        assert any(is_isomorphic(g, theta_graph()) for g in classes)
-        assert any(is_isomorphic(g, dumbbell_graph()) for g in classes)
+        keys = {canonical_form(g) for g in classes}
+        assert canonical_form(theta_graph()) in keys
+        assert canonical_form(dumbbell_graph()) in keys
 
     def test_genus_3_shape_invariants(self):
         def shape(g):
@@ -366,7 +366,6 @@ class TestEnumeration:
                 [(e.id, mapping[e.ends[0]], mapping[e.ends[1]]) for e in reversed(g.edges)],
             )
             assert canonical_form(relabeled) == canonical_form(g)
-            assert is_isomorphic(relabeled, g)
 
     def test_canonical_form_matches_bruteforce(self):
         rng = random.Random(2024)
@@ -397,8 +396,8 @@ class TestEnumeration:
         a = with_colors(theta_graph(), {"v1": 1})
         b = with_colors(theta_graph(), {"v2": 1})
         c = theta_graph()
-        assert is_isomorphic(a, b)
-        assert not is_isomorphic(a, c)
+        assert canonical_form(a) == canonical_form(b)
+        assert canonical_form(a) != canonical_form(c)
 
 
 class TestNecklace:
@@ -459,7 +458,7 @@ class TestJson:
 
     def test_fixture_theta_matches_builtin(self):
         g = graph_from_json(json.loads((FIXTURES / "theta.json").read_text()))
-        assert is_isomorphic(g, theta_graph())
+        assert canonical_form(g) == canonical_form(theta_graph())
 
     @pytest.mark.parametrize("color", [True, 1.7, 1.0, "1"])
     def test_color_must_be_an_integer(self, color):
