@@ -310,9 +310,11 @@ def _shift(p: LaurentPoly, shift: tuple[int, ...]) -> LaurentPoly:
 class RationalExpr:
     """Quotient of Laurent polynomials over a common variable tuple.
 
-    Normalized by monomial content only: the common per-variable minimum
+    Stored as given.  Equality is decided by cross-multiplication
+    (:func:`rexpr_equal`), which needs no normal form.  The printed form is
+    normalized by monomial content only: the common per-variable minimum
     exponent of numerator and denominator is divided out, no polynomial
-    gcd is attempted.  Equality is decided by cross-multiplication.
+    gcd is attempted.
     """
 
     num: LaurentPoly
@@ -323,18 +325,17 @@ class RationalExpr:
             raise ValueError("numerator and denominator must share variables")
         if self.den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        shift = _monomial_content(list(self.num.terms) + list(self.den.terms), len(self.num.vars))
-        object.__setattr__(self, "num", _shift(self.num, shift))
-        object.__setattr__(self, "den", _shift(self.den, shift))
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "RationalExpr":
         return cls(p, LaurentPoly.one(p.vars))
 
     def __str__(self) -> str:
-        if self.den == LaurentPoly.one(self.den.vars):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        shift = _monomial_content(list(self.num.terms) + list(self.den.terms), len(self.num.vars))
+        num, den = _shift(self.num, shift), _shift(self.den, shift)
+        if den == LaurentPoly.one(den.vars):
+            return str(num)
+        return f"({num}) / ({den})"
 
 
 def rexpr_equal(a: RationalExpr, b: RationalExpr) -> bool:

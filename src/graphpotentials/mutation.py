@@ -12,6 +12,19 @@ the local potentials.  Both possible factored forms (the endpoint colors
 equal or different) are checked against this extraction in the tests; the
 colored-case factor (b+acd)(d+abc)/(abcd) for mu' is forced by the product
 identity.
+
+Once both local potentials split exactly as mu/x + nu*x and
+mu'/x' + nu'*x', and nu and mu' are nonzero, the substitution check and the
+product identity are the same statement:
+
+* substituting x = mu'/(nu x') into mu/x + nu*x gives mu*nu*x'/mu' + mu'/x';
+* that equals mu'/x' + nu'*x' exactly when mu*nu = mu'*nu';
+* so ``substitution_identity`` holds if and only if ``product_identity`` does.
+
+:func:`mutate` therefore certifies a move by the splits, the product
+identity and the frozen part.  :func:`mutation_report`, behind
+``graphpot verify mutation``, re-verifies it independently by the full
+symbolic substitution.
 """
 
 from __future__ import annotations
@@ -34,8 +47,15 @@ class MutationCertificate:
     nu: LaurentPoly
     mu_prime: LaurentPoly
     nu_prime: LaurentPoly
-    substitution: RationalExpr  # value of x in terms of the slots and x'
     product_identity_checked: bool
+
+    @property
+    def substitution(self) -> RationalExpr:
+        """Value of x in terms of the slots and x': x = mu' / (nu x'), the
+        inverse of x' = mu' / (nu x)."""
+        allv = tuple(sorted(set(self.nu.vars) | {self.edge}))
+        return RationalExpr(self.mu_prime.embed(allv),
+                            self.nu.embed(allv) * LaurentPoly.variable(allv, self.edge))
 
 
 def split_potential(bundle: PotentialBundle, edge_id: str) -> tuple[LaurentPoly, LaurentPoly]:
@@ -79,12 +99,6 @@ def _certificate(bundle: PotentialBundle, edge_id: str):
     split2 = _local_on_slots(bundle2, edge_id, slots)
     mu, nu = _x_coefficients(split[0], edge_id)
     mu2, nu2 = _x_coefficients(split2[0], edge_id)
-
-    # x = mu' / (nu x'), inverse of x' = mu' / (nu x); used to rewrite the
-    # transformed local potential in the source coordinates
-    allv = tuple(sorted(set(mu.vars) | {edge_id}))
-    x_value = RationalExpr(mu2.embed(allv),
-                           nu.embed(allv) * LaurentPoly.variable(allv, edge_id))
     cert = MutationCertificate(
         edge=edge_id,
         colored_case=g.color(v1) != g.color(v2),
@@ -93,22 +107,9 @@ def _certificate(bundle: PotentialBundle, edge_id: str):
         nu=nu,
         mu_prime=mu2,
         nu_prime=nu2,
-        substitution=x_value,
         product_identity_checked=mu * nu == mu2 * nu2,
     )
     return bundle2, cert, split, split2
-
-
-def _mutation(bundle: PotentialBundle, edge_id: str):
-    """(transformed bundle, certificate, checks)."""
-    bundle2, cert, (local, frozen), (local2, frozen2) = _certificate(bundle, edge_id)
-    substituted = rexpr_substitute(local, edge_id, cert.substitution)
-    checks = {
-        "product_identity": cert.product_identity_checked,
-        "substitution_identity": rexpr_equal(substituted, RationalExpr.from_poly(local2)),
-        "frozen_unchanged": frozen == frozen2,
-    }
-    return bundle2, cert, checks
 
 
 def mu_nu_factors(bundle: PotentialBundle, edge_id: str) -> MutationCertificate:
@@ -123,8 +124,17 @@ def mutation_report(bundle: PotentialBundle, edge_id: str) -> dict[str, bool]:
     * ``substitution_identity``: substituting x = mu'/(nu x') into the
       source local potential reproduces the transformed local potential
     * ``frozen_unchanged``: the other vertex potentials agree term by term
+
+    This is the independent re-verification of :func:`mutate`: it runs the
+    full substitution that :func:`mutate` replaces by the product identity.
     """
-    return _mutation(bundle, edge_id)[2]
+    _, cert, (local, frozen), (local2, frozen2) = _certificate(bundle, edge_id)
+    substituted = rexpr_substitute(local, edge_id, cert.substitution)
+    return {
+        "product_identity": cert.product_identity_checked,
+        "substitution_identity": rexpr_equal(substituted, RationalExpr.from_poly(local2)),
+        "frozen_unchanged": frozen == frozen2,
+    }
 
 
 def verify_mutation(bundle: PotentialBundle, edge_id: str) -> bool:
@@ -134,11 +144,29 @@ def verify_mutation(bundle: PotentialBundle, edge_id: str) -> bool:
 def mutate(bundle: PotentialBundle, edge_id: str) -> tuple[PotentialBundle, MutationCertificate]:
     """Transformed bundle plus its certificate; raises if verification fails.
 
+    The move is certified without the symbolic substitution:
+
+    * both local potentials split exactly as mu/x + nu*x and mu'/x' + nu'*x'
+      (the extraction raises ``ValueError`` otherwise), and nu, mu' are
+      nonzero, so x' = mu'/(nu x) is defined;
+    * substituting x = mu'/(nu x') into mu/x + nu*x gives
+      mu*nu*x'/mu' + mu'/x', which equals mu'/x' + nu'*x' exactly when
+      mu*nu = mu'*nu';
+    * so once both splits hold, ``substitution_identity`` of
+      :func:`mutation_report` is equivalent to ``product_identity``, which
+      is checked here together with ``frozen_unchanged``.
+
     The transformed potential is built once and serves the certificate and
-    every check of :func:`mutation_report`.
+    every check.  A failed check raises ``ArithmeticError`` naming it.
     """
-    bundle2, cert, report = _mutation(bundle, edge_id)
-    if not all(report.values()):
-        failed = sorted(k for k, v in report.items() if not v)
+    bundle2, cert, (_, frozen), (_, frozen2) = _certificate(bundle, edge_id)
+    checks = {
+        "nu_nonzero": not cert.nu.is_zero(),
+        "mu_prime_nonzero": not cert.mu_prime.is_zero(),
+        "product_identity": cert.product_identity_checked,
+        "frozen_unchanged": frozen == frozen2,
+    }
+    failed = sorted(k for k, v in checks.items() if not v)
+    if failed:
         raise ArithmeticError(f"mutation at {edge_id!r} failed checks: {', '.join(failed)}")
     return bundle2, cert

@@ -172,6 +172,10 @@ class TestRationalExpr:
         r1 = RationalExpr(a + b, a * b)
         r2 = RationalExpr((a + b) * a, a * a * b)
         assert rexpr_equal(r1, r2)
+        # stored as given, printed with the common monomial divided out
+        assert r2.num == (a + b) * a
+        assert str(r1) == str(r2) == "(b + a) / (a*b)"
+        assert str(RationalExpr(a * b, a * b)) == "1"
 
     def test_inequality(self):
         a, b = var("a"), var("b")

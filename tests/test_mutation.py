@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,13 @@ from graphpotentials.graphs import (
     coloring_boundary_move,
     dumbbell_graph,
     elementary_transformation,
+    enumerate_trivalent,
     graph_from_json,
     make_graph,
     necklace_graph,
     normalize_coloring,
     theta_graph,
+    with_colors,
 )
 from graphpotentials.mutation import (
     mu_nu_factors,
@@ -279,3 +282,100 @@ class TestLeafSigns:
                 assert all(mutation_report(bundle, e.id).values())
                 assert k_state(elementary_transformation(g, e.id), 8) == state
         assert k_state(normalize_coloring(g)[0], 8) == state
+
+
+def _route_cases():
+    """Every coloring of every class through genus 3, and both parities of
+    every genus-4 class, each with its non-loop edges."""
+    for genus in (2, 3, 4):
+        for i, g in enumerate(enumerate_trivalent(genus)):
+            ids = [v.id for v in g.vertices]
+            colorings = (product((0, 1), repeat=len(ids)) if genus <= 3
+                         else [(p,) + (0,) * (len(ids) - 1) for p in (0, 1)])
+            for colors in colorings:
+                yield pytest.param(with_colors(g, dict(zip(ids, colors))),
+                                   id=f"g{genus}-{i}-" + "".join(map(str, colors)))
+
+
+def _mutates(bundle, edge_id) -> bool:
+    try:
+        mutate(bundle, edge_id)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def _corrupt_splits(monkeypatch, source=None, target=None):
+    """Pass the (mu, nu) of the source's split through ``source`` and the
+    (mu', nu') of the moved graph's through ``target``: both routes split
+    the source first and the moved graph second."""
+    from graphpotentials import mutation as mutation_mod
+
+    real = mutation_mod._x_coefficients
+    calls = []
+
+    def corrupted(local, x):
+        calls.append(x)
+        change = target if len(calls) % 2 == 0 else source
+        return change(*real(local, x)) if change else real(local, x)
+
+    monkeypatch.setattr(mutation_mod, "_x_coefficients", corrupted)
+
+
+class TestRoutes:
+    """``mutate`` certifies by the splits and the product identity,
+    ``mutation_report`` by the full symbolic substitution; the two agree."""
+
+    @pytest.mark.parametrize("g", _route_cases())
+    def test_mutate_agrees_with_the_substitution(self, g):
+        bundle = graph_potential(g)
+        for e in g.edges:
+            if e.ends[0] == e.ends[1]:
+                continue
+            report = mutation_report(bundle, e.id)
+            assert _mutates(bundle, e.id) == all(report.values()), e.id
+            assert report["product_identity"] == report["substitution_identity"], e.id
+
+    @pytest.fixture
+    def doubled_mu_prime(self, monkeypatch):
+        # mu' is the factor both routes read; nu' enters only the product,
+        # as the substitution route compares with the rebuilt local potential
+        _corrupt_splits(monkeypatch, target=lambda mu, nu: (mu * 2, nu))
+
+    def test_corrupted_factor_fails_both_routes(self, doubled_mu_prime):
+        bundle = graph_potential(necklace_graph(3, parity=1))
+        with pytest.raises(ArithmeticError, match=r"failed checks: product_identity$"):
+            mutate(bundle, "s2")
+        report = mutation_report(bundle, "s2")
+        assert report == {"product_identity": False, "substitution_identity": False,
+                          "frozen_unchanged": True}
+
+    def test_corrupted_factor_exits_3(self, doubled_mu_prime, capsys):
+        from graphpotentials import cli
+
+        code = cli.main(["mutate", "--graph", str(FIXTURES / "theta.json"), "--edge", "a"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "verification failed: mutation at 'a' failed checks: product_identity\n"
+
+    @pytest.mark.parametrize("name", ["rexpr_substitute", "rexpr_equal"])
+    def test_only_the_report_runs_the_substitution(self, name, monkeypatch):
+        from graphpotentials import mutation as mutation_mod
+
+        def forbidden(*args):
+            raise AssertionError(f"{name} called")
+
+        bundle = graph_potential(necklace_graph(3, parity=1))
+        monkeypatch.setattr(mutation_mod, name, forbidden)
+        mutate(bundle, "s2")
+        with pytest.raises(AssertionError, match=f"{name} called"):
+            mutation_report(bundle, "s2")
+
+    @pytest.mark.parametrize("check, corruption", [
+        ("nu_nonzero", {"source": lambda mu, nu: (mu, nu * 0)}),
+        ("mu_prime_nonzero", {"target": lambda mu, nu: (mu * 0, nu)}),
+    ], ids=["nu", "mu_prime"])
+    def test_zero_factor_is_refused(self, check, corruption, monkeypatch):
+        _corrupt_splits(monkeypatch, **corruption)
+        with pytest.raises(ArithmeticError, match=check):
+            mutate(graph_potential(theta_graph()), "a")
