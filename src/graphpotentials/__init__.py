@@ -48,7 +48,7 @@ _EXPORTS = {
     "quadrivalent_potential": "potential",
     "grassmannian_limit": "potential",
     "MutationCertificate": "mutation",
-    "split_potential": "mutation",
+    "local_potential": "mutation",
     "mu_nu_factors": "mutation",
     "verify_mutation": "mutation",
     "mutate": "mutation",

@@ -186,30 +186,10 @@ class LaurentPoly:
         vs = tuple(variables)
         if vs == self.vars:
             return self
-        pos = []
         for v in self.vars:
             if v not in vs:
                 raise ValueError(f"variable {v!r} missing from target {vs!r}")
-            pos.append(vs.index(v))
-        n = len(vs)
-        out = {}
-        for e, c in self.terms.items():
-            new = [0] * n
-            for p, x in zip(pos, e):
-                new[p] = x
-            out[tuple(new)] = c
-        return LaurentPoly(vs, out)
-
-    def drop_vars(self, names: Iterable[str]) -> "LaurentPoly":
-        """Remove variables that appear in no term."""
-        drop = set(names)
-        idx = [i for i, v in enumerate(self.vars) if v not in drop]
-        for e in self.terms:
-            for i, v in enumerate(self.vars):
-                if v in drop and e[i] != 0:
-                    raise ValueError(f"variable {v!r} still occurs with exponent {e[i]}")
-        vs = tuple(self.vars[i] for i in idx)
-        return LaurentPoly._raw(vs, {tuple(e[i] for i in idx): c for e, c in self.terms.items()})
+        return sum_over(vs, [self])
 
     def by_degree(self, name: str) -> dict[int, "LaurentPoly"]:
         """{k: coefficient of name**k}, each over the other variables.
@@ -285,6 +265,26 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.vars!r}, {dict(sorted(self.terms.items()))!r})"
+
+
+def sum_over(variables: Sequence[str], polys: Iterable[LaurentPoly]) -> LaurentPoly:
+    """The sum of ``polys``, each over a subset of the sorted ``variables``,
+    as one polynomial over ``variables``, added term by term in one pass."""
+    vs = tuple(variables)
+    if list(vs) != sorted(set(vs)):
+        raise ValueError(f"variables must be sorted and unique, got {vs!r}")
+    index = {v: i for i, v in enumerate(vs)}
+
+    def spread():
+        for p in polys:
+            pos = [index[v] for v in p.vars]
+            for e, c in p.terms.items():
+                out = [0] * len(vs)
+                for i, x in zip(pos, e):
+                    out[i] = x
+                yield tuple(out), c
+
+    return LaurentPoly._raw(vs, _accumulate({}, spread()))
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,8 @@ def cmd_potential(args) -> int:
     if args.json:
         _print_json({
             "variables": list(bundle.variables),
-            "per_vertex": {v: _poly_json(w) for v, w in sorted(bundle.per_vertex.items())},
+            "per_vertex": {v: _poly_json(w.embed(bundle.variables))
+                           for v, w in sorted(bundle.per_vertex.items())},
             "potential": _poly_json(bundle.potential),
         })
     else:
@@ -218,10 +219,12 @@ def cmd_verify_coloring(args) -> int:
     bundle = graph_potential(g)
     failed = False
     for e in sorted(g.edges, key=lambda e: e.id):
-        moved = coloring_boundary_move(g, e.id)
-        moved_potential = graph_potential(moved).potential
-        expected = bundle.potential.negate_var(e.id)
-        ok = moved_potential == expected
+        # each endpoint inverts e and every other vertex is unchanged: summed,
+        # the moved potential is the potential with e inverted
+        moved = graph_potential(coloring_boundary_move(g, e.id)).per_vertex
+        ok = moved.keys() == bundle.per_vertex.keys() and all(
+            moved[v] == (w.negate_var(e.id) if v in e.ends else w)
+            for v, w in bundle.per_vertex.items())
         failed = failed or not ok
         print(f"{'PASS' if ok else 'FAIL'} edge {e.id}: "
               f"boundary move matches inverting {e.id}")

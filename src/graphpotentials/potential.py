@@ -12,10 +12,11 @@ for the vertex color (out at color 0, in at color 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
-from .algebra import LaurentPoly
+from .algebra import LaurentPoly, sum_over
 from .graphs import ColoredGraph, genus, require_valid, vertex_slots
 
 DEFAULT_ORIENTATION = {0: "out", 1: "in"}
@@ -47,17 +48,18 @@ def vertex_potential(slots: Sequence[str], parity: int) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class PotentialBundle:
-    """A graph together with its potential, split by vertex.
-
-    All polynomials live over the full variable tuple (every internal edge
-    id and leaf id of the graph); ``potential`` is the sum of the
-    ``per_vertex`` values.
-    """
+    """A graph with its potential split by vertex: ``per_vertex[v]`` lives
+    over the sorted distinct slot variables of v, leaf signs applied, and
+    ``potential``, their sum over ``variables`` (every internal edge id and
+    leaf id), is built on first read."""
 
     graph: ColoredGraph
     variables: tuple[str, ...]
     per_vertex: Mapping[str, LaurentPoly]
-    potential: LaurentPoly
+
+    @cached_property
+    def potential(self) -> LaurentPoly:
+        return sum_over(self.variables, self.per_vertex.values())
 
 
 def graph_potential(g: ColoredGraph) -> PotentialBundle:
@@ -66,16 +68,13 @@ def graph_potential(g: ColoredGraph) -> PotentialBundle:
     orientation = {x.id: x.orientation for x in g.leaves}
     slots = vertex_slots(g)
     per_vertex = {}
-    total = LaurentPoly.zero(variables)
     for v in g.vertices:
         w = vertex_potential([s[1] for s in slots[v.id]], v.color)
         for s in slots[v.id]:
             if s[0] == "leaf" and orientation[s[1]] != DEFAULT_ORIENTATION[v.color]:
                 w = w.negate_var(s[1])
-        w = w.embed(variables)
         per_vertex[v.id] = w
-        total = total + w
-    return PotentialBundle(g, variables, per_vertex, total)
+    return PotentialBundle(g, variables, per_vertex)
 
 
 def quadrivalent_potential(slots: Sequence[str], z: str, parity: int) -> LaurentPoly:
@@ -125,21 +124,21 @@ def grassmannian_limit(g: ColoredGraph, distinguished: Mapping[str, str]) -> Lau
     unknown = sorted(set(distinguished) - set(bundle.per_vertex))
     if unknown:
         raise ValueError(f"distinguished slots name no vertex: {', '.join(unknown)}")
-    slots = vertex_slots(g)
-    surviving = {}
+    surviving = []
     for vid, w in bundle.per_vertex.items():
         marked = distinguished.get(vid)
         if marked is None:
             raise ValueError(f"vertex {vid}: no distinguished slot")
-        if marked not in [s[1] for s in slots[vid]]:
+        if marked not in w.vars:
             raise ValueError(f"vertex {vid}: {marked!r} is not an incident slot")
-        i = bundle.variables.index(marked)
+        i = w.vars.index(marked)
+        terms = {}
         for e, c in w.terms.items():
-            # tau-degree of tau times the rescaled monomial; only the slots of vid occur in e
+            # tau-degree of tau times the rescaled monomial
             k = 1 + e[i] - (sum(e) - e[i])
             if k < 0:
                 raise ArithmeticError("negative tau power; the limit does not exist")
             if k == 0:
-                key = e[:i] + (-e[i],) + e[i + 1:]
-                surviving[key] = surviving.get(key, 0) + c
-    return LaurentPoly(bundle.variables, surviving)
+                terms[e[:i] + (-e[i],) + e[i + 1:]] = c
+        surviving.append(LaurentPoly(w.vars, terms))
+    return sum_over(bundle.variables, surviving)

@@ -82,9 +82,8 @@ class TestLaurentPoly:
         q = p.embed(("a", "b", "c"))
         assert q.vars == ("a", "b", "c")
         assert q.terms == {(1, 0, 0): Fraction(2)}
-        assert q.drop_vars(["b", "c"]) == p
         with pytest.raises(ValueError):
-            q.drop_vars(["a"])
+            q.embed(("a",))
 
     def test_rename_vars(self):
         p = P({(1, -2): 5})
@@ -195,7 +194,7 @@ class TestRationalExpr:
         # a -> 1/a is an exact involution on a + 2/a
         va = ("a",)
         a = LaurentPoly.variable(va, "a")
-        p = P({(1, 0): 1, (-1, 0): 2}).drop_vars(["b"])
+        p = P({(1,): 1, (-1,): 2}, va)
         out = rexpr_substitute(p, "a", RationalExpr(LaurentPoly.one(va), a))
         expected = RationalExpr(P({(2,): 2, (0,): 1}, va), a)
         assert rexpr_equal(out, expected)

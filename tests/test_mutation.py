@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from graphpotentials.algebra import LaurentPoly, rexpr_equal
+from graphpotentials.algebra import LaurentPoly, rexpr_equal, sum_over
 from graphpotentials.graphs import (
     canonical_form,
     coloring_boundary_move,
@@ -20,13 +20,13 @@ from graphpotentials.graphs import (
     with_colors,
 )
 from graphpotentials.mutation import (
+    local_potential,
     mu_nu_factors,
     mutate,
     mutation_report,
-    split_potential,
     verify_mutation,
 )
-from graphpotentials.potential import graph_potential
+from graphpotentials.potential import PotentialBundle, graph_potential
 from graphpotentials.tqft import k_state
 
 ABCD = ("a", "b", "c", "d")
@@ -182,14 +182,13 @@ class TestThetaDumbbell:
         from graphpotentials import mutation as mutation_mod
 
         bundle = graph_potential(necklace_graph(3, parity=1))
-        split = mutation_mod.split_potential
         calls = []
 
         def counting(b, edge_id):
             calls.append(b)
-            return split(b, edge_id)
+            return local_potential(b, edge_id)
 
-        monkeypatch.setattr(mutation_mod, "split_potential", counting)
+        monkeypatch.setattr(mutation_mod, "local_potential", counting)
         out, _ = mutate(bundle, "s2")
         assert calls == [bundle, out]
 
@@ -225,7 +224,7 @@ class TestEdgeCases:
     def test_loop_rejected(self):
         b = graph_potential(dumbbell_graph())
         with pytest.raises(ValueError):
-            split_potential(b, "b")
+            local_potential(b, "b")
         with pytest.raises(ValueError):
             mu_nu_factors(b, "b")
 
@@ -236,9 +235,11 @@ class TestEdgeCases:
              ("s", "v2", "v4"), ("t", "v3", "v4"), ("u", "v3", "v4")],
         )
         b = graph_potential(g)
-        local, frozen = split_potential(b, "r")
-        assert local + frozen == b.potential
-        assert local == b.per_vertex["v1"] + b.per_vertex["v3"]
+        local = local_potential(b, "r")
+        assert local.vars == ("p", "q", "r", "t", "u")
+        assert local == b.per_vertex["v1"].embed(local.vars) + b.per_vertex["v3"].embed(local.vars)
+        frozen = [b.per_vertex["v2"], b.per_vertex["v4"]]
+        assert sum_over(b.variables, [local] + frozen) == b.potential
 
     def test_substitution_is_mu2_over_nu_x(self):
         from graphpotentials.algebra import RationalExpr
@@ -379,3 +380,84 @@ class TestRoutes:
         _corrupt_splits(monkeypatch, **corruption)
         with pytest.raises(ArithmeticError, match=check):
             mutate(graph_potential(theta_graph()), "a")
+
+
+NECKLACE_G3 = FIXTURES / "necklace_closed_g3.json"  # s2 joins v2 and v3
+
+
+def _doubled(bundle, vid):
+    """``bundle`` with the potential of vertex ``vid`` doubled."""
+    per_vertex = dict(bundle.per_vertex)
+    per_vertex[vid] = per_vertex[vid] * 2
+    return PotentialBundle(bundle.graph, bundle.variables, per_vertex)
+
+
+def _forbidden(name):
+    def forbidden(*args):
+        raise AssertionError(f"{name} called")
+
+    return forbidden
+
+
+class TestVertexWise:
+    """The moves are checked vertex by vertex against the source bundle,
+    without the full potential."""
+
+    def test_moves_never_build_the_full_potential(self, monkeypatch, capsys):
+        from graphpotentials import cli
+
+        monkeypatch.setattr(PotentialBundle, "potential", property(_forbidden("potential")))
+        bundle = graph_potential(necklace_graph(3, parity=1))
+        mutate(bundle, "s2")
+        assert all(mutation_report(bundle, "s2").values())
+        assert cli.main(["verify", "coloring", "--graph", str(NECKLACE_G3)]) == 0
+
+    def test_potentials_and_moves_embed_nothing(self, monkeypatch, capsys):
+        # graph_potential runs inside both, on the source and on each moved graph
+        from graphpotentials import cli
+
+        monkeypatch.setattr(LaurentPoly, "embed", _forbidden("embed"))
+        mutate(graph_potential(necklace_graph(3, parity=1)), "s2")
+        assert cli.main(["verify", "coloring", "--graph", str(NECKLACE_G3)]) == 0
+
+    @pytest.fixture
+    def corrupted_v1(self, monkeypatch):
+        # v1 is off s2: doubling its potential in the moved graph leaves
+        # both local potentials, and so the product identity, intact
+        from graphpotentials import mutation as mutation_mod
+
+        real = mutation_mod.graph_potential
+        monkeypatch.setattr(mutation_mod, "graph_potential", lambda g: _doubled(real(g), "v1"))
+
+    def test_changed_frozen_vertex_fails_the_mutation(self, corrupted_v1):
+        bundle = graph_potential(graph_from_json(json.loads(NECKLACE_G3.read_text())))
+        with pytest.raises(ArithmeticError, match=r"failed checks: frozen_unchanged$"):
+            mutate(bundle, "s2")
+        assert mutation_report(bundle, "s2") == {"product_identity": True,
+                                                 "substitution_identity": True,
+                                                 "frozen_unchanged": False}
+
+    def test_changed_frozen_vertex_exits_3(self, corrupted_v1, capsys):
+        from graphpotentials import cli
+
+        code = cli.main(["verify", "mutation", "--graph", str(NECKLACE_G3), "--edge", "s2"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == "FAIL edge s2: frozen_unchanged=FAIL product_identity=ok substitution_identity=ok\n"
+        assert err == "verification failed: mutation verification failed\n"
+
+    def test_changed_vertex_fails_verify_coloring(self, monkeypatch, capsys):
+        from graphpotentials import cli
+        from graphpotentials import potential as potential_mod
+
+        real = potential_mod.graph_potential
+        moved = coloring_boundary_move(graph_from_json(json.loads(NECKLACE_G3.read_text())), "s2")
+        monkeypatch.setattr(potential_mod, "graph_potential",
+                            lambda g: _doubled(real(g), "v1") if g == moved else real(g))
+        code = cli.main(["verify", "coloring", "--graph", str(NECKLACE_G3)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "PASS edge d1", "PASS edge d1x", "PASS edge d3", "PASS edge d3x",
+            "FAIL edge s2", "PASS edge s4"]
+        assert err == "verification failed: coloring verification failed\n"

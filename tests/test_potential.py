@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +9,10 @@ from graphpotentials.graphs import (
     coloring_boundary_move,
     dumbbell_graph,
     enumerate_trivalent,
+    graph_from_json,
     make_graph,
     theta_graph,
+    vertex_slots,
     with_colors,
 )
 from graphpotentials.potential import (
@@ -20,8 +24,33 @@ from graphpotentials.potential import (
 )
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
 def P(variables, terms):
     return LaurentPoly(tuple(variables), {tuple(e): Fraction(c) for e, c in terms.items()})
+
+
+def embed_and_add(g):
+    """The oracle: every vertex potential, leaf signs applied, embedded into
+    the full variable tuple of the graph, and the embedded copies added."""
+    variables = tuple(sorted([e.id for e in g.edges] + [x.id for x in g.leaves]))
+    orientation = {x.id: x.orientation for x in g.leaves}
+    total = LaurentPoly.zero(variables)
+    for v, slots in vertex_slots(g).items():
+        w = vertex_potential([s[1] for s in slots], g.color(v))
+        for s in slots:
+            if s[0] == "leaf" and orientation[s[1]] != DEFAULT_ORIENTATION[g.color(v)]:
+                w = w.negate_var(s[1])
+        total = total + w.embed(variables)
+    return total
+
+
+def assert_matches_oracle(g):
+    b = graph_potential(g)
+    assert b.potential == embed_and_add(g)
+    for v, slots in vertex_slots(g).items():
+        assert b.per_vertex[v].vars == tuple(sorted({s[1] for s in slots})), v
 
 
 class TestVertexPotential:
@@ -132,6 +161,21 @@ class TestGraphPotential:
         for g in enumerate_trivalent(3):
             w = graph_potential(g).potential
             assert sum(w.terms.values()) == 4 * len(g.vertices)
+
+
+class TestFullPotential:
+    """``bundle.potential`` sums the vertex potentials, each over its own
+    slots, into the full variable tuple in one pass."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+    def test_fixture_matches_oracle(self, name):
+        assert_matches_oracle(graph_from_json(json.loads((FIXTURES / f"{name}.json").read_text())))
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5])
+    def test_every_class_matches_oracle(self, genus):
+        for g in enumerate_trivalent(genus):
+            for parity in (0, 1):
+                assert_matches_oracle(with_colors(g, {g.vertices[0].id: parity}))
 
 
 class TestNewtonSupport:
