@@ -6,7 +6,7 @@ Submodules:
 * ``graphs``: colored trivalent graphs, moves, enumeration
 * ``potential``: vertex and graph potentials, degenerations
 * ``mutation``: elementary transformations with symbolic certificates
-* ``periods``: brute-force period sequences (exact dict walk)
+* ``periods``: brute-force period sequences (vertex states glued exactly)
 * ``tqft``: Bessel kernels, boundary states, the trace formula
 * ``cli``: the ``graphpot`` command
 

@@ -430,8 +430,8 @@ class TSeries:
 def ts_exp(w: LaurentPoly, order: int) -> TSeries:
     """exp(t*w) truncated at the given order, coefficient k equals w**k / k!.
 
-    With :func:`pairing_in_var`, the reference the tests check the walk of
-    ``periods.walk_terms`` against."""
+    With :func:`pairing_in_var`, the reference the tests check the gluing of
+    ``periods.walk_terms`` against: that engine keeps w**k, unscaled."""
     coeffs = [LaurentPoly.one(w.vars)]
     for k in range(1, order + 1):
         coeffs.append(coeffs[-1] * w * Fraction(1, k))
@@ -465,7 +465,7 @@ def pairing_in_var(f: TSeries, g: TSeries, name: str) -> TSeries:
 
     Degree d of the result is ``sum_{a+b=d} [f_a(...) g_b(... name^-1 ...)]``
     with the constant term taken in ``name``, which is removed from the
-    coefficient variables.  A reference for the walk, as :func:`ts_exp` is.
+    coefficient variables: gluing along ``name``; with :func:`ts_exp`, the engine's reference.
     """
     d = min(f.order, g.order)
     out = []

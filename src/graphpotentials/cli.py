@@ -16,9 +16,9 @@ import sys
 
 
 # Largest genus that ``period --genus`` and ``table --genus-max`` accept: the
-# trace formula runs one kernel product per genus, and brute force expands a
-# necklace with 3g - 3 edges, so brute force at a huge genus would run without
-# end in sight.
+# trace formula runs one kernel product per genus, and brute force glues the
+# 2g - 2 vertex states of the necklace one by one, each gluing costing about
+# the order to the power of its open legs: at genus 64 and order 64, minutes.
 MAX_GENUS = 64
 
 # Largest ``--order`` of every command: the kernel commands allocate order // 2

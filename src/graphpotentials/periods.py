@@ -1,26 +1,21 @@
 """Period sequences: constant terms of powers of a graph potential.
 
-pi_k = [W^k]_0 is computed by brute force, meeting in the middle:
-
-    pi_k = sum_e [W^ceil(k/2)]_e * [W^floor(k/2)]_{-e},
-
-so only the powers of W up to W^ceil(K/2) are expanded for periods up to
-order K, each once and in full, without support pruning.  The walk keeps
-exact integer (or Fraction) coefficients in dicts keyed by packed exponent
-vectors; it is the only brute-force engine, and the trace formula in
-``tqft`` is the independent check on it.
-
-:func:`walk_terms` is the one entry to the walk.  Boundary states of open
-graphs (``tqft.k_state``) and the four-point check (``tqft.wdvv_check``)
-run it too: there some variables are kept rather than summed out, the two
-half-powers are paired on opposite summed-out exponents and their kept
-exponents add, so a period is the state of a graph without leaves.
+pi_k = [W^k]_0 is computed by brute force, by gluing: the terms of W split
+into pieces, a graph potential into its vertices, and exp(tW) is the product
+of the pieces' exp(tw), each kept d!-scaled (degree d is w^d).  Two series
+glue by weighing degree d_a of one by C(d, d_a) and taking the constant term
+in their shared variables, as vertex states glue along edges.  The cost grows
+with the open legs of the widest glued state and the order, not with the
+whole graph.  The trace formula in ``tqft`` checks this only brute-force engine.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from operator import add
 
 from .algebra import LaurentPoly, TSeries
 from .graphs import ColoredGraph, genus, homology_ranks_f2, require_valid
@@ -40,93 +35,104 @@ class PeriodSequence:
             raise ValueError("pi[0] must be 1")
 
 
-def _walk(monomials, nvars: int, order: int, kept: int) -> list[dict]:
-    """Terms of W^d constant in the summed-out variables, for d = 0..order.
+def _pieces(p: LaurentPoly, kept: set) -> tuple[dict, Counter]:
+    """p's terms as pieces keyed by their variables, and how many pieces hold
+    each variable.  A term joins a maximal variable set of a term; pieces are
+    joined until no summed-out variable is in three pieces, no kept one in two."""
+    supports = {frozenset(i for i, x in enumerate(e) if x) for e in p.terms}
+    pieces: dict[frozenset, dict] = {s: {} for s in supports if not any(s < t for t in supports)}
+    for e, c in p.terms.items():
+        pieces[next(s for s in pieces if s >= {i for i, x in enumerate(e) if x})][e] = c
+    while True:
+        held = Counter(v for s in pieces for v in s)
+        v = next((v for v, n in held.items() if n > (1 if v in kept else 2)), None)
+        if v is None:
+            return pieces, held
+        group = [s for s in pieces if v in s]
+        pieces[frozenset().union(*group)] = {e: c for s in group for e, c in pieces.pop(s).items()}
 
-    The last ``kept`` of the ``nvars`` exponents are kept and the others
-    summed out; degree d maps kept exponent tuples to exact coefficients.
 
-    Degree d pairs the half-powers W^ceil(d/2) and W^floor(d/2): a term of
-    one with summed-out exponents s meets each term of the other with
-    summed-out exponents -s, and their kept exponents add.  Only the powers
-    up to W^ceil(order/2) are built, two consecutive ones at a time.
+def _prune(terms: dict, room: int, limits: list) -> dict:
+    """Nonzero terms whose every leg j, bounded by b in p, can cancel: |k[j]| <= b * room."""
+    lim = [(j, b * room) for j, b in limits]
+    return {k: c for k, c in terms.items() if c and all(-m <= k[j] <= m for j, m in lim)}
 
-    An exponent tuple e travels as the integer sum_i e[i] * b^i, the summed-
-    out exponents in the low digits.  No exponent met here exceeds
-    w * order in absolute value, where w bounds those of W, so with the odd
-    base b = 2 * w * order + 1 every digit lies in (-b/2, b/2): adding or
-    negating the integers adds or negates the tuples, and the low n digits
-    of a key read back as the balanced remainder modulo b^n.
-    """
-    n = nvars - kept
-    b = 2 * order * max((abs(x) for e, _ in monomials for x in e), default=0) + 1
-    packed = [(sum(x * b ** i for i, x in enumerate(e)), c) for e, c in monomials]
-    prev = power = {0: 1}
-    out = [{(0,) * kept: 1}]
-    for j in range(1, (order + 1) // 2 + 1):
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for e, c in power.items():
-            for me, mc in packed:
-                f = e + me
-                nxt[f] = get(f, 0) + c * mc
-        prev, power = power, nxt
-        out.append(_pair(power, prev, b, n, kept))
-        if 2 * j <= order:
-            out.append(_pair(power, power, b, n, kept))
+
+def _exp(local: frozenset, legs: tuple, bounds: tuple, order: int) -> list:
+    """The d!-scaled exp(tw) of a piece: w^d, constant off its legs; kept ones have bound None."""
+    limits = [(j, b) for j, b in enumerate(bounds) if b is not None]
+    inner = [j for j in range(len(bounds)) if j not in legs]
+    power, out = {(0,) * len(bounds): 1}, []
+    for d in range(order + 1):
+        if d:
+            nxt: dict[tuple, int] = {}
+            for e, c in power.items():
+                for f, k in local:
+                    g = tuple(map(add, e, f))
+                    nxt[g] = nxt.get(g, 0) + c * k
+            power = _prune(nxt, order - d, limits)
+        out.append({tuple(g[j] for j in legs): c for g, c in power.items()
+                    if not any(g[j] for j in inner)} if inner else power)
     return out
 
 
-def _pair(big: dict, small: dict, b: int, n: int, kept: int) -> dict:
-    """Constant term in the n low digits of the product of two packed powers,
-    as a dict from the ``kept`` high digits, unpacked, to nonzero
-    coefficients.
+def _merge(a: tuple, b: tuple, order: int, bound: dict) -> tuple:
+    """Glue two (legs, degrees) series along the legs they share; a's open legs come first."""
+    shared = [v for v in a[0] if v in b[0]]
 
-    The terms of ``small`` are grouped on their summed-out part, and each
-    term of ``big`` looks up the group that cancels it.
-    """
-    if not kept:  # one number: no groups, no kept exponents to add
-        total = sum(c * small.get(-e, 0) for e, c in big.items())
-        return {(): total} if total else {}
-    m = b ** n
-    half = m // 2
-    groups: dict[int, list] = {}
-    for e, c in small.items():
-        low = (e + half) % m - half
-        groups.setdefault(-low, []).append(((e - low) // m, c))
-    acc: dict[int, int] = {}
-    for e, c in big.items():
-        low = (e + half) % m - half
-        high = (e - low) // m
-        for hs, cs in groups.get(low, ()):
-            f = high + hs
-            acc[f] = acc.get(f, 0) + c * cs
-    return {_unpack(k, b, kept): c for k, c in acc.items() if c}
+    def split(legs: tuple, t: dict, sign: int) -> dict:
+        at = [legs.index(v) for v in shared]
+        rest = [j for j, v in enumerate(legs) if v not in shared]
+        g: dict[tuple, list] = {}  # shared exponents times sign -> [(rest, c)]
+        for k, c in t.items():
+            g.setdefault(tuple(sign * k[j] for j in at), []).append((tuple(k[j] for j in rest), c))
+        return g
 
-
-def _unpack(key: int, b: int, width: int) -> tuple:
-    """The ``width`` balanced base-b digits of key, lowest first."""
-    digits = []
-    for _ in range(width):
-        d = (key + b // 2) % b - b // 2
-        digits.append(d)
-        key = (key - d) // b
-    return tuple(digits)
+    ga, gb = ([split(legs, t, sign) for t in ts] for (legs, ts), sign in ((a, -1), (b, 1)))
+    out: list[dict] = [{} for _ in range(order + 1)]
+    for da, x in enumerate(ga):
+        for db, y in enumerate(gb[:order + 1 - da]):
+            w, acc = math.comb(da + db, da), out[da + db]
+            for s, xs in x.items():
+                for kb, cb in y.get(s, ()):
+                    cb *= w
+                    for ka, ca in xs:
+                        k = ka + kb
+                        acc[k] = acc.get(k, 0) + ca * cb
+    legs = tuple(v for v in a[0] + b[0] if v not in shared)
+    limits = [(j, bound[v]) for j, v in enumerate(legs) if v in bound]
+    return legs, [_prune(t, order - d, limits) for d, t in enumerate(out)]
 
 
 def walk_terms(p: LaurentPoly, order: int, kept: tuple[str, ...] = ()) -> list[dict]:
     """Terms of p^d constant in every variable not in ``kept``, d = 0..order.
 
     Degree d maps the exponents of the kept variables, in ``p.vars`` order,
-    to exact coefficients of the types ``p`` holds: a polynomial with int
-    coefficients, such as a graph potential, gives ints.  Nothing kept gives
-    the periods; the leaf variables kept give a boundary state.
+    to exact coefficients of the types ``p`` holds: ints for a graph
+    potential.  Nothing kept gives the periods, the leaf variables kept a
+    boundary state, and the four-point check keeps four.  The pieces are
+    glued one at a time, next the one that leaves the fewest open legs.
     """
-    if not set(kept) <= set(p.vars):
-        raise ValueError(f"kept variables {sorted(set(kept) - set(p.vars))} not in {p.vars}")
-    perm = sorted(range(len(p.vars)), key=lambda i: p.vars[i] in kept)  # kept ones last
-    monomials = [(tuple(e[i] for i in perm), c) for e, c in p.terms.items()]
-    return _walk(monomials, len(p.vars), order, len(set(kept)))
+    if order < 0 or not set(kept) <= set(p.vars):
+        raise ValueError(f"need an order >= 0 and kept variables of {p.vars}, got {order}, {kept}")
+    keep = {p.vars.index(v) for v in kept}
+    bound = {i: max((abs(e[i]) for e in p.terms), default=0)
+             for i in range(len(p.vars)) if i not in keep}
+    pieces, held = _pieces(p, keep)
+    exp, series = cache(_exp), []  # one series per shape
+    for s, terms in pieces.items():
+        at = sorted(s)
+        legs = tuple(j for j, i in enumerate(at) if i in keep or held[i] == 2)
+        local = frozenset((tuple(e[i] for i in at), c) for e, c in terms.items())
+        series.append((tuple(at[j] for j in legs),
+                       exp(local, legs, tuple(bound.get(i) for i in at), order)))
+    absent = tuple(i for i in sorted(keep) if not held[i])  # kept, but in no term
+    state = (absent, [{(0,) * len(absent): 1}] + [{} for _ in range(order)])
+    while series:
+        i = min(range(len(series)), key=lambda i: len(set(state[0]) ^ set(series[i][0])))
+        state = _merge(state, series.pop(i), order, bound)
+    perm = [state[0].index(i) for i in sorted(keep)]
+    return [{tuple(k[j] for j in perm): c for k, c in t.items()} for t in state[1]]
 
 
 def _check_backend(backend: str) -> None:
@@ -136,19 +142,15 @@ def _check_backend(backend: str) -> None:
 
 
 def constant_terms_of_powers(p: LaurentPoly, order: int, backend: str = "auto") -> list:
-    """[p^k]_0 for k = 0..order, exactly.
-
-    ``backend`` is checked, not chosen: "auto" and "pure" both name the
-    exact dict walk, and any other name raises ValueError.
-    """
+    """[p^k]_0 for k = 0..order, exactly.  ``backend`` is checked, not chosen:
+    "auto" and "pure" both name :func:`walk_terms`, any other name raises ValueError."""
     _check_backend(backend)
     return [t.get((), 0) for t in walk_terms(p, order)]
 
 
 def periods_bruteforce(p: LaurentPoly, order: int,
                        fingerprint: str | None = None) -> PeriodSequence:
-    values = constant_terms_of_powers(p, order)
-    return PeriodSequence(order, tuple(values), fingerprint)
+    return PeriodSequence(order, tuple(constant_terms_of_powers(p, order)), fingerprint)
 
 
 def periods_from_laplace(hat: TSeries) -> tuple[int, ...]:

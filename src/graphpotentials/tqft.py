@@ -32,8 +32,8 @@ and shared modes, one mode parity at a time.  It reads these windows from
 the data rather than from the two rules, because not every kernel obeys
 them: S is nonzero on its whole antidiagonal at t^0.
 
-Brute-force states and the four-point check come from the one walk entry,
-``periods.walk_terms``; one helper builds kernel and walk states alike.
+Brute-force states and the four-point check glue vertex states in
+``periods.walk_terms``; one helper builds kernel and glued states alike.
 """
 
 from __future__ import annotations
@@ -322,11 +322,9 @@ def k_state(g: ColoredGraph, order: int) -> BoundaryState:
     """Boundary state of an open graph by direct expansion of exp(t W).
 
     Coefficient of t^d is the constant term, in every internal-edge
-    variable, of W^d / d!.  ``periods.walk_terms`` computes it as it does
-    periods, with the leaf variables kept rather than summed out: it pairs
-    the half-powers W^ceil(d/2) and W^floor(d/2) on opposite internal-edge
-    exponents and multiplies them on the leaf exponents.  A closed graph's
-    period is the state of a graph with no leaves.
+    variable, of W^d / d!: ``periods.walk_terms`` glues the vertex states
+    along the internal edges and keeps the leaf variables.  A closed
+    graph's period is the state of a graph with no leaves.
     """
     # graph_potential is looked up by module name, so a wrapper sees the call
     potential = graph_potential(g).potential

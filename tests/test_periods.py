@@ -5,16 +5,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphpotentials.algebra import LaurentPoly
-from graphpotentials.graphs import dumbbell_graph, necklace_graph, theta_graph, with_colors
+from graphpotentials.graphs import (
+    dumbbell_graph,
+    enumerate_trivalent,
+    necklace_graph,
+    theta_graph,
+    with_colors,
+)
 from graphpotentials.periods import (
     PeriodSequence,
-    _walk,
     constant_terms_of_powers,
     graph_fingerprint,
     periods_bruteforce,
+    periods_from_laplace,
     periods_of_graph,
     walk_terms,
 )
+from graphpotentials.tqft import trace_formula_table
 
 # nonzero entries of the two genus-2 period sequences through k = 12
 GENUS2_EVEN = {0: 1, 4: 384, 8: 645120, 12: 1513881600}
@@ -141,12 +148,23 @@ class TestWalk:
     @example(([((1, -1), 1), ((-2, 1), Fraction(1, 2))], 2, 0, 0))
     @example(([((1, -1), 1), ((-1, 1), 2), ((0, 3), -1)], 2, 1, 1))
     @example(([((3, -3, 1), 1), ((-3, 3, -1), 1)], 3, 7, 1))
+    # v0 in three pieces, v0*v1 + v2/v0 + v0*v3: joined before it is summed out
+    @example(([((1, 1, 0, 0), 1), ((-1, 0, 1, 0), 1), ((1, 0, 0, 1), 2)], 4, 6, 3))
+    # kept v2 in two pieces, v0*v2 + v2/v1 + 1/v0 + v1: joined, never summed out
+    @example(([((1, 0, 1), 1), ((0, -1, 1), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1)], 3, 6, 1))
+    @example(([], 2, 4, 1))  # the zero polynomial: only p^0 = 1 survives
+    @example(([((0, 0), 3)], 2, 4, 1))  # a constant: no variable in any piece
+    # v1, shared by v0*v1^3 + 1/v0 and v2/v1^3 + 1/v2, has exponents up to 3:
+    # a leg of exponent 3 at d = order - 1 can still cancel
+    @example(([((1, 3, 0), 1), ((-1, 0, 0), 1), ((0, -3, 1), 2), ((0, 0, -1), 1)], 3, 4, 0))
     def test_matches_naive_expansion(self, case):
-        # an off-by-one where the half-powers meet, at ceil(d/2) and
-        # floor(d/2), shows at odd d; with kept variables the trace formula,
-        # which checks closed graphs only, cannot see it
+        # the last ``kept`` of the variables v0, v1, ... are kept; with kept
+        # variables the trace formula, which checks closed graphs only,
+        # cannot see a fault here
         monomials, nvars, order, kept = case
-        assert _walk(monomials, nvars, order, kept) == naive_walk(monomials, nvars, order, kept)
+        names = tuple(f"v{i}" for i in range(nvars))
+        got = walk_terms(LaurentPoly(names, dict(monomials)), order, names[nvars - kept:])
+        assert got == naive_walk(monomials, nvars, order, kept)
 
     def test_entry_keeps_named_variables_in_place(self):
         # the kept variables a and c are not last; keys list them in p.vars order
@@ -203,6 +221,17 @@ class TestGraphPeriods:
         brute = periods_of_graph(g, order, method="brute")
         assert brute.pi == periods_of_graph(g, order, method="tqft").pi
         assert any(brute.pi[1:])
+
+    @pytest.mark.parametrize("which", ["necklace", 0, 194, 387])
+    def test_genus6_matches_trace_formula_table(self, which):
+        # the first, a middle and the last of the 388 genus-6 classes; CI
+        # checks all of them at the same order
+        table = trace_formula_table(6, 12)
+        g0 = necklace_graph(6) if which == "necklace" else enumerate_trivalent(6)[which]
+        for parity in (0, 1):
+            g = with_colors(g0, {g0.vertices[0].id: parity})
+            assert periods_of_graph(g, 12, method="brute").pi == periods_from_laplace(
+                table[(6, parity)])
 
     def test_fingerprint(self):
         assert graph_fingerprint(theta_graph()) == "g2e0"
