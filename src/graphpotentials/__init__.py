@@ -7,7 +7,9 @@ Submodules:
 * ``potential``: vertex and graph potentials, degenerations
 * ``mutation``: elementary transformations with symbolic certificates
 * ``periods``: brute-force period sequences (vertex states glued exactly)
-* ``tqft``: Bessel kernels, boundary states, the trace formula
+* ``tqft``: Bessel kernels, boundary states in the walk's d!-scaled
+  integers, the trace formula, and the four-point check on the state of
+  the two-vertex graph
 * ``cli``: the ``graphpot`` command
 
 Symbols are re-exported lazily so that importing the package stays cheap:

@@ -233,15 +233,6 @@ class LaurentPoly:
             out[tuple(f)] = c
         return LaurentPoly._raw(self.vars, out)
 
-    def rename_vars(self, mapping: Mapping[str, str]) -> "LaurentPoly":
-        """Bijectively rename variables (result re-sorted)."""
-        new = [mapping.get(v, v) for v in self.vars]
-        if len(set(new)) != len(new):
-            raise ValueError("renaming is not injective")
-        order = sorted(range(len(new)), key=lambda i: new[i])
-        vs = tuple(new[i] for i in order)
-        return LaurentPoly._raw(vs, {tuple(e[i] for i in order): c for e, c in self.terms.items()})
-
     # ---- display ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -422,9 +413,6 @@ class TSeries:
         return TSeries(d, tuple(out))
 
     __rmul__ = __mul__
-
-    def map_coeffs(self, f) -> "TSeries":
-        return TSeries(self.order, tuple(f(c) for c in self.coeffs))
 
 
 def ts_exp(w: LaurentPoly, order: int) -> TSeries:

@@ -12,7 +12,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from fractions import Fraction
 
 
 # Largest genus that ``period --genus`` and ``table --genus-max`` accept: the
@@ -325,9 +327,9 @@ def cmd_glue(args) -> int:
         "order": glued.order,
         "leaf_vars": list(glued.leaf_vars),
         "coefficients": [
-            {"degree": d, "terms": {_exps_key(e): str(c)
-                                    for e, c in sorted(glued.value[d].terms.items())}}
-            for d in range(glued.order + 1)
+            {"degree": d, "terms": {_exps_key(e): str(Fraction(c, math.factorial(d)))
+                                    for e, c in sorted(t.items())}}
+            for d, t in enumerate(glued.terms)
         ],
     }
     if args.json:

@@ -22,6 +22,10 @@ from .graphs import ColoredGraph, genus, require_valid, vertex_slots
 DEFAULT_ORIENTATION = {0: "out", 1: "in"}
 
 
+# the sign patterns of each parity: an even or odd number of inverted slots
+_SIGNS = {p: tuple(s for s in product((1, -1), repeat=3) if s.count(-1) % 2 == p) for p in (0, 1)}
+
+
 def vertex_potential(slots: Sequence[str], parity: int) -> LaurentPoly:
     """Potential of a single trivalent vertex with the given slot variables.
 
@@ -33,17 +37,15 @@ def vertex_potential(slots: Sequence[str], parity: int) -> LaurentPoly:
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     vs = tuple(sorted(set(slots)))
-    pos = {v: i for i, v in enumerate(vs)}
+    at = [vs.index(v) for v in slots]
     terms: dict[tuple, int] = {}
-    for signs in product((1, -1), repeat=3):
-        if sum(s == -1 for s in signs) % 2 != parity:
-            continue
+    for signs in _SIGNS[parity]:
         e = [0] * len(vs)
-        for v, s in zip(slots, signs):
-            e[pos[v]] += s
+        for i, s in zip(at, signs):
+            e[i] += s
         key = tuple(e)
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly(vs, terms)
+        terms[key] = terms.get(key, 0) + 1  # counts, never zero
+    return LaurentPoly._raw(vs, terms)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,12 @@ and shared modes, one mode parity at a time.  It reads these windows from
 the data rather than from the two rules, because not every kernel obeys
 them: S is nonzero on its whole antidiagonal at t^0.
 
-Brute-force states and the four-point check glue vertex states in
-``periods.walk_terms``; one helper builds kernel and glued states alike.
+A boundary state is kept as the walk and the kernels keep it: at t^d, leaf
+exponents map to d! times the coefficient, an integer.  Brute-force states
+are ``periods.walk_terms`` itself, kernel states copy the nonzero entries,
+and gluing adds integers; only a closed state's scalar series divides by d!.
+The four-point function is the state of the two-vertex graph with four
+leaves.
 """
 
 from __future__ import annotations
@@ -41,21 +45,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .algebra import LaurentPoly, TSeries
-from .graphs import ColoredGraph
+from .algebra import TSeries
+from .graphs import ColoredGraph, make_graph
 from .periods import walk_terms
-from .potential import graph_potential, vertex_potential
+from .potential import DEFAULT_ORIENTATION, graph_potential
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-def _even_series(order: int, f: Callable, zero=Fraction(0)) -> TSeries:
-    """The series with f(u) at t^(2u) and ``zero`` at every odd degree."""
-    return TSeries(order, tuple(zero if d % 2 else f(d // 2) for d in range(order + 1)))
+_ZERO = Fraction(0)  # shared by every odd degree: the `kernel` command builds (2D + 1)^2 series
+
+
+def _even_series(order: int, f: Callable) -> TSeries:
+    """The series with f(u) at t^(2u) and 0 at every odd degree."""
+    return TSeries(order, tuple(_ZERO if d % 2 else f(d // 2) for d in range(order + 1)))
 
 
 def bessel(order: int) -> TSeries:
@@ -146,29 +153,6 @@ def t1_kernel(order: int) -> KernelMatrix:
                     i = a - c
                     j = (2 * m - a) - (2 * n - c)
                     arr[D + i, D + j] += base * math.comb(2 * m, a) * math.comb(2 * n, c)
-    return KernelMatrix(D, mats)
-
-
-def t1_kernel_direct(order: int) -> KernelMatrix:
-    """T1 by multiplying the two Bessel series; cross-check for t1_kernel."""
-    vs = ("x", "y")
-    plus = LaurentPoly(vs, {(1, 0): 1, (0, 1): 1})
-    minus = LaurentPoly(vs, {(-1, 0): 1, (0, -1): 1})
-
-    def bessel_of(p: LaurentPoly) -> TSeries:
-        return _even_series(order, lambda m: p ** (2 * m) * Fraction(1, math.factorial(m) ** 2),
-                            LaurentPoly.zero(vs))
-
-    prod = bessel_of(plus) * bessel_of(minus)
-    D = order
-    mats = _zero_mats(D)
-    for u in range(D // 2 + 1):
-        d = 2 * u
-        for (i, j), c in prod.coeffs[d].terms.items():
-            v = c * math.factorial(d)
-            if v.denominator != 1:
-                raise ArithmeticError("scaled entry is not integral")
-            mats[u][D + i, D + j] = v.numerator
     return KernelMatrix(D, mats)
 
 
@@ -273,27 +257,21 @@ def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], TSeries
 
 @dataclass(frozen=True)
 class BoundaryState:
-    """Truncated series whose coefficients are Laurent polynomials in the
-    leaf variables of an open graph; at t^d every leaf exponent is bounded
-    by d in absolute value."""
+    """The state of an open graph in the walk's integers: ``terms[d]`` maps
+    leaf exponents, in ``leaf_vars`` order, to d! times the coefficient of
+    t^d, zeros left out.  At t^d every leaf exponent is at most d in
+    absolute value."""
 
     order: int
     leaf_vars: tuple[str, ...]
-    value: TSeries
+    terms: list[dict]
 
     def scalar_series(self) -> TSeries:
         """The state of a closed-up graph as a plain rational series."""
         if self.leaf_vars:
             raise ValueError(f"state still has open leaves {self.leaf_vars}")
-        return self.value.map_coeffs(lambda p: p.constant_coefficient())
-
-
-def _state(order: int, leaf_vars: tuple[str, ...], terms: Sequence[dict]) -> BoundaryState:
-    """The state with terms[d] / d! at t^d, terms[d] mapping leaf exponents
-    to d!-scaled coefficients."""
-    return BoundaryState(order, leaf_vars, TSeries(order, tuple(
-        LaurentPoly(leaf_vars, {e: Fraction(c, math.factorial(d)) for e, c in t.items()})
-        for d, t in enumerate(terms))))
+        return TSeries(self.order, tuple(Fraction(t.get((), 0), math.factorial(d))
+                                         for d, t in enumerate(self.terms)))
 
 
 def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
@@ -315,21 +293,21 @@ def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
     terms = [{(i - order, j - order): int(v)
               for i, row in enumerate(mats[d // 2]) for j, v in enumerate(row) if v}
              if d % 2 == 0 else {} for d in range(order + 1)]
-    return _state(order, ("x", "y"), terms)
+    return BoundaryState(order, ("x", "y"), terms)
 
 
 def k_state(g: ColoredGraph, order: int) -> BoundaryState:
     """Boundary state of an open graph by direct expansion of exp(t W).
 
-    Coefficient of t^d is the constant term, in every internal-edge
-    variable, of W^d / d!: ``periods.walk_terms`` glues the vertex states
-    along the internal edges and keeps the leaf variables.  A closed
-    graph's period is the state of a graph with no leaves.
+    Degree d holds the constant term, in every internal-edge variable, of
+    W^d: ``periods.walk_terms`` glues the vertex states along the internal
+    edges and keeps the leaf variables.  A closed graph's periods are the
+    state of a graph with no leaves.
     """
     # graph_potential is looked up by module name, so a wrapper sees the call
     potential = graph_potential(g).potential
     leaf_vars = tuple(sorted(x.id for x in g.leaves))  # in potential.vars order: both sorted
-    return _state(order, leaf_vars, walk_terms(potential, order, leaf_vars))
+    return BoundaryState(order, leaf_vars, walk_terms(potential, order, leaf_vars))
 
 
 def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
@@ -343,17 +321,15 @@ def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
     ia = state.leaf_vars.index(leaf_a)
     ib = state.leaf_vars.index(leaf_b)
     keep = [i for i in range(len(state.leaf_vars)) if i not in (ia, ib)]
-    names = tuple(state.leaf_vars[i] for i in keep)
-
-    def glue_poly(p: LaurentPoly) -> LaurentPoly:
-        terms = {}
-        for e, c in p.terms.items():
+    out = []
+    for t in state.terms:
+        acc: dict[tuple, int] = {}
+        for e, c in t.items():
             if e[ia] + e[ib] == 0:
                 key = tuple(e[i] for i in keep)
-                terms[key] = terms.get(key, 0) + c
-        return LaurentPoly(names, terms)
-
-    return BoundaryState(state.order, names, state.value.map_coeffs(glue_poly))
+                acc[key] = acc.get(key, 0) + c
+        out.append({e: c for e, c in acc.items() if c})
+    return BoundaryState(state.order, tuple(state.leaf_vars[i] for i in keep), out)
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +338,22 @@ def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
 
 
 def wdvv_check(parity: int, order: int) -> bool:
-    """Whether the glued four-point function is symmetric in its four slots.
+    """Whether the four-point function is symmetric in its four slots.
 
-    Pairing two copies of exp(t w(x1, x2, m)) along m, for the vertex
-    potential w, gives M4(x1, x2, x3, x4), which must be invariant under all
-    24 slot permutations.  M4 at t^d is the walk's degree d, over d!, of
-    W = w(x1, x2, m) + w(x3, x4, 1/m) with x1..x4 kept.
+    M4(x1, x2, x3, x4) is the k_state of the two-vertex graph: vertex a of
+    color ``parity`` holds leaves x1 and x2, vertex b of color 1 - parity
+    holds x3 and x4, edge m joins them, and every leaf has its vertex's
+    default orientation.  Inverting one slot flips a vertex potential's
+    parity, so w_p(x3, x4, 1/m) = w_(1-p)(x3, x4, m): M4 pairs two copies
+    of exp(t w_p) along m.  It must be invariant under all 24 slot
+    permutations, which (12) and (1234) generate.
     """
-    # vertex_potential is looked up by module name, so the tests can corrupt it
-    w = vertex_potential(("s1", "s2", "s3"), parity)
-    names = ("x1", "x2", "x3", "x4")
-    left = w.rename_vars({"s1": "x1", "s2": "x2", "s3": "m"}).embed(("m",) + names)
-    right = w.rename_vars({"s1": "x3", "s2": "x4", "s3": "m"}).negate_var("m").embed(("m",) + names)
-    terms = walk_terms(left + right, order, names)
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    out_a, out_b = DEFAULT_ORIENTATION[parity], DEFAULT_ORIENTATION[1 - parity]
+    g = make_graph([("a", parity), ("b", 1 - parity)], [("m", "a", "b")],
+                   [("x1", "a", out_a), ("x2", "a", out_a), ("x3", "b", out_b), ("x4", "b", out_b)])
+    # k_state is looked up by module name, so a wrapper sees the call
+    terms = k_state(g, order).terms
     return all({tuple(e[i] for i in perm): c for e, c in t.items()} == t
-               for perm in islice(permutations(range(4)), 1, None) for t in terms)
+               for perm in ((1, 0, 2, 3), (1, 2, 3, 0)) for t in terms)

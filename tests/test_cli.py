@@ -560,9 +560,9 @@ GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_cli.json").read_t
 
 
 def test_printed_polynomials_match_golden(capsys):
-    # stdout of `potential --json` on every fixture and of `mutate --edge` on
-    # every non-loop edge, byte for byte: a coefficient printed as True, 2.0
-    # or Fraction(2, 1) shows up here
+    # stdout of `potential --json` on every fixture, of `mutate --edge` on
+    # every non-loop edge, and of a few `glue` and `wdvv` runs, byte for byte:
+    # a coefficient printed as True, 2.0 or Fraction(2, 1) shows up here
     for case in GOLDEN:
         argv = [FIXTURES / a if a.endswith(".json") else a for a in case["argv"]]
         code, out, _ = run(capsys, *argv)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -53,7 +54,38 @@ def assert_matches_oracle(g):
         assert b.per_vertex[v].vars == tuple(sorted({s[1] for s in slots})), v
 
 
+def eight_patterns(slots, parity):
+    """The oracle: every one of the eight sign patterns, the other parity's
+    skipped, added up through the validating constructor."""
+    vs = tuple(sorted(set(slots)))
+    pos = {v: i for i, v in enumerate(vs)}
+    terms = {}
+    for signs in product((1, -1), repeat=3):
+        if sum(s == -1 for s in signs) % 2 != parity:
+            continue
+        e = [0] * len(vs)
+        for v, s in zip(slots, signs):
+            e[pos[v]] += s
+        key = tuple(e)
+        terms[key] = terms.get(key, 0) + 1
+    return LaurentPoly(vs, terms)
+
+
 class TestVertexPotential:
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_matches_eight_pattern_oracle(self, parity):
+        # all 27 slot triples over {a, b, c}, loops and triple repeats included
+        for slots in product("abc", repeat=3):
+            w, want = vertex_potential(slots, parity), eight_patterns(slots, parity)
+            assert (w.vars, w.terms) == (want.vars, want.terms), slots
+            assert all(type(c) is int for c in w.terms.values()), slots
+
+    def test_rejects_wrong_arity_and_parity(self):
+        with pytest.raises(ValueError):
+            vertex_potential(("a", "b"), 0)
+        with pytest.raises(ValueError):
+            vertex_potential(("a", "b", "c"), 2)
+
     def test_even_parity_three_distinct(self):
         # even number of inverted slots: +++ , +-- , -+- , --+
         w = vertex_potential(("a", "b", "c"), 0)

@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphpotentials import tqft
+from graphpotentials import potential, tqft
 from graphpotentials.algebra import LaurentPoly, TSeries, pairing_in_var, ts_exp
 from graphpotentials.graphs import graph_from_json, necklace_graph, theta_graph
 from graphpotentials.periods import walk_terms
 from graphpotentials.potential import graph_potential, vertex_potential
 from graphpotentials.tqft import (
+    BoundaryState,
     KernelMatrix,
     bessel,
     flip_operator,
@@ -24,7 +25,6 @@ from graphpotentials.tqft import (
     kernel_trace,
     necklace_state,
     t1_kernel,
-    t1_kernel_direct,
     trace_formula,
     trace_formula_table,
     wdvv_check,
@@ -54,6 +54,25 @@ def bessel_of(p: LaurentPoly, order: int) -> TSeries:
     return TSeries.from_list(coeffs)
 
 
+def t1_kernel_direct(order: int) -> KernelMatrix:
+    """T1 by multiplying the two Bessel series: the oracle for t1_kernel."""
+    prod = bessel_of(xy({(1, 0): 1, (0, 1): 1}), order) * bessel_of(xy({(-1, 0): 1, (0, -1): 1}), order)
+    mats = [np.zeros((2 * order + 1,) * 2, dtype=object) for _ in range(order // 2 + 1)]
+    for u, m in enumerate(mats):
+        for (i, j), c in prod[2 * u].terms.items():
+            v = c * factorial(2 * u)
+            assert v.denominator == 1, "scaled entry is not integral"
+            m[order + i, order + j] = v.numerator
+    return KernelMatrix(order, mats)
+
+
+def as_series(state) -> TSeries:
+    """A state's terms as a series of Laurent polynomials, divided by d!."""
+    return TSeries(state.order, tuple(
+        LaurentPoly(state.leaf_vars, {e: Fraction(c, factorial(d)) for e, c in t.items()})
+        for d, t in enumerate(state.terms)))
+
+
 class TestBessel:
     def test_series_coefficients(self):
         s = bessel(8)
@@ -69,7 +88,8 @@ class TestBessel:
 
 class TestT1Kernel:
     def test_closed_form_equals_direct_product(self):
-        assert t1_kernel(8) == t1_kernel_direct(8)
+        for order in (8, 12):
+            assert t1_kernel(order) == t1_kernel_direct(order)
 
     def test_sample_entries(self):
         # checked by expanding B(t(x+y)) B(t(1/x+1/y)) term by term
@@ -315,23 +335,23 @@ class TestBoundaryStates:
             state = necklace_state(g, parity, order)
             assert state.leaf_vars == XY
             for d in range(order + 1):
-                terms = state.value[d].terms
+                terms = state.terms[d]
                 for i in range(-order, order + 1):
                     for j in range(-order, order + 1):
-                        assert terms.get((i, j), 0) == expect.entry(i, j).coeffs[d]
+                        assert terms.get((i, j), 0) == expect.entry(i, j).coeffs[d] * factorial(d)
 
     def test_bessel_product_for_open_genus_one(self):
         # two pairs of pants glued along two of their boundaries
         state = necklace_state(1, 1, 8)
         left = bessel_of(xy({(1, 0): 1, (0, -1): 1}), 8)
         right = bessel_of(xy({(-1, 0): 1, (0, 1): 1}), 8)
-        assert state.value == left * right
+        assert as_series(state) == left * right
 
     def test_even_open_genus_one(self):
         state = necklace_state(1, 0, 8)
         left = bessel_of(xy({(1, 0): 1, (0, 1): 1}), 8)
         right = bessel_of(xy({(-1, 0): 1, (0, -1): 1}), 8)
-        assert state.value == left * right
+        assert as_series(state) == left * right
 
     @pytest.mark.parametrize("g,parity", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_glue_closes_the_necklace(self, g, parity):
@@ -339,6 +359,19 @@ class TestBoundaryStates:
         closed = glue(state, "x", "y")
         assert closed.leaf_vars == ()
         assert closed.scalar_series() == trace_formula(g + 1, parity, 8)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_walk_and_kernel_states_close_to_the_trace(self, g, parity):
+        state = k_state(necklace_graph(g, open_ends=True, parity=parity), 12)
+        assert state == necklace_state(g, parity, 12)
+        assert glue(state, "x", "y").scalar_series() == trace_formula(g + 1, parity, 12)
+
+    @pytest.mark.parametrize("name", ["necklace_open_g1.json", "caterpillar.json",
+                                      "tripod.json", "theta_colored.json"])
+    def test_k_state_coefficients_are_ints(self, name):
+        state = k_state(fixture(name), 8)
+        assert all(type(c) is int for t in state.terms for c in t.values())
 
     def test_k_state_of_closed_graph_is_scalar(self):
         state = k_state(theta_graph(), 6)
@@ -351,15 +384,19 @@ class TestBoundaryStates:
         left = ts_exp(vertex_potential(("p", "q", "m"), 0), 6)
         right = ts_exp(vertex_potential(("r", "s", "m"), 0).negate_var("m"), 6)
         state = k_state(fixture("caterpillar.json"), 6)
-        assert state.value == pairing_in_var(left, right, "m")
-        assert len(state.value[6].terms) == 256
+        assert as_series(state) == pairing_in_var(left, right, "m")
+        assert len(state.terms[6]) == 256
 
     def test_k_state_without_internal_edges_is_the_exponential(self):
         # every variable is kept, so the walk may prune nothing
         tripod = fixture("tripod.json")
         state = k_state(tripod, 6)
         assert state.leaf_vars == ("X", "Y", "Z")
-        assert state.value == ts_exp(graph_potential(tripod).potential, 6)
+        assert as_series(state) == ts_exp(graph_potential(tripod).potential, 6)
+
+    def test_glue_leaves_out_cancelled_terms(self):
+        state = BoundaryState(1, ("a", "b", "c"), [{}, {(1, -1, 0): 2, (2, -2, 0): -2, (1, 0, 1): 5}])
+        assert glue(state, "a", "b") == BoundaryState(1, ("c",), [{}, {}])
 
     def test_glue_requires_existing_leaves(self):
         state = necklace_state(1, 0, 4)
@@ -375,26 +412,27 @@ def drop_term(w, drop_monomial):
     return w - LaurentPoly(w.vars, {e: w.terms[e]})
 
 
-def vertex_w(parity, drop_monomial=None):
-    return drop_term(vertex_potential(("s1", "s2", "s3"), parity), drop_monomial)
-
-
 def corrupt_vertex_potential(monkeypatch, drop_monomial):
-    """Make wdvv_check see the vertex potential without one term."""
-    monkeypatch.setattr(tqft, "vertex_potential",
+    """Make every graph potential, the four-point graph's too, see vertex
+    potentials without one term."""
+    monkeypatch.setattr(potential, "vertex_potential",
                         lambda slots, parity: drop_term(vertex_potential(slots, parity), drop_monomial))
+
+
+def four_point_pair(parity, drop_monomial=None):
+    """w_p(x1, x2, m) and w_(1-p)(x3, x4, m), each corrupted as the graph's."""
+    return (drop_term(vertex_potential(("x1", "x2", "m"), parity), drop_monomial),
+            drop_term(vertex_potential(("x3", "x4", "m"), 1 - parity), drop_monomial))
 
 
 def series_wdvv_check(parity, order, drop_monomial=None):
     """The four-point check on the series engine: pair exp(t w(x1, x2, m))
-    with exp(t w(x3, x4, m)) along m and permute the variables of M4."""
-    w = vertex_w(parity, drop_monomial)
-    f = ts_exp(w.rename_vars({"s1": "x1", "s2": "x2", "s3": "m"}), order)
-    h = ts_exp(w.rename_vars({"s1": "x3", "s2": "x4", "s3": "m"}), order)
-    m4 = pairing_in_var(f, h, "m")
-    names = ("x1", "x2", "x3", "x4")
-    return all(m4.map_coeffs(lambda p: p.rename_vars(dict(zip(names, perm)))) == m4
-               for perm in permutations(names))
+    with exp(t w(x3, x4, 1/m)) along m and apply all 24 permutations of M4's
+    variables."""
+    left, right = four_point_pair(parity, drop_monomial)
+    m4 = pairing_in_var(ts_exp(left, order), ts_exp(right.negate_var("m"), order), "m")
+    return all(LaurentPoly(p.vars, {tuple(e[i] for i in perm): c for e, c in p.terms.items()}) == p
+               for perm in permutations(range(4)) for p in m4.coeffs)
 
 
 class TestWdvv:
@@ -416,13 +454,22 @@ class TestWdvv:
                 assert wdvv_check(parity, order) == series_wdvv_check(parity, order, drop)
 
     @pytest.mark.parametrize("parity", [0, 1])
+    def test_four_point_graph_pairs_two_copies_of_one_vertex(self, parity, monkeypatch):
+        # the other color with m inverted is the same vertex potential
+        seen = []
+        monkeypatch.setattr(tqft, "k_state", lambda g, order: seen.append(g) or k_state(g, order))
+        assert wdvv_check(parity, 4)
+        left, right = four_point_pair(parity)
+        assert right == vertex_potential(("x3", "x4", "m"), parity).negate_var("m")
+        names = ("m", "x1", "x2", "x3", "x4")
+        assert graph_potential(seen[0]).potential == left.embed(names) + right.embed(names)
+
+    @pytest.mark.parametrize("parity", [0, 1])
     def test_walk_terms_are_the_series_pairing(self, parity):
         names = ("x1", "x2", "x3", "x4")
-        w = vertex_w(parity)
-        left = w.rename_vars({"s1": "x1", "s2": "x2", "s3": "m"})
-        right = w.rename_vars({"s1": "x3", "s2": "x4", "s3": "m"})
-        big = left.embed(("m",) + names) + right.negate_var("m").embed(("m",) + names)
+        left, right = four_point_pair(parity)
+        big = left.embed(("m",) + names) + right.embed(("m",) + names)
         terms = walk_terms(big, 8, names)
-        m4 = pairing_in_var(ts_exp(left, 8), ts_exp(right, 8), "m")
+        m4 = pairing_in_var(ts_exp(left, 8), ts_exp(right.negate_var("m"), 8), "m")
         for d, t in enumerate(terms):
             assert LaurentPoly(names, {e: Fraction(c, factorial(d)) for e, c in t.items()}) == m4[d]
