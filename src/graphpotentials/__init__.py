@@ -7,15 +7,15 @@ Submodules:
 * ``potential``: vertex and graph potentials, degenerations
 * ``mutation``: elementary transformations with symbolic certificates
 * ``periods``: brute-force period sequences (vertex states glued exactly)
-* ``tqft``: Bessel kernels, boundary states in the walk's d!-scaled
+* ``tqft``: Bessel kernels and boundary states in the walk's d!-scaled
   integers, the trace formula, and the four-point check on the state of
   the two-vertex graph
 * ``cli``: the ``graphpot`` command
 
-Symbols are re-exported lazily so that importing the package stays cheap:
-numpy is loaded only where ``tqft`` builds a kernel matrix, so brute-force
-periods, mutation, walk states, gluing and the four-point check start and
-run without it.
+Symbols are re-exported lazily so that importing the package stays cheap.
+The library runs on the standard library alone: kernels and boundary states
+are dicts of Python integers, and numpy is loaded only by a kernel's
+``mats`` view, which no library path reads.
 """
 
 from importlib import import_module

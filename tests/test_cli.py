@@ -443,23 +443,57 @@ class TestUsageErrors:
         assert "exactly two" in err
 
 
-def test_brute_force_path_does_not_import_numpy():
-    # numpy is needed only where a KernelMatrix is built; the CLI, brute-force
-    # periods, mutation, walk states, gluing and the four-point check stay
-    # clear of its start-up cost
+# one run of every command; the kernel commands are table, kernel and period
+EVERY_COMMAND = [
+    ("potential", "--graph", "theta.json", "--json"),
+    ("period", "--graph", "theta.json", "--order", "6", "--method", "both"),
+    ("period", "--genus", "4", "--parity", "1", "--order", "8", "--method", "tqft"),
+    ("mutate", "--graph", "theta.json", "--edge", "a"),
+    ("verify", "mutation", "--graph", "dumbbell.json"),
+    ("verify", "coloring", "--graph", "dumbbell.json"),
+    ("table", "--genus-max", "5", "--order", "8"),
+    ("kernel", "--order", "6"),
+    ("grassmann", "--graph", "tripod.json", "--distinguished", "v=X"),
+    ("wdvv", "--order", "4"),
+    ("glue", "--graph", "necklace_open_g1.json", "--leaf-a", "x", "--leaf-b", "y", "--order", "4"),
+]
+
+
+def _subprocess_env() -> dict:
     src = str(Path(graphpotentials.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, graphpotentials.cli, graphpotentials.periods, graphpotentials.mutation\n"
-            "from graphpotentials import graphs, tqft\n"
-            "state = tqft.k_state(graphs.necklace_graph(1, open_ends=True), 4)\n"
-            "tqft.glue(state, 'x', 'y')\n"
-            "assert tqft.wdvv_check(0, 4)\n"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_no_command_imports_numpy():
+    # numpy serves the tests and the benchmark only: every command runs
+    # without it, the kernel commands included, and reading a kernel's
+    # `mats` view is what loads it
+    assert {argv[0] for argv in EVERY_COMMAND} == set(
+        cli.build_parser()._subparsers._group_actions[0].choices)
+    argvs = [[str(FIXTURES / a) if a.endswith(".json") else a for a in argv] for argv in EVERY_COMMAND]
+    code = ("import contextlib, io, sys\n"
+            "from graphpotentials import cli, tqft\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
             "print('numpy' in sys.modules)\n"
-            "tqft.t1_kernel(4)\n"
+            "tqft.t1_kernel(4).mats\n"
             "print('numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "True"]
+
+
+def test_reader_closing_the_pipe_early_ends_quietly():
+    # the kernel at order 24 prints far more than a pipe holds, so the
+    # command is still writing when its reader goes away
+    proc = subprocess.Popen([sys.executable, "-m", "graphpotentials.cli", "kernel", "--order", "24"],
+                            env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_every_export_resolves():
@@ -561,7 +595,8 @@ GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_cli.json").read_t
 
 def test_printed_polynomials_match_golden(capsys):
     # stdout of `potential --json` on every fixture, of `mutate --edge` on
-    # every non-loop edge, and of a few `glue` and `wdvv` runs, byte for byte:
+    # every non-loop edge, of a few `glue` and `wdvv` runs and of the kernel
+    # commands `kernel`, `table` and `period --method tqft`, byte for byte:
     # a coefficient printed as True, 2.0 or Fraction(2, 1) shows up here
     for case in GOLDEN:
         argv = [FIXTURES / a if a.endswith(".json") else a for a in case["argv"]]

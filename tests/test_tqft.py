@@ -57,13 +57,13 @@ def bessel_of(p: LaurentPoly, order: int) -> TSeries:
 def t1_kernel_direct(order: int) -> KernelMatrix:
     """T1 by multiplying the two Bessel series: the oracle for t1_kernel."""
     prod = bessel_of(xy({(1, 0): 1, (0, 1): 1}), order) * bessel_of(xy({(-1, 0): 1, (0, -1): 1}), order)
-    mats = [np.zeros((2 * order + 1,) * 2, dtype=object) for _ in range(order // 2 + 1)]
-    for u, m in enumerate(mats):
-        for (i, j), c in prod[2 * u].terms.items():
-            v = c * factorial(2 * u)
+    terms = [{} for _ in range(order + 1)]
+    for d, t in enumerate(terms):
+        for e, c in prod[d].terms.items():
+            v = c * factorial(d)
             assert v.denominator == 1, "scaled entry is not integral"
-            m[order + i, order + j] = v.numerator
-    return KernelMatrix(order, mats)
+            t[e] = v.numerator
+    return KernelMatrix(order, terms)
 
 
 def as_series(state) -> TSeries:
@@ -126,35 +126,39 @@ class TestT1Kernel:
 
     def test_writing_a_returned_kernel_changes_no_later_result(self):
         want = trace_formula(2, 0, 4)
-        for m in t1_kernel(4).mats:
-            m[4, 4] = 99
+        for t in t1_kernel(4).terms:
+            t[(0, 0)] = 99
         assert trace_formula(2, 0, 4) == want
 
 
 def dense_product(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
-    """The product over full dense matrices: at t^d, with d!-scaled entries,
-    the sum over even a of C(d, a) p_a q_(d-a).  Oracle for tqft._product."""
+    """The product over full dense numpy matrices of the ``mats`` view: at
+    t^d, with d!-scaled entries, the sum over even a of C(d, a) p_a q_(d-a).
+    Oracle for tqft._product on kernels with empty odd degrees."""
     if p.order != q.order:
         raise ValueError("kernel orders differ")
-    out = []
-    for u in range(p.order // 2 + 1):
-        acc = p.mats[0] @ q.mats[u]
+    D = p.order
+    pm, qm = p.mats, q.mats
+    terms = [{} for _ in range(D + 1)]
+    for u in range(D // 2 + 1):
+        acc = pm[0] @ qm[u]
         for a in range(1, u + 1):
-            acc += comb(2 * u, 2 * a) * (p.mats[a] @ q.mats[u - a])
-        out.append(acc)
-    return KernelMatrix(p.order, out)
+            acc += comb(2 * u, 2 * a) * (pm[a] @ qm[u - a])
+        terms[2 * u] = {(i - D, j - D): v for (i, j), v in np.ndenumerate(acc)}
+    return KernelMatrix(D, terms)
 
 
 def random_kernel(order: int, rng: random.Random, density: float) -> KernelMatrix:
-    """Signed entries anywhere, odd i + j and |i|, |j| > d included."""
-    size = 2 * order + 1
-    mats = [np.zeros((size, size), dtype=object) for _ in range(order // 2 + 1)]
-    for m in mats:
-        for i in range(size):
-            for j in range(size):
+    """Signed entries anywhere in the even degrees, odd i + j and |i|, |j| > d
+    included."""
+    modes = range(-order, order + 1)
+    terms = [{} for _ in range(order + 1)]
+    for t in terms[::2]:
+        for i in modes:
+            for j in modes:
                 if rng.random() < density:
-                    m[i, j] = rng.randint(-2 ** 70, 2 ** 70)
-    return KernelMatrix(order, mats)
+                    t[(i, j)] = rng.randint(-2 ** 70, 2 ** 70)
+    return KernelMatrix(order, terms)
 
 
 class TestProduct:
@@ -175,11 +179,11 @@ class TestProduct:
         a3 = tqft._power(10, 3)
         s = flip_operator(10)
         for p, q in ((a, a), (a3, a), (a, s), (s, a3)):
-            view = KernelMatrix(q.order, [m[::-1] for m in q.mats])
-            assert kernel_compose(p, q) == dense_product(p, view)
+            flipped = KernelMatrix(q.order, [{(-i, j): v for (i, j), v in t.items()} for t in q.terms])
+            assert kernel_compose(p, q) == dense_product(p, flipped)
 
     def test_zero_kernel(self):
-        zero = KernelMatrix(8, tqft._zero_mats(8))
+        zero = KernelMatrix(8, [{} for _ in range(9)])
         a = t1_kernel(8)
         for p, q in ((zero, a), (a, zero), (zero, zero)):
             assert kernel_matmul(p, q) == dense_product(p, q) == zero
@@ -203,13 +207,43 @@ class TestProduct:
             power = dense_product(power, a)
 
 
+    def test_cancelled_entries_left_out(self):
+        # (0, 0) sums 1 * 1 + 1 * -1: a zero, which the format leaves out
+        p = KernelMatrix(2, [{(0, 0): 1, (0, 1): 1}, {}, {}])
+        q = KernelMatrix(2, [{(0, 0): 1, (1, 0): -1}, {}, {}])
+        assert kernel_matmul(p, q).terms == [{}, {}, {}]
+
+
 class TestKernelMatrix:
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-    def test_fixed_width_entries_rejected(self, dtype):
-        # int64 would wrap 2**40 * 2**40 to 0, float64 would round it
-        mats = [np.full((9, 9), 2 ** 40, dtype=dtype) for _ in range(3)]
-        with pytest.raises(ValueError, match="dtype"):
-            KernelMatrix(4, mats)
+    @pytest.mark.parametrize("value", [float(2 ** 40), np.int64(2 ** 40), True],
+                             ids=["float64", "int64", "bool"])
+    def test_fixed_width_entries_rejected(self, value):
+        # int64 would wrap 2**40 * 2**40 to 0, a float would round it, and a
+        # bool prints as True
+        terms = [{(0, 0): value}] + [{} for _ in range(4)]
+        with pytest.raises(ValueError, match="need int"):
+            KernelMatrix(4, terms)
+
+    def test_degree_count_and_mode_range_checked(self):
+        with pytest.raises(ValueError, match="degree dicts"):
+            KernelMatrix(4, [{} for _ in range(3)])
+        with pytest.raises(ValueError, match="out of range"):
+            KernelMatrix(4, [{(0, 5): 1}] + [{} for _ in range(4)])
+
+    def test_zeros_left_out_and_terms_copied(self):
+        terms = [{(0, 0): 0, (1, 1): 2}, {}, {}]
+        k = KernelMatrix(2, terms)
+        terms[0][(1, 1)] = 3
+        assert k.terms == [{(1, 1): 2}, {}, {}]
+
+    def test_mats_view_holds_the_even_degrees(self):
+        a = t1_kernel(6)
+        mats = a.mats
+        assert len(mats) == 4 and all(m.shape == (13, 13) and m.dtype == object for m in mats)
+        for d in range(0, 7, 2):
+            for i in range(-6, 7):
+                for j in range(-6, 7):
+                    assert mats[d // 2][6 + i, 6 + j] == a.terms[d].get((i, j), 0)
 
 
 class TestOperators:
