@@ -4,9 +4,11 @@ pi_k = [W^k]_0 is computed by brute force, by gluing: the terms of W split
 into pieces, a graph potential into its vertices, and exp(tW) is the product
 of the pieces' exp(tw), each kept d!-scaled (degree d is w^d).  Two series
 glue by weighing degree d_a of one by C(d, d_a) and taking the constant term
-in their shared variables, as vertex states glue along edges.  The cost grows
-with the open legs of the widest glued state and the order, not with the
-whole graph.  The trace formula in ``tqft`` checks this only brute-force engine.
+in their shared variables, as vertex states glue along edges: :func:`contract`,
+which also composes the kernels of ``tqft``.  The cost grows with the open
+legs of the widest glued state and the order, not with the whole graph.  The
+trace formula checks this only brute-force engine from the closed-form Bessel
+kernel, not from the vertex potentials.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from operator import add
+from operator import add, itemgetter, neg
 
 from .algebra import LaurentPoly, TSeries
 from .graphs import ColoredGraph, genus, homology_ranks_f2, require_valid
@@ -76,32 +78,61 @@ def _exp(local: frozenset, legs: tuple, bounds: tuple, order: int) -> list:
     return out
 
 
-def _merge(a: tuple, b: tuple, order: int, bound: dict) -> tuple:
-    """Glue two (legs, degrees) series along the legs they share; a's open legs come first."""
-    shared = [v for v in a[0] if v in b[0]]
+def _pick(at: list):
+    """The exponents at positions ``at`` of a key: a bare int for one leg, else a tuple."""
+    return itemgetter(*at or [slice(0)])  # no legs: k[:0], the empty tuple
 
-    def split(legs: tuple, t: dict, sign: int) -> dict:
-        at = [legs.index(v) for v in shared]
-        rest = [j for j, v in enumerate(legs) if v not in shared]
-        g: dict[tuple, list] = {}  # shared exponents times sign -> [(rest, c)]
-        for k, c in t.items():
-            g.setdefault(tuple(sign * k[j] for j in at), []).append((tuple(k[j] for j in rest), c))
-        return g
 
-    ga, gb = ([split(legs, t, sign) for t in ts] for (legs, ts), sign in ((a, -1), (b, 1)))
-    out: list[dict] = [{} for _ in range(order + 1)]
-    for da, x in enumerate(ga):
-        for db, y in enumerate(gb[:order + 1 - da]):
-            w, acc = math.comb(da + db, da), out[da + db]
-            for s, xs in x.items():
-                for kb, cb in y.get(s, ()):
-                    cb *= w
-                    for ka, ca in xs:
-                        k = ka + kb
-                        acc[k] = acc.get(k, 0) + ca * cb
-    legs = tuple(v for v in a[0] + b[0] if v not in shared)
+def _joined(acc: dict, na: int, nb: int) -> dict:
+    """acc[x][z] keyed by x's legs then z's, zeros left out; a one-leg key is bare."""
+    if na == nb == 1:
+        return {(x, z): c for x, r in acc.items() for z, c in r.items() if c}
+    if na == 1:
+        acc = {(x,): r for x, r in acc.items()}
+    if nb == 1:
+        return {x + (z,): c for x, r in acc.items() for z, c in r.items() if c}
+    return {x + z: c for x, r in acc.items() for z, c in r.items() if c}
+
+
+def contract(a: tuple, b: tuple, order: int, bound: dict) -> tuple:
+    """Glue two states (legs, order + 1 degree dicts) along the legs they share.
+
+    Degree d sums C(d, d_a) times an entry of a at d_a times one of b at
+    d - d_a over the pairs whose shared exponents cancel; zero sums are left
+    out.  The legs are a's open ones, then b's; a leg v in ``bound`` keeps the
+    exponents that the remaining degrees, each moving v by bound[v], can cancel.
+    """
+    (la, ta), (lb, tb) = a, b
+    shared = [v for v in la if v in lb]
+    ra, rb = ([j for j, v in enumerate(legs) if v not in shared] for legs in (la, lb))
+    (sa, xa), (sb, xb) = ((_pick([legs.index(v) for v in shared]), _pick(r))
+                          for legs, r in ((la, ra), (lb, rb)))
+    negate = neg if len(shared) == 1 else (lambda s: tuple(map(neg, s)))
+    gb = [{} for _ in tb]  # b by negated shared exponents -> [(rest exponents, c)]
+    for g, t in zip(gb, tb):
+        for s, xc in zip(map(negate, map(sb, t)), zip(map(xb, t), t.values())):
+            g.setdefault(s, []).append(xc)
+    sp = [list(zip(map(sa, t), map(xa, t), t.values())) for t in ta]
+    out = []
+    for d in range(order + 1):
+        acc: dict = {}  # a's rest -> b's rest -> c
+        for da in range(d + 1):
+            if not (sp[da] and gb[d - da]):
+                continue
+            w, y = math.comb(d, da), gb[d - da]
+            for s, x, ca in sp[da]:
+                row = y.get(s)
+                if row:
+                    cw = w * ca
+                    r = acc.get(x)
+                    if r is None:
+                        r = acc[x] = {}
+                    for z, cb in row:
+                        r[z] = r.get(z, 0) + cw * cb
+        out.append(_joined(acc, len(ra), len(rb)))
+    legs = tuple(la[j] for j in ra) + tuple(lb[j] for j in rb)
     limits = [(j, bound[v]) for j, v in enumerate(legs) if v in bound]
-    return legs, [_prune(t, order - d, limits) for d, t in enumerate(out)]
+    return legs, [_prune(t, order - d, limits) for d, t in enumerate(out)] if limits else out
 
 
 def walk_terms(p: LaurentPoly, order: int, kept: tuple[str, ...] = ()) -> list[dict]:
@@ -130,7 +161,7 @@ def walk_terms(p: LaurentPoly, order: int, kept: tuple[str, ...] = ()) -> list[d
     state = (absent, [{(0,) * len(absent): 1}] + [{} for _ in range(order)])
     while series:
         i = min(range(len(series)), key=lambda i: len(set(state[0]) ^ set(series[i][0])))
-        state = _merge(state, series.pop(i), order, bound)
+        state = contract(state, series.pop(i), order, bound)
     perm = [state[0].index(i) for i in sorted(keep)]
     return [{tuple(k[j] for j in perm): c for k, c in t.items()} for t in state[1]]
 

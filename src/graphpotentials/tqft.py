@@ -18,8 +18,8 @@ against brute-force periods in the tests.
 Every chain is therefore a power of A with at most one flip.  T1 is
 invariant under (x, y) -> (1/x, 1/y), so AS = SA, and S^2 = 1: the flips
 of a chain move to its end and cancel in pairs.  One generator yields the
-powers A, A^2, ..., one product at a time, and a flip negates one mode of
-every entry of a power, never a product.
+powers A, A^2, ..., one product with S A at a time, and a flip negates one
+mode of every entry of a power, never a product.
 
 Kernels and boundary states share one format, the walk's: at t^d, mode or
 leaf exponents map to d! times the coefficient, a Python ``int``, zeros left
@@ -28,9 +28,11 @@ entries are multinomial sums and the scaled product rule only multiplies by
 binomials.
 
 Almost every entry of a kernel is zero: an entry of a power of A vanishes
-unless i = j (mod 2), and at t^d unless |i|, |j| <= d.  The product is a
-sparse contraction over the stored entries, so it never visits those zeros,
-nor assumes them: S is nonzero on its whole antidiagonal at t^0.
+unless i = j (mod 2), and at t^d unless |i|, |j| <= d.  A product is the
+walk's gluing ``periods.contract`` on p's legs (x, z) and q's (z, y): it
+visits stored entries only, assuming no zero pattern (S is nonzero on its
+whole antidiagonal at t^0).  Brute force still checks the trace formula: the
+two glue different states, vertex states and powers of the closed-form T1.
 
 Brute-force states are ``periods.walk_terms`` itself, the open-necklace
 states wrap a kernel power's entries, and gluing adds integers; only a
@@ -50,7 +52,7 @@ from typing import Iterator, Sequence
 
 from .algebra import TSeries
 from .graphs import ColoredGraph, make_graph
-from .periods import walk_terms
+from .periods import contract, walk_terms
 from .potential import DEFAULT_ORIENTATION, graph_potential
 
 
@@ -77,12 +79,16 @@ class KernelMatrix:
     __slots__ = ("order", "terms")
 
     def __init__(self, order: int, terms: Sequence[dict]):
+        if type(order) is not int or order < 0:
+            raise ValueError(f"need an int order >= 0, got {order!r}")
         if len(terms) != order + 1:
             raise ValueError(f"need {order + 1} degree dicts, got {len(terms)}")
         for t in terms:
             for (i, j), v in t.items():
-                if max(abs(i), abs(j)) > order:
-                    raise ValueError(f"mode ({i}, {j}) out of range for order {order}")
+                # modes pair by key in a product: 0.5 would meet nothing, True prints as True
+                if type(i) is not int or type(j) is not int or max(abs(i), abs(j)) > order:
+                    raise ValueError(f"mode ({i!r}, {j!r}) out of range: "
+                                     f"need ints in -{order}..{order}")
                 if type(v) is not int:  # fixed-width numbers wrap or round without notice
                     raise ValueError(f"entry ({i}, {j}) is {type(v).__name__}, need int")
         self.order = order
@@ -103,13 +109,8 @@ class KernelMatrix:
     @property
     def mats(self) -> tuple:
         """The even t-degrees as numpy object arrays, entry (i, j) at t^d in
-        ``mats[d // 2][D + i, D + j]``, built on every read.
-
-        No library path reads this view.  It keeps the benchmark's traced
-        runs (``perfbench/tracing.py``) and the tests' dense oracle working,
-        and goes with ROADMAP direction 1's benchmark change, after which
-        the benchmark reads run records instead.
-        """
+        ``mats[d // 2][D + i, D + j]``, built on every read.  No library path
+        reads it: the benchmark's traced runs and the tests' dense oracle do."""
         import numpy as np
 
         D = self.order
@@ -135,11 +136,9 @@ class KernelMatrix:
 
 
 def flip_operator(order: int) -> KernelMatrix:
-    """S with S[i, j] = 1 iff j = -i, concentrated in t-degree 0.
-
-    As a kernel this is sum_i x^i y^-i, the state of a cylinder, and it is
-    the identity for :func:`kernel_compose`.
-    """
+    """S with S[i, j] = 1 iff j = -i, concentrated in t-degree 0: as a kernel
+    sum_i x^i y^-i, the state of a cylinder, and the identity for
+    :func:`kernel_compose`."""
     terms = [{} for _ in range(order + 1)]
     terms[0] = {(i, -i): 1 for i in range(-order, order + 1)}
     return KernelMatrix._raw(order, terms)
@@ -167,57 +166,24 @@ def t1_kernel(order: int) -> KernelMatrix:
     return KernelMatrix._raw(D, terms)
 
 
-def _product(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
-    """Matrix product of two kernels: at t^d, with d!-scaled entries, the
-    sum over a of C(d, a) p_a q_(d-a).
-
-    A sparse contraction over the stored entries only: each degree block of
-    q is grouped by its row k, and each entry (i, k) of p's block meets the
-    entries (k, j) of that row.  For powers of A this skips the two zero
-    patterns, entries with i != j (mod 2) and, at t^d, with |i| or |j| > d,
-    without assuming them: S, at t^0, is nonzero on its whole antidiagonal.
-    """
+def _composed(p: KernelMatrix, q: KernelMatrix, q_terms: list) -> KernelMatrix:
+    # p on legs (x, z) glued to q_terms on (z, y): mode k of p pairs with -k
     if p.order != q.order:
         raise ValueError("kernel orders differ")
-    q_rows = []
-    for t in q.terms:
-        rows: dict[int, list] = {}
-        for (k, j), w in t.items():
-            rows.setdefault(k, []).append((j, w))
-        q_rows.append(rows)
-    out = []
-    for d in range(p.order + 1):
-        acc: dict[int, dict[int, int]] = {}  # row i -> column j -> entry
-        for a in range(d + 1):
-            pa, rows = p.terms[a], q_rows[d - a]
-            if not (pa and rows):
-                continue
-            c = math.comb(d, a)
-            for (i, k), v in pa.items():
-                row = rows.get(k)
-                if row:
-                    cv = c * v
-                    r = acc.setdefault(i, {})
-                    for j, w in row:
-                        r[j] = r.get(j, 0) + cv * w
-        out.append({(i, j): v for i, r in acc.items() for j, v in r.items() if v})
-    return KernelMatrix._raw(p.order, out)
+    return KernelMatrix._raw(p.order, contract((("x", "z"), p.terms), (("z", "y"), q_terms),
+                                               p.order, {})[1])
 
 
 def kernel_compose(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
-    """Compose two kernels along a shared boundary circle.
-
-    [p(x, z) q(z, y)]_{z^0}: mode i of p's second variable pairs with mode
-    -i of q's first, so the product is p S q, and S q maps (i, j) to (-i, j).
-    The flip kernel itself is the identity of this product.
-    """
-    flipped = [{(-i, j): v for (i, j), v in t.items()} for t in q.terms]
-    return _product(p, KernelMatrix._raw(q.order, flipped))
+    """Compose two kernels along a shared boundary circle: [p(x, z) q(z, y)]_{z^0}
+    pairs mode k of p's second variable with mode -k of q's first, the matrix
+    product p S q.  The flip kernel itself is the identity."""
+    return _composed(p, q, q.terms)
 
 
 def kernel_matmul(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
-    """Plain matrix product of coefficient matrices (no flip inserted)."""
-    return _product(p, q)
+    """Plain matrix product of coefficient matrices: p composed with S q."""
+    return _composed(p, q, [{(-k, j): v for (k, j), v in t.items()} for t in q.terms])
 
 
 def kernel_trace(p: KernelMatrix, flips: int) -> TSeries:
@@ -229,15 +195,17 @@ def kernel_trace(p: KernelMatrix, flips: int) -> TSeries:
 
 
 def _powers(order: int) -> Iterator[KernelMatrix]:
-    """A, A^2, A^3, ... for the T1 kernel A, one kernel_matmul per step,
-    taken only when the next power is asked for."""
-    a = t1_kernel(order)
-    power = a
+    """A, A^2, A^3, ... for the T1 kernel A, one kernel_compose with S A per
+    step, taken only when the next power is asked for."""
+    power = t1_kernel(order)
+    # S A without its rows |i| > order - d at t^d: they meet no column of a power
+    sa = KernelMatrix._raw(order, [{(-i, j): v for (i, j), v in t.items() if abs(i) <= order - d}
+                                   for d, t in enumerate(power.terms)])
     while True:
         yield power
         # looked up by module name, so a wrapper (perfbench/tracing.py, the
         # tests) sees every product
-        power = kernel_matmul(power, a)
+        power = kernel_compose(power, sa)
 
 
 def _power(order: int, n: int) -> KernelMatrix:

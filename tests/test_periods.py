@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from graphpotentials.graphs import (
 from graphpotentials.periods import (
     PeriodSequence,
     constant_terms_of_powers,
+    contract,
     graph_fingerprint,
     periods_bruteforce,
     periods_from_laplace,
@@ -178,6 +181,77 @@ class TestWalk:
     def test_entry_refuses_unknown_kept_variable(self):
         with pytest.raises(ValueError):
             walk_terms(xy_poly({(1, -1): 1}), 2, ("z",))
+
+
+def naive_contract(a, b, order, bound):
+    """Every entry of a against every entry of b: the pairs whose shared
+    exponents sum to zero add C(d, d_a) c_a c_b at degree d = d_a + d_b,
+    zero sums and, on a leg bounded by m, exponents past m * (order - d) are
+    left out.  Keys list a's open legs, then b's.  Also returns how many
+    sums cancelled to zero."""
+    (la, ta), (lb, tb) = a, b
+    rest_a = [v for v in la if v not in lb]
+    rest_b = [v for v in lb if v not in la]
+    out = [{} for _ in range(order + 1)]
+    for da, x in enumerate(ta):
+        for db, y in enumerate(tb[:order + 1 - da]):
+            for ka, ca in x.items():
+                for kb, cb in y.items():
+                    ea, eb = dict(zip(la, ka)), dict(zip(lb, kb))
+                    if any(ea[v] + eb[v] for v in la if v in lb):
+                        continue
+                    key = tuple(ea[v] for v in rest_a) + tuple(eb[v] for v in rest_b)
+                    t = out[da + db]
+                    t[key] = t.get(key, 0) + comb(da + db, da) * ca * cb
+    legs = tuple(rest_a + rest_b)
+    zeros = sum(not c for t in out for c in t.values())
+    kept = [{k: c for k, c in t.items() if c and all(
+        abs(e) <= bound[v] * (order - d) for v, e in zip(legs, k) if v in bound)}
+        for d, t in enumerate(out)]
+    return (legs, kept), zeros
+
+
+def random_state(rng, legs, order, entries):
+    """Integer states on ``legs``: exponents in -1..1, coefficients in -2..2,
+    so that many pairs meet and some sums cancel."""
+    degrees = [{} for _ in range(order + 1)]
+    for _ in range(entries):
+        key = tuple(rng.randint(-1, 1) for _ in legs)
+        degrees[rng.randint(0, order)][key] = rng.choice((-2, -1, 1, 2))
+    return legs, degrees
+
+
+class TestContract:
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("nshared", [0, 1, 2, 3])
+    def test_matches_pairwise_oracle(self, nshared, bounded):
+        rng = random.Random(f"{nshared}:{bounded}")
+        zeros = 0
+        for _ in range(40):
+            order = rng.randint(0, 3)
+            shared = [f"s{i}" for i in range(nshared)]
+            la = shared + [f"a{i}" for i in range(rng.randint(0, 2))]
+            lb = shared + [f"b{i}" for i in range(rng.randint(0, 2))]
+            rng.shuffle(la)
+            rng.shuffle(lb)
+            a = random_state(rng, tuple(la), order, rng.randint(0, 20))
+            b = random_state(rng, tuple(lb), order, rng.randint(0, 20))
+            bound = {v: rng.randint(0, 2) for v in la + lb if bounded and v not in shared}
+            want, cancelled = naive_contract(a, b, order, bound)
+            zeros += cancelled
+            legs, got = contract(a, b, order, bound)
+            # a's open legs in a's order, then b's in b's
+            assert legs == tuple(v for v in la if v not in shared) + \
+                tuple(v for v in lb if v not in shared)
+            assert (legs, got) == want
+        assert zeros > 0  # some sums cancelled, and were left out
+
+    def test_weight_and_leg_order(self):
+        # u * x at degree 1 meets v / x at degree 1: C(2, 1) * 3 * 5 at t^2
+        a = (("u", "x"), [{}, {(1, 1): 3}, {}])
+        b = (("x", "v"), [{}, {(-1, 1): 5}, {}])
+        assert contract(a, b, 2, {}) == (("u", "v"), [{}, {}, {(1, 1): 30}])
+        assert contract(b, a, 2, {}) == (("v", "u"), [{}, {}, {(1, 1): 30}])
 
 
 class TestGraphPeriods:

@@ -1,17 +1,19 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from graphpotentials import potential, tqft
+from graphpotentials import periods, potential, tqft
 from graphpotentials.algebra import LaurentPoly, TSeries, pairing_in_var, ts_exp
 from graphpotentials.graphs import graph_from_json, necklace_graph, theta_graph
-from graphpotentials.periods import walk_terms
+from graphpotentials.periods import periods_of_graph, walk_terms
 from graphpotentials.potential import graph_potential, vertex_potential
 from graphpotentials.tqft import (
     BoundaryState,
@@ -29,6 +31,7 @@ from graphpotentials.tqft import (
     trace_formula_table,
     wdvv_check,
 )
+from test_periods import naive_walk
 
 XY = ("x", "y")
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -134,7 +137,8 @@ class TestT1Kernel:
 def dense_product(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
     """The product over full dense numpy matrices of the ``mats`` view: at
     t^d, with d!-scaled entries, the sum over even a of C(d, a) p_a q_(d-a).
-    Oracle for tqft._product on kernels with empty odd degrees."""
+    Oracle for kernel_matmul and kernel_compose, which run on
+    periods.contract, on kernels with empty odd degrees."""
     if p.order != q.order:
         raise ValueError("kernel orders differ")
     D = p.order
@@ -206,12 +210,55 @@ class TestProduct:
                 assert table[(g, parity)] == kernel_trace(power, g - 1 + parity)
             power = dense_product(power, a)
 
+    @pytest.mark.parametrize("product", [kernel_matmul, kernel_compose])
+    def test_orders_must_match(self, product):
+        # the contraction runs over one order's degrees: a shorter factor
+        # would truncate the result without notice
+        with pytest.raises(ValueError, match="orders differ"):
+            product(t1_kernel(4), t1_kernel(6))
+        with pytest.raises(ValueError, match="orders differ"):
+            product(t1_kernel(6), t1_kernel(4))
 
     def test_cancelled_entries_left_out(self):
         # (0, 0) sums 1 * 1 + 1 * -1: a zero, which the format leaves out
         p = KernelMatrix(2, [{(0, 0): 1, (0, 1): 1}, {}, {}])
         q = KernelMatrix(2, [{(0, 0): 1, (1, 0): -1}, {}, {}])
         assert kernel_matmul(p, q).terms == [{}, {}, {}]
+
+
+def wrong_weight(n: int, k: int) -> int:
+    return math.comb(n, k) + (0 < k < n)
+
+
+class TestIndependentChecks:
+    """Kernel products and the walk run on one contraction, periods.contract.
+    With its binomial weight wrong, each check on its own must fail: the
+    oracles compute without it, and brute force and the trace formula glue
+    different states in a different order."""
+
+    def kernels(self):
+        a = t1_kernel(8)
+        return kernel_matmul(a, a) == dense_product(a, a)
+
+    def walk(self):
+        # v0 v1 + 1/v0 and v2 / v1 + 1/v2: two pieces, glued along v1
+        monomials = [((1, 1, 0), 1), ((-1, 0, 0), 1), ((0, -1, 1), 1), ((0, 0, -1), 1)]
+        names = ("v0", "v1", "v2")
+        return walk_terms(LaurentPoly(names, dict(monomials)), 6) == naive_walk(monomials, 3, 6, 0)
+
+    def brute_against_trace(self, parity):
+        g = necklace_graph(4, parity=parity)
+        return periods_of_graph(g, 8, method="brute").pi == periods_of_graph(g, 8, method="tqft").pi
+
+    @pytest.mark.parametrize("check", ["kernels", "walk", "brute_against_trace-0",
+                                       "brute_against_trace-1"])
+    def test_each_check_sees_a_wrong_weight(self, check, monkeypatch):
+        name, _, parity = check.partition("-")
+        run = getattr(self, name)
+        args = (int(parity),) if parity else ()
+        assert run(*args)
+        monkeypatch.setattr(periods, "math", SimpleNamespace(**{**vars(math), "comb": wrong_weight}))
+        assert not run(*args)
 
 
 class TestKernelMatrix:
@@ -229,6 +276,19 @@ class TestKernelMatrix:
             KernelMatrix(4, [{} for _ in range(3)])
         with pytest.raises(ValueError, match="out of range"):
             KernelMatrix(4, [{(0, 5): 1}] + [{} for _ in range(4)])
+
+    @pytest.mark.parametrize("order", [-1, -3, 1.0, True])
+    def test_order_must_be_a_natural_int(self, order):
+        with pytest.raises(ValueError, match="order >= 0"):
+            KernelMatrix(order, [] if order == -1 else [{}, {}])
+
+    @pytest.mark.parametrize("mode", [(0.5, 0), (0, 1.0), (True, 0), (0, False), ("0", 0)],
+                             ids=["float", "integral-float", "bool", "bool-false", "str"])
+    def test_modes_must_be_ints(self, mode):
+        # 0.5 or "0" never pairs in a contraction, and 1.0 or True pairs as 1
+        # but prints otherwise
+        with pytest.raises(ValueError, match="need ints"):
+            KernelMatrix(2, [{mode: 1}, {}, {}])
 
     def test_zeros_left_out_and_terms_copied(self):
         terms = [{(0, 0): 0, (1, 1): 2}, {}, {}]
@@ -305,18 +365,18 @@ class TestTraceFormula:
 
     @pytest.mark.parametrize("g", [2, 3, 4, 7])
     def test_one_product_per_genus_step(self, g, monkeypatch):
-        # the power loop draws A^(g-1) in g - 2 products, and calls them
-        # through the module name so that a wrapper sees each one
+        # the power loop draws A^(g-1) in g - 2 compositions with S A, and
+        # calls them through the module name so that a wrapper sees each one
         from graphpotentials import tqft
 
-        real = tqft.kernel_matmul
+        real = tqft.kernel_compose
         calls = []
 
         def counting(p, q):
             calls.append(1)
             return real(p, q)
 
-        monkeypatch.setattr(tqft, "kernel_matmul", counting)
+        monkeypatch.setattr(tqft, "kernel_compose", counting)
         for parity in (0, 1):
             calls.clear()
             trace_formula(g, parity, 6)
