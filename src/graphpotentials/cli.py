@@ -107,6 +107,8 @@ def _resolve_period_graph(args):
     from .graphs import necklace_graph
 
     if args.graph:
+        if args.genus is not None or args.parity is not None:
+            raise UsageError("--graph fixes the genus and parity: drop --genus and --parity")
         return _read_graph(args.graph)  # periods_of_graph validates it
     if args.genus is None or args.parity is None:
         raise UsageError("need either --graph or both --genus and --parity")

@@ -1,14 +1,15 @@
 """Period sequences: constant terms of powers of a graph potential.
 
-pi_k = [W^k]_0 is computed by brute force, by gluing: the terms of W split
-into pieces, a graph potential into its vertices, and exp(tW) is the product
-of the pieces' exp(tw), each kept d!-scaled (degree d is w^d).  Two series
-glue by weighing degree d_a of one by C(d, d_a) and taking the constant term
-in their shared variables, as vertex states glue along edges: :func:`contract`,
-which also composes the kernels of ``tqft``.  The cost grows with the open
-legs of the widest glued state and the order, not with the whole graph.  The
-trace formula checks this only brute-force engine from the closed-form Bessel
-kernel, not from the vertex potentials.
+pi_k = [W^k]_0 is computed by brute force, by gluing: W comes as pieces, a
+graph potential as its vertex potentials (a bare polynomial is split by its
+terms' variables), and exp(tW) is the product of the pieces' exp(tw), each
+kept d!-scaled (degree d is w^d).  Two series glue by weighing degree d_a of
+one by C(d, d_a) and taking the constant term in their shared variables, as
+vertex states glue along edges: :func:`contract`, which also composes the
+kernels of ``tqft`` and joins two leaves of a state.  The cost grows with
+the open legs of the widest glued state and the order, not with the whole
+graph.  The trace formula checks this only brute-force engine from the
+closed-form Bessel kernel, not from the vertex potentials.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from operator import add, itemgetter, neg
+from typing import Iterable
 
-from .algebra import LaurentPoly, TSeries
+from .algebra import LaurentPoly, TSeries, sum_over
 from .graphs import ColoredGraph, genus, homology_ranks_f2, require_valid
 from .potential import graph_potential
 
@@ -37,25 +39,19 @@ class PeriodSequence:
             raise ValueError("pi[0] must be 1")
 
 
-def _pieces(p: LaurentPoly, kept: set) -> tuple[dict, Counter]:
-    """p's terms as pieces keyed by their variables, and how many pieces hold
-    each variable.  A term joins a maximal variable set of a term; pieces are
-    joined until no summed-out variable is in three pieces, no kept one in two."""
-    supports = {frozenset(i for i, x in enumerate(e) if x) for e in p.terms}
-    pieces: dict[frozenset, dict] = {s: {} for s in supports if not any(s < t for t in supports)}
-    for e, c in p.terms.items():
-        pieces[next(s for s in pieces if s >= {i for i, x in enumerate(e) if x})][e] = c
-    while True:
-        held = Counter(v for s in pieces for v in s)
-        v = next((v for v, n in held.items() if n > (1 if v in kept else 2)), None)
-        if v is None:
-            return pieces, held
-        group = [s for s in pieces if v in s]
-        pieces[frozenset().union(*group)] = {e: c for s in group for e, c in pieces.pop(s).items()}
+def _pieces(p: LaurentPoly) -> list[LaurentPoly]:
+    """p's terms as pieces over their own variables: a term joins the smallest maximal
+    support that holds it, so that no term starts a piece of its own and pieces stay narrow."""
+    groups: dict[tuple, dict] = {}  # a piece's variable indices -> its terms
+    for e in sorted(p.terms, key=lambda e: -sum(map(bool, e))):  # the widest terms first
+        s = tuple(i for i, x in enumerate(e) if x)
+        at = min((t for t in groups if set(s) <= set(t)), key=len, default=s)
+        groups.setdefault(at, {})[tuple(e[i] for i in at)] = p.terms[e]
+    return [LaurentPoly._raw(tuple(p.vars[i] for i in at), terms) for at, terms in groups.items()]
 
 
 def _prune(terms: dict, room: int, limits: list) -> dict:
-    """Nonzero terms whose every leg j, bounded by b in p, can cancel: |k[j]| <= b * room."""
+    """Nonzero terms whose every leg j, bounded by b in W, can cancel: |k[j]| <= b * room."""
     lim = [(j, b * room) for j, b in limits]
     return {k: c for k, c in terms.items() if c and all(-m <= k[j] <= m for j, m in lim)}
 
@@ -135,48 +131,55 @@ def contract(a: tuple, b: tuple, order: int, bound: dict) -> tuple:
     return legs, [_prune(t, order - d, limits) for d, t in enumerate(out)] if limits else out
 
 
-def walk_terms(p: LaurentPoly, order: int, kept: tuple[str, ...] = ()) -> list[dict]:
-    """Terms of p^d constant in every variable not in ``kept``, d = 0..order.
+def walk_terms(pieces: Iterable[LaurentPoly], order: int, kept: tuple[str, ...] = ()) -> list[dict]:
+    """Terms of W^d constant in every variable not in ``kept``, d = 0..order,
+    for W the sum of ``pieces``, each a polynomial over its own variables.
 
-    Degree d maps the exponents of the kept variables, in ``p.vars`` order,
-    to exact coefficients of the types ``p`` holds: ints for a graph
-    potential.  Nothing kept gives the periods, the leaf variables kept a
-    boundary state, and the four-point check keeps four.  The pieces are
-    glued one at a time, next the one that leaves the fewest open legs.
+    Degree d maps the kept variables' exponents, in ``kept`` order, to exact
+    coefficients of the pieces' types (ints for vertex potentials); nothing
+    kept gives the periods.  Pieces are joined until no summed-out variable
+    is in three and no kept one in two, then glued one at a time, next the
+    one that leaves the fewest open legs.
     """
-    if order < 0 or not set(kept) <= set(p.vars):
-        raise ValueError(f"need an order >= 0 and kept variables of {p.vars}, got {order}, {kept}")
-    keep = {p.vars.index(v) for v in kept}
-    bound = {i: max((abs(e[i]) for e in p.terms), default=0)
-             for i in range(len(p.vars)) if i not in keep}
-    pieces, held = _pieces(p, keep)
+    pieces, keep = list(pieces), set(kept)
+    while True:
+        held = Counter(v for p in pieces for v in p.vars)
+        v = next((v for v, n in held.items() if n > (1 if v in keep else 2)), None)
+        if v is None:
+            break
+        group = [p for p in pieces if v in p.vars]
+        pieces = [p for p in pieces if v not in p.vars]
+        pieces.append(sum_over(sorted({u for p in group for u in p.vars}), group))
+    if order < 0 or not keep <= held.keys() or len(keep) < len(kept):
+        raise ValueError(f"need order >= 0 and distinct kept variables of pieces: {order}, {kept}")
+    bound: dict[str, int] = {}  # the largest |exponent| of each summed-out variable
+    for p in pieces:
+        for j, v in enumerate(p.vars):
+            if v not in keep:
+                bound[v] = max(bound.get(v, 0), max((abs(e[j]) for e in p.terms), default=0))
     exp, series = cache(_exp), []  # one series per shape
-    for s, terms in pieces.items():
-        at = sorted(s)
-        legs = tuple(j for j, i in enumerate(at) if i in keep or held[i] == 2)
-        local = frozenset((tuple(e[i] for i in at), c) for e, c in terms.items())
-        series.append((tuple(at[j] for j in legs),
-                       exp(local, legs, tuple(bound.get(i) for i in at), order)))
-    absent = tuple(i for i in sorted(keep) if not held[i])  # kept, but in no term
-    state = (absent, [{(0,) * len(absent): 1}] + [{} for _ in range(order)])
+    for p in pieces:
+        legs = tuple(j for j, v in enumerate(p.vars) if v in keep or held[v] == 2)
+        series.append((tuple(p.vars[j] for j in legs), exp(
+            frozenset(p.terms.items()), legs, tuple(bound.get(v) for v in p.vars), order)))
+    state = ((), [{(): 1}] + [{} for _ in range(order)])
     while series:
         i = min(range(len(series)), key=lambda i: len(set(state[0]) ^ set(series[i][0])))
         state = contract(state, series.pop(i), order, bound)
-    perm = [state[0].index(i) for i in sorted(keep)]
+    perm = [state[0].index(v) for v in kept]
     return [{tuple(k[j] for j in perm): c for k, c in t.items()} for t in state[1]]
 
 
 def _check_backend(backend: str) -> None:
     if backend not in ("auto", "pure"):
-        raise ValueError(f"unknown backend {backend!r}: the exact dict walk is the "
-                         "only brute-force engine, named 'auto' or 'pure'")
+        raise ValueError(f"backend {backend!r}: the only brute-force engine is 'auto' or 'pure'")
 
 
 def constant_terms_of_powers(p: LaurentPoly, order: int, backend: str = "auto") -> list:
     """[p^k]_0 for k = 0..order, exactly.  ``backend`` is checked, not chosen:
     "auto" and "pure" both name :func:`walk_terms`, any other name raises ValueError."""
     _check_backend(backend)
-    return [t.get((), 0) for t in walk_terms(p, order)]
+    return [t.get((), 0) for t in walk_terms(_pieces(p), order)]
 
 
 def periods_bruteforce(p: LaurentPoly, order: int,
@@ -213,7 +216,7 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     """
     _check_backend(backend)
     if method == "brute":
-        potential = graph_potential(g).potential  # validates g
+        pieces = graph_potential(g).per_vertex.values()  # validates g
     else:
         require_valid(g)
     if g.leaves:
@@ -223,7 +226,7 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
         raise ValueError("periods are defined for connected graphs")
     fp = graph_fingerprint(g)
     if method == "brute":
-        return periods_bruteforce(potential, order, fp)
+        return PeriodSequence(order, tuple(t.get((), 0) for t in walk_terms(pieces, order)), fp)
     if method == "tqft":
         from .tqft import trace_formula
 

@@ -34,12 +34,12 @@ visits stored entries only, assuming no zero pattern (S is nonzero on its
 whole antidiagonal at t^0).  Brute force still checks the trace formula: the
 two glue different states, vertex states and powers of the closed-form T1.
 
-Brute-force states are ``periods.walk_terms`` itself, the open-necklace
-states wrap a kernel power's entries, and gluing adds integers; only a
-closed state's scalar series divides by d!.  The four-point function is the
-state of the two-vertex graph with four leaves.  Nothing here needs numpy:
-only a kernel's ``mats`` view, kept for the benchmark's traced runs, loads
-it.
+Brute-force states are ``periods.walk_terms`` of the vertex potentials,
+the open-necklace states wrap a kernel power's entries, and two leaves join
+by contraction with a cylinder; only a closed state's series divides by d!.
+The four-point function is the state of the two-vertex graph with four
+leaves.  Nothing here needs numpy: only a kernel's ``mats`` view, kept for
+the benchmark's traced runs, loads it.
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], TSeries
 class BoundaryState:
     """The state of an open graph in the walk's integers: ``terms[d]`` maps
     leaf exponents, in ``leaf_vars`` order, to d! times the coefficient of
-    t^d, zeros left out.  At t^d every leaf exponent is at most d in
-    absolute value."""
+    t^d, zeros left out.  In a graph's state every leaf exponent at t^d is
+    at most d in absolute value."""
 
     order: int
     leaf_vars: tuple[str, ...]
@@ -278,17 +278,17 @@ def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
 
 
 def k_state(g: ColoredGraph, order: int) -> BoundaryState:
-    """Boundary state of an open graph by direct expansion of exp(t W).
+    """Boundary state of an open graph by expansion of exp(t W).
 
     Degree d holds the constant term, in every internal-edge variable, of
-    W^d: ``periods.walk_terms`` glues the vertex states along the internal
-    edges and keeps the leaf variables.  A closed graph's periods are the
-    state of a graph with no leaves.
+    W^d: ``periods.walk_terms`` glues the states of the vertex potentials
+    along the internal edges, never summing W, and keeps the leaf variables.
+    A closed graph's periods are the state of a graph with no leaves.
     """
     # graph_potential is looked up by module name, so a wrapper sees the call
-    potential = graph_potential(g).potential
-    leaf_vars = tuple(sorted(x.id for x in g.leaves))  # in potential.vars order: both sorted
-    return BoundaryState(order, leaf_vars, walk_terms(potential, order, leaf_vars))
+    pieces = graph_potential(g).per_vertex.values()
+    leaf_vars = tuple(sorted(x.id for x in g.leaves))
+    return BoundaryState(order, leaf_vars, walk_terms(pieces, order, leaf_vars))
 
 
 def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
@@ -299,18 +299,12 @@ def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
     for name in (leaf_a, leaf_b):
         if name not in state.leaf_vars:
             raise ValueError(f"unknown leaf variable {name!r}")
-    ia = state.leaf_vars.index(leaf_a)
-    ib = state.leaf_vars.index(leaf_b)
-    keep = [i for i in range(len(state.leaf_vars)) if i not in (ia, ib)]
-    out = []
-    for t in state.terms:
-        acc: dict[tuple, int] = {}
-        for e, c in t.items():
-            if e[ia] + e[ib] == 0:
-                key = tuple(e[i] for i in keep)
-                acc[key] = acc.get(key, 0) + c
-        out.append({e: c for e, c in acc.items() if c})
-    return BoundaryState(state.order, tuple(state.leaf_vars[i] for i in keep), out)
+    # the cylinder pairs mode i of leaf_a with mode -i of leaf_b, for every
+    # mode the state holds, which may exceed its order
+    reach = max((abs(x) for t in state.terms for e in t for x in e), default=0)
+    cylinder = [flip_operator(reach).terms[0]] + [{} for _ in range(state.order)]
+    return BoundaryState(state.order, *contract((state.leaf_vars, state.terms),
+                                                ((leaf_a, leaf_b), cylinder), state.order, {}))
 
 
 # ---------------------------------------------------------------------------

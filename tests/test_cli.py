@@ -166,6 +166,16 @@ class TestPeriod:
         assert code == 0
         assert len(validate_calls) == expected
 
+    @pytest.mark.parametrize("extra", [("--genus", 3, "--parity", 0), ("--genus", 3),
+                                       ("--parity", 1)], ids=["both", "genus", "parity"])
+    def test_graph_with_genus_or_parity_refused(self, extra, capsys):
+        # the graph fixes both; the theta graph would print its genus-2 periods
+        code, out, err = run(capsys, "period", "--graph", FIXTURES / "theta.json", *extra,
+                             "--order", 4, "--method", "brute")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --graph fixes the genus and parity: drop --genus and --parity\n"
+
     def test_requires_graph_or_genus(self, capsys):
         code, _, err = run(capsys, "period", "--order", 4)
         assert code == 2

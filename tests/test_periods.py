@@ -24,7 +24,8 @@ from graphpotentials.periods import (
     periods_of_graph,
     walk_terms,
 )
-from graphpotentials.tqft import trace_formula_table
+from graphpotentials.potential import PotentialBundle, graph_potential
+from graphpotentials.tqft import k_state, necklace_state, trace_formula_table, wdvv_check
 
 # nonzero entries of the two genus-2 period sequences through k = 12
 GENUS2_EVEN = {0: 1, 4: 384, 8: 645120, 12: 1513881600}
@@ -72,8 +73,6 @@ class TestBruteForce:
 class TestBackends:
     @pytest.mark.parametrize("backend", ["pure", "auto"])
     def test_backends_agree_on_theta(self, backend):
-        from graphpotentials.potential import graph_potential
-
         w = graph_potential(theta_graph()).potential
         assert tuple(constant_terms_of_powers(w, 10, backend=backend)) == expand(GENUS2_EVEN, 10)
 
@@ -133,54 +132,96 @@ def naive_walk(monomials, nvars, order, kept):
     return out
 
 
+def one_piece_each(monomials, nvars, order, kept):
+    """A walk case with each monomial its own piece, over the variables it
+    involves: (pieces, nvars, order, kept), a piece as (indices, terms)."""
+    pieces = []
+    for e, c in monomials:
+        at = tuple(i for i, x in enumerate(e) if x)
+        pieces.append((at, {tuple(e[i] for i in at): c}))
+    return pieces, nvars, order, kept
+
+
 @st.composite
-def walks(draw):
-    """(monomials, nvars, order, kept) for a random small Laurent polynomial."""
+def piece_lists(draw):
+    """(pieces, nvars, order, kept): up to four small polynomials, each over
+    up to three of the variables v0, v1, ... and holding up to three terms, so
+    that pieces may share every variable, hold none or hold no term."""
     nvars = draw(st.integers(min_value=1, max_value=4))
-    exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * nvars)
     coeffs = st.one_of(st.integers(min_value=-3, max_value=3),
                        st.fractions(min_value=-2, max_value=2, max_denominator=3))
-    terms = draw(st.dictionaries(exps, coeffs.filter(bool), min_size=1, max_size=4))
-    return (list(terms.items()), nvars, draw(st.integers(min_value=0, max_value=7)),
+    pieces = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        at = tuple(sorted(draw(st.sets(st.integers(min_value=0, max_value=nvars - 1),
+                                       max_size=3))))
+        exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * len(at))
+        pieces.append((at, draw(st.dictionaries(exps, coeffs.filter(bool), max_size=3))))
+    return (pieces, nvars, draw(st.integers(min_value=0, max_value=7)),
             draw(st.integers(min_value=0, max_value=nvars)))
 
 
+# the vertex potentials of color 0 and 1 over one slot triple: the theta graph's
+# two vertices are the first twice, or one of each when it is colored
+THETA_PIECES = [((0, 1, 2), {(1, 1, 1): 1, (1, -1, -1): 1, (-1, 1, -1): 1, (-1, -1, 1): 1}),
+                ((0, 1, 2), {(-1, -1, -1): 1, (-1, 1, 1): 1, (1, -1, 1): 1, (1, 1, -1): 1})]
+
+
 class TestWalk:
-    @given(walks())
+    @given(piece_lists())
     @settings(max_examples=150, deadline=None)
-    @example(([((1, -1), 1), ((-2, 1), Fraction(1, 2))], 2, 0, 0))
-    @example(([((1, -1), 1), ((-1, 1), 2), ((0, 3), -1)], 2, 1, 1))
-    @example(([((3, -3, 1), 1), ((-3, 3, -1), 1)], 3, 7, 1))
+    @example(one_piece_each([((1, -1), 1), ((-2, 1), Fraction(1, 2))], 2, 0, 0))
+    @example(one_piece_each([((1, -1), 1), ((-1, 1), 2), ((0, 3), -1)], 2, 1, 1))
+    @example(one_piece_each([((3, -3, 1), 1), ((-3, 3, -1), 1)], 3, 7, 1))
     # v0 in three pieces, v0*v1 + v2/v0 + v0*v3: joined before it is summed out
-    @example(([((1, 1, 0, 0), 1), ((-1, 0, 1, 0), 1), ((1, 0, 0, 1), 2)], 4, 6, 3))
+    @example(one_piece_each([((1, 1, 0, 0), 1), ((-1, 0, 1, 0), 1), ((1, 0, 0, 1), 2)], 4, 6, 3))
     # kept v2 in two pieces, v0*v2 + v2/v1 + 1/v0 + v1: joined, never summed out
-    @example(([((1, 0, 1), 1), ((0, -1, 1), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1)], 3, 6, 1))
-    @example(([], 2, 4, 1))  # the zero polynomial: only p^0 = 1 survives
-    @example(([((0, 0), 3)], 2, 4, 1))  # a constant: no variable in any piece
+    @example(one_piece_each([((1, 0, 1), 1), ((0, -1, 1), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1)],
+                            3, 6, 1))
+    @example(one_piece_each([], 2, 4, 1))  # the zero polynomial: only W^0 = 1 survives
+    @example(one_piece_each([((0, 0), 3)], 2, 4, 1))  # a constant piece, over no variable
     # v1, shared by v0*v1^3 + 1/v0 and v2/v1^3 + 1/v2, has exponents up to 3:
     # a leg of exponent 3 at d = order - 1 can still cancel
-    @example(([((1, 3, 0), 1), ((-1, 0, 0), 1), ((0, -3, 1), 2), ((0, 0, -1), 1)], 3, 4, 0))
+    @example(one_piece_each([((1, 3, 0), 1), ((-1, 0, 0), 1), ((0, -3, 1), 2), ((0, 0, -1), 1)],
+                            3, 4, 0))
+    @example((THETA_PIECES[:1] * 2, 3, 6, 0))  # theta: two pieces glued along three legs
+    @example((THETA_PIECES, 3, 8, 0))  # the colored theta
+    @example((THETA_PIECES, 3, 4, 1))  # kept v2 in two pieces over one variable set
+    # a constant piece, and an empty one that alone holds the summed-out v1
+    @example(([((), {(): 2}), ((1,), {}), ((0,), {(1,): 1, (-1,): 3})], 2, 5, 0))
     def test_matches_naive_expansion(self, case):
         # the last ``kept`` of the variables v0, v1, ... are kept; with kept
         # variables the trace formula, which checks closed graphs only,
         # cannot see a fault here
-        monomials, nvars, order, kept = case
+        pieces, nvars, order, kept = case
         names = tuple(f"v{i}" for i in range(nvars))
-        got = walk_terms(LaurentPoly(names, dict(monomials)), order, names[nvars - kept:])
+        held = {i for at, _ in pieces for i in at}
+        # a kept variable must be a piece's: an empty piece holds the others
+        lonely = tuple(i for i in range(nvars - kept, nvars) if i not in held)
+        pieces = pieces + [(lonely, {})] if lonely else pieces
+        polys = [LaurentPoly(tuple(names[i] for i in at), terms) for at, terms in pieces]
+        monomials = [(tuple(dict(zip(at, e)).get(i, 0) for i in range(nvars)), c)
+                     for at, terms in pieces for e, c in terms.items()]
+        got = walk_terms(polys, order, names[nvars - kept:])
         assert got == naive_walk(monomials, nvars, order, kept)
 
     def test_entry_keeps_named_variables_in_place(self):
-        # the kept variables a and c are not last; keys list them in p.vars order
+        # keys list the kept variables c and a as ``kept`` names them
         p = LaurentPoly(("a", "b", "c"), {(1, -1, 0): 1, (0, 1, -1): 2, (-1, 2, 1): 3})
-        bac = [((e[1], e[0], e[2]), int(c)) for e, c in p.terms.items()]
-        got = walk_terms(p, 6, ("a", "c"))
-        assert got == naive_walk(bac, 3, 6, 2)
+        bca = [((e[1], e[2], e[0]), int(c)) for e, c in p.terms.items()]
+        got = walk_terms([p], 6, ("c", "a"))
+        assert got == naive_walk(bca, 3, 6, 2)
         assert all(type(c) is int for t in got for c in t.values())
-        assert walk_terms(p, 6) == naive_walk(bac, 3, 6, 0)
+        assert walk_terms([p], 6) == naive_walk(bca, 3, 6, 0)
 
     def test_entry_refuses_unknown_kept_variable(self):
         with pytest.raises(ValueError):
-            walk_terms(xy_poly({(1, -1): 1}), 2, ("z",))
+            walk_terms([xy_poly({(1, -1): 1})], 2, ("z",))
+
+    def test_entry_refuses_repeated_kept_variable_and_negative_order(self):
+        with pytest.raises(ValueError):
+            walk_terms([xy_poly({(1, -1): 1})], 2, ("x", "x"))
+        with pytest.raises(ValueError):
+            walk_terms([xy_poly({(1, -1): 1})], -1)
 
 
 def naive_contract(a, b, order, bound):
@@ -306,6 +347,28 @@ class TestGraphPeriods:
             g = with_colors(g0, {g0.vertices[0].id: parity})
             assert periods_of_graph(g, 12, method="brute").pi == periods_from_laplace(
                 table[(6, parity)])
+
+    def test_graph_path_never_reads_the_full_potential(self, monkeypatch):
+        # brute force, k_state and the four-point check glue the vertex potentials
+        def refuse(bundle):
+            raise AssertionError("the full potential was read")
+
+        monkeypatch.setattr(PotentialBundle, "potential", property(refuse))
+        with pytest.raises(AssertionError):
+            graph_potential(theta_graph()).potential
+        assert periods_of_graph(theta_graph(1), 12, method="brute").pi == expand(GENUS2_ODD, 12)
+        open_graph = necklace_graph(2, open_ends=True, parity=1)
+        assert k_state(open_graph, 6) == necklace_state(2, 1, 6)
+        assert wdvv_check(0, 6) and wdvv_check(1, 6)
+
+    @pytest.mark.parametrize("genus", [3, 4])
+    def test_whole_potential_matches_vertex_pieces(self, genus):
+        # the bare polynomial is split by term support, the graph by vertex
+        for g0 in enumerate_trivalent(genus):
+            for parity in (0, 1):
+                g = with_colors(g0, {g0.vertices[0].id: parity})
+                assert periods_bruteforce(graph_potential(g).potential, 10).pi == \
+                    periods_of_graph(g, 10, method="brute").pi
 
     def test_fingerprint(self):
         assert graph_fingerprint(theta_graph()) == "g2e0"
