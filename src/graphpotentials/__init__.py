@@ -64,6 +64,7 @@ _EXPORTS = {
     "flip_operator": "tqft",
     "kernel_compose": "tqft",
     "trace_formula": "tqft",
+    "trace_periods": "tqft",
     "k_state": "tqft",
     "glue": "tqft",
     "necklace_state": "tqft",

@@ -558,20 +558,29 @@ def _json_color(v: Mapping) -> int:
     return color
 
 
+def _json_id(value, field: str) -> str:
+    # exactly str: str() would read null as "None" and 7 as "7", ids the document never named
+    if type(value) is not str:
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def _json_ends(e: Mapping) -> tuple[str, str]:
     ends = e["ends"]
     if not isinstance(ends, (list, tuple)) or len(ends) != 2:
         raise ValueError(f"edge {e['id']!r}: ends must list exactly two vertices, got {ends!r}")
-    return str(ends[0]), str(ends[1])
+    return tuple(_json_id(v, f"edge {e['id']!r} end") for v in ends)
 
 
 def graph_from_json(data: Mapping) -> ColoredGraph:
     """Graph from the JSON document of :func:`graph_to_json`; ValueError if malformed."""
     try:
-        vertices = tuple(Vertex(str(v["id"]), _json_color(v)) for v in data["vertices"])
-        edges = tuple(Edge(str(e["id"]), _json_ends(e)) for e in data.get("edges", ()))
-        leaves = tuple(Leaf(str(x["id"]), str(x["vertex"]), str(x["orientation"]))
-                       for x in data.get("leaves", ()))
+        vertices = tuple(Vertex(_json_id(v["id"], "vertex id"), _json_color(v))
+                         for v in data["vertices"])
+        edges = tuple(Edge(_json_id(e["id"], "edge id"), _json_ends(e))
+                      for e in data.get("edges", ()))
+        leaves = tuple(Leaf(_json_id(x["id"], "leaf id"), _json_id(x["vertex"], "leaf vertex"),
+                            str(x["orientation"])) for x in data.get("leaves", ()))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
     return ColoredGraph(vertices, edges, leaves)

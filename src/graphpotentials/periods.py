@@ -8,8 +8,8 @@ one by C(d, d_a) and taking the constant term in their shared variables, as
 vertex states glue along edges: :func:`contract`, which also composes the
 kernels of ``tqft`` and joins two leaves of a state.  The cost grows with
 the open legs of the widest glued state and the order, not with the whole
-graph.  The trace formula checks this only brute-force engine from the
-closed-form Bessel kernel, not from the vertex potentials.
+graph.  ``tqft.trace_periods`` checks this only brute-force engine in the same
+integers, from the closed-form Bessel kernel, not from the vertex potentials.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cache
 from operator import add, itemgetter, neg
 from typing import Iterable
 
-from .algebra import LaurentPoly, TSeries, sum_over
+from .algebra import LaurentPoly, sum_over
 from .graphs import ColoredGraph, genus, homology_ranks_f2, require_valid
 from .potential import graph_potential
 
@@ -187,20 +187,6 @@ def periods_bruteforce(p: LaurentPoly, order: int,
     return PeriodSequence(order, tuple(constant_terms_of_powers(p, order)), fingerprint)
 
 
-def periods_from_laplace(hat: TSeries) -> tuple[int, ...]:
-    """pi_k = k! * pi_hat_k for a Laplace-transformed period series.
-
-    Raises ArithmeticError when some pi_k is not an integer.
-    """
-    pi = []
-    for k, c in enumerate(hat.coeffs):
-        v = c * math.factorial(k)
-        if v.denominator != 1:
-            raise ArithmeticError(f"period {k} is not integral: {v}")
-        pi.append(v.numerator)
-    return tuple(pi)
-
-
 def graph_fingerprint(g: ColoredGraph) -> str:
     return f"g{genus(g)}e{g.coloring_parity()}"
 
@@ -210,7 +196,8 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     """Period sequence of a closed connected colored graph.
 
     ``method="brute"`` expands powers of the potential; ``method="tqft"``
-    evaluates the trace formula at the graph's genus and coloring parity.
+    reads the trace formula's integers, ``tqft.trace_periods``, at the
+    graph's genus and coloring parity.
     Both agree; the tests cross-validate them.  ``backend`` is checked as
     in :func:`constant_terms_of_powers`.
     """
@@ -228,8 +215,7 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     if method == "brute":
         return PeriodSequence(order, tuple(t.get((), 0) for t in walk_terms(pieces, order)), fp)
     if method == "tqft":
-        from .tqft import trace_formula
+        from .tqft import trace_periods
 
-        hat = trace_formula(h1, g.coloring_parity(), order)
-        return PeriodSequence(order, periods_from_laplace(hat), fp)
+        return PeriodSequence(order, trace_periods(h1, g.coloring_parity(), order), fp)
     raise ValueError(f"unknown method {method!r}")

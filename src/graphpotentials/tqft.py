@@ -25,7 +25,7 @@ Kernels and boundary states share one format, the walk's: at t^d, mode or
 leaf exponents map to d! times the coefficient, a Python ``int``, zeros left
 out.  The scaling keeps every intermediate an integer: the scaled T1
 entries are multinomial sums and the scaled product rule only multiplies by
-binomials.
+binomials.  The trace of a power's integers is the periods: :func:`trace_periods`.
 
 Almost every entry of a kernel is zero: an entry of a power of A vanishes
 unless i = j (mod 2), and at t^d unless |i|, |j| <= d.  A product is the
@@ -36,7 +36,8 @@ two glue different states, vertex states and powers of the closed-form T1.
 
 Brute-force states are ``periods.walk_terms`` of the vertex potentials,
 the open-necklace states wrap a kernel power's entries, and two leaves join
-by contraction with a cylinder; only a closed state's series divides by d!.
+by contraction with a cylinder; only a closed state's series and the Laplace
+view :func:`trace_formula` divide by d!.
 The four-point function is the state of the two-vertex graph with four
 leaves.  Nothing here needs numpy: only a kernel's ``mats`` view, kept for
 the benchmark's traced runs, loads it.
@@ -54,6 +55,12 @@ from .algebra import TSeries
 from .graphs import ColoredGraph, make_graph
 from .periods import contract, walk_terms
 from .potential import DEFAULT_ORIENTATION, graph_potential
+
+
+def _require_order(order: int) -> None:
+    # also the first step of t1_kernel and flip_operator, where every kernel chain starts
+    if type(order) is not int or order < 0:
+        raise ValueError(f"need an int order >= 0, got {order!r}")
 
 
 def _scaled_series(order: int, scaled) -> TSeries:
@@ -79,8 +86,7 @@ class KernelMatrix:
     __slots__ = ("order", "terms")
 
     def __init__(self, order: int, terms: Sequence[dict]):
-        if type(order) is not int or order < 0:
-            raise ValueError(f"need an int order >= 0, got {order!r}")
+        _require_order(order)
         if len(terms) != order + 1:
             raise ValueError(f"need {order + 1} degree dicts, got {len(terms)}")
         for t in terms:
@@ -139,6 +145,7 @@ def flip_operator(order: int) -> KernelMatrix:
     """S with S[i, j] = 1 iff j = -i, concentrated in t-degree 0: as a kernel
     sum_i x^i y^-i, the state of a cylinder, and the identity for
     :func:`kernel_compose`."""
+    _require_order(order)
     terms = [{} for _ in range(order + 1)]
     terms[0] = {(i, -i): 1 for i in range(-order, order + 1)}
     return KernelMatrix._raw(order, terms)
@@ -152,6 +159,7 @@ def t1_kernel(order: int) -> KernelMatrix:
     (2m - a) - (2n - c) = j.  The tests check this against the direct
     series-product construction.
     """
+    _require_order(order)
     D = order
     terms = [{} for _ in range(D + 1)]
     for d in range(0, D + 1, 2):
@@ -186,12 +194,12 @@ def kernel_matmul(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
     return _composed(p, q, [{(-k, j): v for (k, j), v in t.items()} for t in q.terms])
 
 
-def kernel_trace(p: KernelMatrix, flips: int) -> TSeries:
-    """tr(S^flips p) as a scalar series: the entries at (i, i), or at
-    (i, -i) when the flip count is odd, since (S p)[i, i] = p[-i, i]."""
+def kernel_trace(p: KernelMatrix, flips: int) -> tuple[int, ...]:
+    """tr(S^flips p) of the stored integers, d! times the trace at t^d: the entries
+    at (i, i), or at (i, -i) when the flip count is odd, since (S p)[i, i] = p[-i, i]."""
     s = -1 if flips % 2 else 1
     modes = range(-p.order, p.order + 1)
-    return _scaled_series(p.order, (sum(t.get((i, s * i), 0) for i in modes) for t in p.terms))
+    return tuple(sum(t.get((i, s * i), 0) for i in modes) for t in p.terms)
 
 
 def _powers(order: int) -> Iterator[KernelMatrix]:
@@ -213,8 +221,9 @@ def _power(order: int, n: int) -> KernelMatrix:
     return next(islice(_powers(order), n - 1, None))
 
 
-def trace_formula(g: int, parity: int, order: int) -> TSeries:
-    """Laplace-transformed period series tr(A^(g-1) S^(g-1+parity))."""
+def trace_periods(g: int, parity: int, order: int) -> tuple[int, ...]:
+    """Periods pi_0..pi_order of the closed genus-g graph of the given
+    parity: tr(A^(g-1) S^(g-1+parity)) of the d!-scaled kernels."""
     if g < 2:
         raise ValueError("the trace formula needs genus >= 2")
     if parity not in (0, 1):
@@ -222,8 +231,13 @@ def trace_formula(g: int, parity: int, order: int) -> TSeries:
     return kernel_trace(_power(order, g - 1), g - 1 + parity)
 
 
-def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], TSeries]:
-    """trace_formula for every genus 2..g_max and both parities, sharing
+def trace_formula(g: int, parity: int, order: int) -> TSeries:
+    """Laplace-transformed period series tr(A^(g-1) S^(g-1+parity)), pi_d / d! at t^d."""
+    return _scaled_series(order, trace_periods(g, parity, order))
+
+
+def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """trace_periods for every genus 2..g_max and both parities, sharing
     the accumulated kernel powers."""
     if g_max < 2:
         raise ValueError("need g_max >= 2")

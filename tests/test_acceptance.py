@@ -23,7 +23,7 @@ from graphpotentials.graphs import (
     with_colors,
 )
 from graphpotentials.mutation import mutate, verify_mutation
-from graphpotentials.periods import periods_bruteforce, periods_from_laplace, periods_of_graph
+from graphpotentials.periods import periods_bruteforce, periods_of_graph
 from graphpotentials.potential import grassmannian_limit, graph_potential, vertex_potential
 from graphpotentials.tqft import (
     flip_operator,
@@ -83,8 +83,7 @@ def test_criterion_04_genus3_oracle_equivalence():
     # the paper's claim over every class: the periods depend only on genus
     # and coloring parity, so brute force on any graph equals one column of
     # the trace-formula table
-    hats, tt = timed(lambda: trace_formula_table(5, 10))
-    table = {key: periods_from_laplace(hat) for key, hat in hats.items()}
+    table, tt = timed(lambda: trace_formula_table(5, 10))
     ok = tt < 5.0
     checked = 0
     slowest = 0.0
@@ -207,14 +206,14 @@ def test_criterion_09_operator_identities():
 
 
 def test_criterion_10_integrality():
+    # the table's columns are integers by construction; k! times the Laplace
+    # series' coefficient must be the same integer
     table = trace_formula_table(10, 16)
-    ok = True
-    for (g, parity), series in table.items():
-        for k, c in enumerate(series.coeffs):
-            pi_k = c * factorial(k)
-            ok = ok and pi_k.denominator == 1
-    ok = ok and set(table) == {(g, p) for g in range(2, 11) for p in (0, 1)}
-    report(10, "k! pi_k integral for g <= 10, both parities, k <= 16", ok)
+    ok = set(table) == {(g, p) for g in range(2, 11) for p in (0, 1)}
+    for (g, parity), pi in table.items():
+        hat = trace_formula(g, parity, 16)
+        ok = ok and all(type(x) is int and x == hat[k] * factorial(k) for k, x in enumerate(pi))
+    report(10, "k! pi_hat_k integral for g <= 10, both parities, k <= 16", ok)
 
 
 def test_criterion_11_table_scaling():

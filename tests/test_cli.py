@@ -263,30 +263,6 @@ class TestTable:
                        "4,384,216,576,384\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("period", "--genus", 2, "--parity", 0, "--order", 4, "--method", "tqft"),
-    ("table", "--genus-max", 2, "--order", 4),
-])
-def test_non_integral_period_exits_3(argv, capsys, monkeypatch):
-    from fractions import Fraction
-    from math import factorial
-
-    from graphpotentials import tqft
-    from graphpotentials.algebra import TSeries
-
-    real = tqft.kernel_trace
-
-    def skewed(p, flips):
-        s = real(p, flips)
-        last = s.coeffs[-1] + Fraction(1, 2 * factorial(s.order))
-        return TSeries(s.order, s.coeffs[:-1] + (last,))
-
-    monkeypatch.setattr(tqft, "kernel_trace", skewed)
-    code, _, err = run(capsys, *argv)
-    assert code == 3
-    assert "period 4 is not integral" in err
-
-
 class TestKernel:
     def test_nonzero_entries(self, capsys):
         code, out, _ = run(capsys, "kernel", "--order", 4)
@@ -451,6 +427,25 @@ class TestUsageErrors:
         code, _, err = run(capsys, "period", "--graph", bad, "--order", 4)
         assert code == 2
         assert "exactly two" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("period", "--order", 4, "--method", "both"),
+        ("mutate", "--edge", "7"),
+    ], ids=["period", "mutate"])
+    def test_ids_that_are_not_strings(self, argv, tmp_path, capsys):
+        # read through str(), this was the theta graph: null and "None" named
+        # one vertex, and mutate wrote the edge id 7 back as "7"
+        doc = json.loads((FIXTURES / "theta.json").read_text())
+        doc["vertices"][0]["id"] = None
+        for e in doc["edges"]:
+            e["ends"][0] = "None"
+        doc["edges"][0]["id"] = 7
+        bad = tmp_path / "ids.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, "--graph", bad)
+        assert code == 2
+        assert out == ""
+        assert "vertex id must be a string, got None" in err
 
 
 # one run of every command; the kernel commands are table, kernel and period

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
@@ -465,6 +466,25 @@ class TestJson:
         doc = graph_to_json(theta_graph())
         doc["vertices"][1]["color"] = color
         with pytest.raises(ValueError, match="color must be an integer"):
+            graph_from_json(doc)
+
+    @pytest.mark.parametrize("value", [None, 7, ["v"], {}], ids=["null", "7", "list", "object"])
+    @pytest.mark.parametrize("path,field", [
+        (("vertices", 0, "id"), "vertex id"),
+        (("edges", 0, "id"), "edge id"),
+        (("edges", 0, "ends", 1), "end"),
+        (("leaves", 0, "id"), "leaf id"),
+        (("leaves", 0, "vertex"), "leaf vertex"),
+    ], ids=["vertex id", "edge id", "edge end", "leaf id", "leaf vertex"])
+    def test_ids_must_be_strings(self, path, field, value):
+        # str() would read null as the vertex "None" and the edge 7 as "7"
+        doc = graph_to_json(necklace_graph(2, open_ends=True))
+        container = doc
+        for key in path[:-1]:
+            container = container[key]
+        container[path[-1]] = value
+        want = f"{field} must be a string, got {re.escape(repr(value))}"
+        with pytest.raises(ValueError, match=want):
             graph_from_json(doc)
 
     def test_edge_needs_exactly_two_ends(self):

@@ -29,6 +29,7 @@ from graphpotentials.tqft import (
     t1_kernel,
     trace_formula,
     trace_formula_table,
+    trace_periods,
     wdvv_check,
 )
 from test_periods import naive_walk
@@ -344,8 +345,9 @@ class TestOperators:
         t_anti = kernel_trace(a, 1)
         diag = sum((a.entry(i, i).coeffs[6] for i in range(-6, 7)), Fraction(0))
         anti = sum((a.entry(i, -i).coeffs[6] for i in range(-6, 7)), Fraction(0))
-        assert t_diag.coeffs[6] == diag
-        assert t_anti.coeffs[6] == anti
+        # the trace of the stored integers: d! times the coefficient
+        assert t_diag[6] == diag * factorial(6)
+        assert t_anti[6] == anti * factorial(6)
 
 
 class TestTraceFormula:
@@ -390,7 +392,7 @@ class TestTraceFormula:
         table = trace_formula_table(5, 8)
         for g in range(2, 6):
             for parity in (0, 1):
-                assert table[(g, parity)] == trace_formula(g, parity, 8)
+                assert table[(g, parity)] == trace_periods(g, parity, 8)
 
     def test_genus3_against_direct_expansion(self):
         from graphpotentials.potential import graph_potential
@@ -403,6 +405,48 @@ class TestTraceFormula:
             t = trace_formula(3, parity, 8)
             for k in range(9):
                 assert t.coeffs[k] * factorial(k) == brute.pi[k]
+
+
+class TestTracePeriods:
+    """The trace formula's periods are the kernels' integers on every route."""
+
+    @pytest.mark.parametrize("order", [0, 1, 12])
+    def test_routes_agree_in_ints(self, order):
+        table = trace_formula_table(8, order)
+        for g in range(2, 9):
+            for parity in (0, 1):
+                pi = trace_periods(g, parity, order)
+                graph = periods_of_graph(necklace_graph(g, parity=parity), order, "tqft").pi
+                assert len(pi) == order + 1 and pi[0] == 1
+                assert table[(g, parity)] == graph == pi
+                for route in (pi, table[(g, parity)], graph):
+                    assert all(type(x) is int for x in route)
+                # the Laplace view, read as hat[d] * d! by the benchmark's checks
+                hat = trace_formula(g, parity, order)
+                assert tuple(hat[d] * factorial(d) for d in range(order + 1)) == pi
+
+    @pytest.mark.parametrize("call,args", [
+        (t1_kernel, (-1,)),
+        (flip_operator, (-1,)),
+        (necklace_state, (2, 0, -1)),
+        (trace_periods, (3, 0, -1)),
+        (trace_formula, (3, 0, -1)),
+        (trace_formula_table, (3, -1)),
+        (lambda g, order: periods_of_graph(g, order, "tqft"), (necklace_graph(3), -1)),
+    ], ids=["t1_kernel", "flip_operator", "necklace_state", "trace_periods",
+            "trace_formula", "trace_formula_table", "periods_of_graph"])
+    def test_negative_order_raises(self, call, args):
+        with pytest.raises(ValueError, match="order >= 0"):
+            call(*args)
+
+    @pytest.mark.parametrize("order", [-2, 2.0, True, "3", None])
+    @pytest.mark.parametrize("builder", [t1_kernel, flip_operator])
+    def test_builders_refuse_what_kernel_matrix_refuses(self, builder, order):
+        with pytest.raises(ValueError) as refused:
+            KernelMatrix(order, [])
+        with pytest.raises(ValueError) as built:
+            builder(order)
+        assert str(built.value) == str(refused.value)
 
 
 class TestBoundaryStates:
