@@ -219,18 +219,18 @@ def cmd_verify_mutation(args) -> int:
 
 def cmd_verify_coloring(args) -> int:
     from .graphs import coloring_boundary_move
+    from .mutation import _frozen_unchanged
     from .potential import graph_potential
 
     g = _read_graph(args.graph)
     bundle = graph_potential(g)
     failed = False
     for e in sorted(g.edges, key=lambda e: e.id):
-        # each endpoint inverts e and every other vertex is unchanged: summed,
+        # every other vertex is unchanged and each endpoint inverts e: summed,
         # the moved potential is the potential with e inverted
-        moved = graph_potential(coloring_boundary_move(g, e.id)).per_vertex
-        ok = moved.keys() == bundle.per_vertex.keys() and all(
-            moved[v] == (w.negate_var(e.id) if v in e.ends else w)
-            for v, w in bundle.per_vertex.items())
+        moved = graph_potential(coloring_boundary_move(g, e.id))
+        ok = _frozen_unchanged(bundle, moved, e.id) and all(
+            moved.per_vertex[v] == bundle.per_vertex[v].negate_var(e.id) for v in e.ends)
         failed = failed or not ok
         print(f"{'PASS' if ok else 'FAIL'} edge {e.id}: "
               f"boundary move matches inverting {e.id}")

@@ -129,26 +129,29 @@ def require_valid(g: ColoredGraph) -> None:
         raise InvalidGraph(problems)
 
 
-def _components(g: ColoredGraph) -> list[set[str]]:
-    adj: dict[str, set[str]] = {v.id: set() for v in g.vertices}
+def _components(g: ColoredGraph) -> list[dict[str, tuple[str, str] | None]]:
+    """A breadth-first spanning tree of each component from its least vertex: its
+    vertices in visit order, each to (parent, id of the edge from it), the root to None."""
+    adj: dict[str, list[tuple[str, str]]] = {v.id: [] for v in g.vertices}
     for e in g.edges:
-        adj[e.ends[0]].add(e.ends[1])
-        adj[e.ends[1]].add(e.ends[0])
-    out = []
-    left = set(adj)
-    while left:
-        root = min(left)
-        comp = {root}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        out.append(comp)
-        left -= comp
-    return out
+        a, b = e.ends
+        adj[a].append((b, e.id))
+        adj[b].append((a, e.id))
+    trees = []
+    seen: set[str] = set()
+    for root in sorted(adj):
+        if root in seen:
+            continue
+        tree: dict[str, tuple[str, str] | None] = {root: None}
+        queue = [root]
+        for u in queue:
+            for w, eid in adj[u]:
+                if w not in tree:
+                    tree[w] = (u, eid)
+                    queue.append(w)
+        trees.append(tree)
+        seen.update(tree)
+    return trees
 
 
 def genus(g: ColoredGraph) -> int:
@@ -175,27 +178,28 @@ def homology_ranks_f2(g: ColoredGraph) -> tuple[int, int]:
 def coloring_boundary_move(g: ColoredGraph, edge_id: str) -> ColoredGraph:
     """Flip the colors of both endpoints of an internal edge.
 
-    For a loop both flips hit the same vertex and the coloring is unchanged.
+    For a loop both flips hit the same vertex and ``g`` is returned as it is.
     Every leaf keeps its sign (:func:`_keep_leaf_signs`).  The graph
     potential is invariant under this move up to inverting the edge
     variable, which is why only the total parity of a coloring matters.
     """
-    e = g.edge(edge_id)
-    flips = {e.ends[0]: 0, e.ends[1]: 0}
-    flips[e.ends[0]] += 1
-    flips[e.ends[1]] += 1
-    new = tuple(replace(v, color=(v.color + flips.get(v.id, 0)) % 2) for v in g.vertices)
-    return _keep_leaf_signs(g, replace(g, vertices=new))
+    a, b = g.edge(edge_id).ends
+    if a == b:
+        return g
+    return _keep_leaf_signs(g, with_colors(g, {a: (g.color(a) + 1) % 2, b: (g.color(b) + 1) % 2}))
 
 
 def _keep_leaf_signs(old: ColoredGraph, new: ColoredGraph) -> ColoredGraph:
     """``new`` with the orientation flipped on every leaf whose vertex color
     differs from ``old``: a leaf's variable is inverted iff its orientation is
     not its vertex color's default, so each leaf keeps its sign."""
-    before = {x.id: old.color(x.vertex) for x in old.leaves}
+    if not old.leaves:
+        return new
+    was, now = ({v.id: v.color for v in h.vertices} for h in (old, new))
+    before = {x.id: was[x.vertex] for x in old.leaves}
     flipped = {"out": "in", "in": "out"}
     return replace(new, leaves=tuple(
-        replace(x, orientation=flipped[x.orientation]) if new.color(x.vertex) != before[x.id] else x
+        replace(x, orientation=flipped[x.orientation]) if now[x.vertex] != before[x.id] else x
         for x in new.leaves))
 
 
@@ -205,34 +209,18 @@ def normalize_coloring(g: ColoredGraph) -> tuple[ColoredGraph, list[str]]:
     Returns the normalized graph and the list of edge ids of the moves
     applied, in order.  Afterwards each component has at most one colored
     vertex, at its lexicographically least vertex, iff its total parity
-    is odd.
+    is odd: walking each tree of :func:`_components` from the leaves up, a
+    colored vertex passes its color to its parent by the move at their edge.
     """
+    colors = {v.id: v.color for v in g.vertices}
     moves: list[str] = []
-    current = g
-    for comp in _components(g):
-        root = min(comp)
-        # BFS spanning tree over internal edges
-        parent_edge: dict[str, str] = {}
-        parent: dict[str, str] = {}
-        depth = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for e in current.edges:
-                    a, b = e.ends
-                    for here, there in ((a, b), (b, a)):
-                        if here == u and there not in depth and there in comp:
-                            depth[there] = depth[u] + 1
-                            parent[there] = u
-                            parent_edge[there] = e.id
-                            nxt.append(there)
-            frontier = nxt
-        for v in sorted(depth, key=lambda x: -depth[x]):
-            if v != root and current.color(v) == 1:
-                current = coloring_boundary_move(current, parent_edge[v])
-                moves.append(parent_edge[v])
-    return current, moves
+    for tree in _components(g):
+        for v, up in reversed(tree.items()):
+            if up is not None and colors[v] == 1:
+                parent, eid = up
+                colors[v], colors[parent] = 0, (colors[parent] + 1) % 2
+                moves.append(eid)
+    return _keep_leaf_signs(g, with_colors(g, colors)), moves
 
 
 # ---------------------------------------------------------------------------
@@ -282,25 +270,14 @@ def elementary_move(g: ColoredGraph, edge_id: str
     s1, s2 = ([s for s in slots[v] if s[:2] != ("edge", edge_id)] for v in (v1, v2))
     if len(s1) != 2 or len(s2) != 2:
         raise ValueError(f"edge {edge_id}: endpoints are not trivalent")
-    reassign = [(s1[1], v2), (s2[0], v1)]
-    edges = list(g.edges)
-    leaves = list(g.leaves)
-    for slot, target in reassign:
-        if slot[0] == "edge":
-            _, eid, j = slot
-            for i, ed in enumerate(edges):
-                if ed.id == eid:
-                    ends = list(ed.ends)
-                    ends[j] = target
-                    edges[i] = replace(ed, ends=tuple(ends))
-                    break
-        else:
-            _, lid = slot
-            for i, leaf in enumerate(leaves):
-                if leaf.id == lid:
-                    leaves[i] = replace(leaf, vertex=target)
-                    break
-    moved = _keep_leaf_signs(g, replace(g, edges=tuple(edges), leaves=tuple(leaves)))
+    to = {s1[1]: v2, s2[0]: v1}  # each crossing slot -> its new vertex
+    crossing = {slot[1] for slot in to}
+    edges = tuple(
+        replace(e, ends=tuple(to.get(("edge", e.id, j), end) for j, end in enumerate(e.ends)))
+        if e.id in crossing else e for e in g.edges)
+    leaves = tuple(replace(x, vertex=to[("leaf", x.id)]) if ("leaf", x.id) in to else x
+                   for x in g.leaves)
+    moved = _keep_leaf_signs(g, replace(g, edges=edges, leaves=leaves))
     return moved, ((s1[0][1], s1[1][1]), (s2[0][1], s2[1][1]))
 
 
@@ -363,6 +340,8 @@ def canonical_form(g: ColoredGraph):
         adjacent[a][b] = adjacent[a].get(b, 0) + 1
         if a != b:
             adjacent[b][a] = adjacent[b].get(a, 0) + 1
+    # the other end of each edge at each vertex, a loop once
+    other_ends = [[u for u, m in here.items() for _ in range(m)] for here in adjacent]
     free = {}  # color -> smallest free position of its block
     for p, c in enumerate(colors):
         free.setdefault(c, p)
@@ -372,7 +351,7 @@ def canonical_form(g: ColoredGraph):
     best_rows: list[tuple[int, ...]] | None = None
     best = None
 
-    def fill(a: int) -> None:
+    def fill(a: int):  # yields the search from a + 1 for each placement at a
         nonlocal best_rows, best
         if a == n:
             key = (colors,
@@ -381,41 +360,43 @@ def canonical_form(g: ColoredGraph):
             if best is None or key < best:
                 best_rows, best = list(rows), key
             return
-        if at[a] is not None:
-            extend(a)
-            return
-        for v in range(n):
-            if pos[v] is None and color[v] == colors[a]:
+        first = at[a]
+        for v in [first] if first is not None else [
+                v for v in range(n) if pos[v] is None and color[v] == colors[a]]:
+            if first is None:
                 pos[v], at[a] = a, v
                 free[colors[a]] += 1
-                extend(a)
+            here = adjacent[v]
+            groups: dict[tuple[int, int], list[int]] = {}
+            for u, m in here.items():
+                if pos[u] is None:
+                    groups.setdefault((color[u], -m), []).append(u)
+            for orders in product(*(permutations(groups[k]) for k in sorted(groups))):
+                placed = [u for order in orders for u in order]
+                for u in placed:
+                    pos[u] = free[color[u]]
+                    at[pos[u]] = u
+                    free[color[u]] += 1
+                row = tuple(sorted([pos[u] for u in other_ends[v] if pos[u] >= a])) + (n,)
+                rows.append(row)
+                if best_rows is None or rows <= best_rows:  # rows is never the longer
+                    yield fill(a + 1)
+                rows.pop()
+                for u in reversed(placed):
+                    free[color[u]] -= 1
+                    at[pos[u]] = None
+                    pos[u] = None
+            if first is None:
                 free[colors[a]] -= 1
                 pos[v] = at[a] = None
 
-    def extend(a: int) -> None:
-        here = adjacent[at[a]]
-        groups: dict[tuple[int, int], list[int]] = {}
-        for u, m in here.items():
-            if pos[u] is None:
-                groups.setdefault((color[u], -m), []).append(u)
-        for orders in product(*(permutations(groups[k]) for k in sorted(groups))):
-            placed = [u for order in orders for u in order]
-            for u in placed:
-                pos[u] = free[color[u]]
-                at[pos[u]] = u
-                free[color[u]] += 1
-            row = tuple(sorted(pos[u] for u, m in here.items() if pos[u] >= a
-                               for _ in range(m))) + (n,)
-            rows.append(row)
-            if best_rows is None or rows <= best_rows[:a + 1]:
-                fill(a + 1)
-            rows.pop()
-            for u in reversed(placed):
-                free[color[u]] -= 1
-                at[pos[u]] = None
-                pos[u] = None
-
-    fill(0)
+    stack = [fill(0)]  # the searches under way, run here: no recursion, whatever V is
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        else:
+            stack.append(step)
     return best
 
 
@@ -506,30 +487,20 @@ def necklace_graph(g: int, open_ends: bool = False, parity: int = 0) -> ColoredG
     colored, so the stored orientations are the defaults and the coloring
     parity matches the parity of the boundary state.
     """
+    least = 1 if open_ends else 2
+    if g < least:
+        raise ValueError(f"{'open' if open_ends else 'closed'} necklace needs genus >= {least}")
+    nv = 2 * g if open_ends else 2 * g - 2
+    vertices = [(f"v{i}", 0) for i in range(1, nv + 1)]
+    edges = []
+    for i in range(1, nv, 2):
+        edges.append((f"d{i}", f"v{i}", f"v{i + 1}"))
+        edges.append((f"d{i}x", f"v{i}", f"v{i + 1}"))
+    for i in range(2, nv if open_ends else nv + 1, 2):
+        edges.append((f"s{i}", f"v{i}", f"v{i % nv + 1}"))  # the closed chain's last returns to v1
+    leaves = []
     if open_ends:
-        if g < 1:
-            raise ValueError("open necklace needs genus >= 1")
-        nv = 2 * g
-        vertices = [(f"v{i}", 0) for i in range(1, nv + 1)]
-        edges = []
-        for i in range(1, nv, 2):
-            edges.append((f"d{i}", f"v{i}", f"v{i + 1}"))
-            edges.append((f"d{i}x", f"v{i}", f"v{i + 1}"))
-        for i in range(2, nv, 2):
-            edges.append((f"s{i}", f"v{i}", f"v{i + 1}"))
         leaves = [("x", "v1", "out"), ("y", f"v{nv}", "in" if parity % 2 else "out")]
-    else:
-        if g < 2:
-            raise ValueError("closed necklace needs genus >= 2")
-        nv = 2 * g - 2
-        vertices = [(f"v{i}", 0) for i in range(1, nv + 1)]
-        edges = []
-        for i in range(1, nv, 2):
-            edges.append((f"d{i}", f"v{i}", f"v{i + 1}"))
-            edges.append((f"d{i}x", f"v{i}", f"v{i + 1}"))
-        for i in range(2, nv + 1, 2):
-            edges.append((f"s{i}", f"v{i}", f"v{i + 1 if i + 1 <= nv else 1}"))
-        leaves = []
     graph = make_graph(vertices, edges, leaves)
     if parity % 2:
         graph = with_colors(graph, {f"v{nv}": 1})

@@ -18,8 +18,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from heapq import heappop, heappush
 from operator import add, itemgetter, neg
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .algebra import LaurentPoly, sum_over
 from .graphs import ColoredGraph, genus, homology_ranks_f2, require_valid
@@ -131,6 +132,30 @@ def contract(a: tuple, b: tuple, order: int, bound: dict) -> tuple:
     return legs, [_prune(t, order - d, limits) for d, t in enumerate(out)] if limits else out
 
 
+def _gluing_order(legs: list[tuple]) -> Iterator[int]:
+    """Indices of the pieces with these legs in the greedy order: next the one
+    that leaves the fewest open legs, the first of a tie.  Gluing L legs, s of
+    them open, opens L - 2s more, the key of a heap.  A leg is in at most two
+    pieces, so a gluing lowers only the key of the other one at each leg, by 2."""
+    holders: dict[str, list[int]] = {}
+    for i, at in enumerate(legs):
+        for v in at:
+            holders.setdefault(v, []).append(i)
+    key: list[int | None] = [len(at) for at in legs]  # None once glued
+    heap = sorted((k, i) for i, k in enumerate(key))  # a sorted list is a heap
+    while heap:
+        k, i = heappop(heap)
+        if k != key[i]:
+            continue  # glued already, or its key has fallen since
+        key[i] = None
+        yield i
+        for v in legs[i]:
+            for j in holders[v]:
+                if key[j] is not None:
+                    key[j] -= 2
+                    heappush(heap, (key[j], j))
+
+
 def walk_terms(pieces: Iterable[LaurentPoly], order: int, kept: tuple[str, ...] = ()) -> list[dict]:
     """Terms of W^d constant in every variable not in ``kept``, d = 0..order,
     for W the sum of ``pieces``, each a polynomial over its own variables.
@@ -163,9 +188,8 @@ def walk_terms(pieces: Iterable[LaurentPoly], order: int, kept: tuple[str, ...] 
         series.append((tuple(p.vars[j] for j in legs), exp(
             frozenset(p.terms.items()), legs, tuple(bound.get(v) for v in p.vars), order)))
     state = ((), [{(): 1}] + [{} for _ in range(order)])
-    while series:
-        i = min(range(len(series)), key=lambda i: len(set(state[0]) ^ set(series[i][0])))
-        state = contract(state, series.pop(i), order, bound)
+    for i in _gluing_order([legs for legs, _ in series]):
+        state = contract(state, series[i], order, bound)
     perm = [state[0].index(v) for v in kept]
     return [{tuple(k[j] for j in perm): c for k, c in t.items()} for t in state[1]]
 
@@ -182,9 +206,8 @@ def constant_terms_of_powers(p: LaurentPoly, order: int, backend: str = "auto") 
     return [t.get((), 0) for t in walk_terms(_pieces(p), order)]
 
 
-def periods_bruteforce(p: LaurentPoly, order: int,
-                       fingerprint: str | None = None) -> PeriodSequence:
-    return PeriodSequence(order, tuple(constant_terms_of_powers(p, order)), fingerprint)
+def periods_bruteforce(p: LaurentPoly, order: int) -> PeriodSequence:
+    return PeriodSequence(order, tuple(constant_terms_of_powers(p, order)))
 
 
 def graph_fingerprint(g: ColoredGraph) -> str:

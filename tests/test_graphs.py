@@ -15,6 +15,7 @@ from graphpotentials.graphs import (
     canonical_form,
     coloring_boundary_move,
     dumbbell_graph,
+    elementary_move,
     elementary_transformation,
     enumerate_trivalent,
     genus,
@@ -30,6 +31,7 @@ from graphpotentials.graphs import (
     vertex_slots,
     with_colors,
 )
+from graphpotentials.potential import graph_potential
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 JOBS = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
@@ -154,6 +156,23 @@ def _colored_cubic_16():
     return make_graph(vertices, [(f"e{j}", a, b) for j, (a, b) in enumerate(outer + spokes + inner)])
 
 
+def _relabeled(g, rng):
+    """g with shuffled vertex names and reversed vertex and edge insertion order."""
+    names = [f"w{i}" for i in range(len(g.vertices))]
+    rng.shuffle(names)
+    mapping = {v.id: name for v, name in zip(g.vertices, names)}
+    return make_graph(
+        [(mapping[v.id], v.color) for v in reversed(g.vertices)],
+        [(e.id, mapping[e.ends[0]], mapping[e.ends[1]]) for e in reversed(g.edges)],
+    )
+
+
+def _two_thetas():
+    """Thetas a (a1 colored: odd) and b (b1 and b2 colored: even), disjoint."""
+    return make_graph([("a1", 1), ("a2", 0), ("b1", 1), ("b2", 1)],
+                      [(f"{t}{e}", f"{t}1", f"{t}2") for t in "ab" for e in "xyz"])
+
+
 def tripod():
     return make_graph([("v", 0)], [], [("X", "v", "out"), ("Y", "v", "out"), ("Z", "v", "out")])
 
@@ -254,6 +273,36 @@ class TestColoring:
         normal, _ = normalize_coloring(g)
         assert all(normal.color(v.id) == 0 for v in normal.vertices)
 
+    @pytest.mark.parametrize("g, components", [
+        (with_colors(necklace_graph(3, open_ends=True), {"v2": 1, "v3": 1, "v5": 1}),
+         [{f"v{i}" for i in range(1, 7)}]),
+        (with_colors(necklace_graph(2, open_ends=True, parity=1), {"v1": 1, "v2": 1}),
+         [{"v1", "v2", "v3", "v4"}]),
+        (with_colors(graph_from_json(json.loads((FIXTURES / "caterpillar.json").read_text())),
+                     {"v2": 1}), [{"v1", "v2"}]),
+        (with_colors(graph_from_json(json.loads((FIXTURES / "caterpillar.json").read_text())),
+                     {"v1": 1, "v2": 1}), [{"v1", "v2"}]),
+        (_two_thetas(), [{"a1", "a2"}, {"b1", "b2"}]),
+    ], ids=["open-necklace-3", "open-necklace-2", "caterpillar-odd", "caterpillar-even",
+            "two-thetas"])
+    def test_normalize_with_leaves_and_components(self, g, components):
+        normal, moves = normalize_coloring(g)
+        replay = g
+        for e in moves:
+            replay = coloring_boundary_move(replay, e)
+        assert replay == normal
+        odd = [c for c in components if sum(g.color(v) for v in c) % 2]
+        assert {v.id for v in normal.vertices if v.color} == {min(c) for c in odd}
+        # each leaf keeps its sign, so a vertex potential changes only by
+        # inverting the edges at it that were moved an odd number of times
+        inverted = {e for e in moves if moves.count(e) % 2}
+        before, after = graph_potential(g).per_vertex, graph_potential(normal).per_vertex
+        assert before.keys() == after.keys()
+        for v, w in before.items():
+            for e in sorted(inverted & set(w.vars)):
+                w = w.negate_var(e)
+            assert after[v] == w
+
 
 class TestElementaryTransformation:
     def test_theta_becomes_dumbbell(self):
@@ -267,6 +316,22 @@ class TestElementaryTransformation:
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
             elementary_transformation(dumbbell_graph(), "b")
+
+    def test_changes_only_the_two_crossing_slots(self):
+        graphs = [with_colors(g, {"v0": p}) for g in enumerate_trivalent(4) for p in (0, 1)]
+        graphs += [graph_from_json(json.loads(f.read_text()))
+                   for f in sorted(FIXTURES.glob("*.json"))]
+        graphs += [necklace_graph(k, open_ends=True, parity=p) for k in (1, 2, 3) for p in (0, 1)]
+        for g in graphs:
+            for e in g.edges:
+                if e.ends[0] == e.ends[1]:
+                    continue
+                moved, ((_, b), (c, _)) = elementary_move(g, e.id)
+                assert ([x for x in moved.edges if x.id not in (b, c)]
+                        == [x for x in g.edges if x.id not in (b, c)])
+                assert ([x for x in moved.leaves if x.id not in (b, c)]
+                        == [x for x in g.leaves if x.id not in (b, c)])
+                assert moved.vertices == g.vertices
 
     def test_preserves_genus_and_validity(self):
         for g in enumerate_trivalent(3):
@@ -358,15 +423,12 @@ class TestEnumeration:
         rng = random.Random(12)
         for g in (necklace_graph(3), necklace_graph(12, parity=0), necklace_graph(12, parity=1),
                   _colored_cubic_16()):
-            # shuffled vertex naming, reversed vertex and edge insertion order
-            names = [f"w{i}" for i in range(len(g.vertices))]
-            rng.shuffle(names)
-            mapping = {v.id: name for v, name in zip(g.vertices, names)}
-            relabeled = make_graph(
-                [(mapping[v.id], v.color) for v in reversed(g.vertices)],
-                [(e.id, mapping[e.ends[0]], mapping[e.ends[1]]) for e in reversed(g.edges)],
-            )
-            assert canonical_form(relabeled) == canonical_form(g)
+            assert canonical_form(_relabeled(g, rng)) == canonical_form(g)
+
+    def test_canonical_form_searches_past_the_recursion_limit(self):
+        # V = 518: a search that recursed per position ran out of stack here
+        g = necklace_graph(260, parity=1)
+        assert canonical_form(_relabeled(g, random.Random(260))) == canonical_form(g)
 
     def test_canonical_form_matches_bruteforce(self):
         rng = random.Random(2024)
@@ -401,7 +463,30 @@ class TestEnumeration:
         assert canonical_form(a) != canonical_form(c)
 
 
+# each necklace's edges, ids and ends in insertion order
+NECKLACE_EDGES = {
+    (1, True): "d1 v1 v2, d1x v1 v2",
+    (2, True): "d1 v1 v2, d1x v1 v2, d3 v3 v4, d3x v3 v4, s2 v2 v3",
+    (3, True): "d1 v1 v2, d1x v1 v2, d3 v3 v4, d3x v3 v4, d5 v5 v6, d5x v5 v6, s2 v2 v3, s4 v4 v5",
+    (4, True): "d1 v1 v2, d1x v1 v2, d3 v3 v4, d3x v3 v4, d5 v5 v6, d5x v5 v6, d7 v7 v8, d7x v7 v8,"
+               " s2 v2 v3, s4 v4 v5, s6 v6 v7",
+    (2, False): "d1 v1 v2, d1x v1 v2, s2 v2 v1",
+    (3, False): "d1 v1 v2, d1x v1 v2, d3 v3 v4, d3x v3 v4, s2 v2 v3, s4 v4 v1",
+    (4, False): "d1 v1 v2, d1x v1 v2, d3 v3 v4, d3x v3 v4, d5 v5 v6, d5x v5 v6,"
+                " s2 v2 v3, s4 v4 v5, s6 v6 v1",
+}
+
+
 class TestNecklace:
+    @pytest.mark.parametrize("g, open_ends", sorted(NECKLACE_EDGES))
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_matches_listing(self, g, open_ends, parity):
+        edges = [tuple(e.split()) for e in NECKLACE_EDGES[g, open_ends].split(", ")]
+        last = 2 * g if open_ends else 2 * g - 2
+        vertices = [(f"v{i}", int(i == last and parity == 1)) for i in range(1, last + 1)]
+        leaves = [("x", "v1", "out"), ("y", f"v{last}", ("out", "in")[parity])] if open_ends else []
+        assert necklace_graph(g, open_ends, parity) == make_graph(vertices, edges, leaves)
+
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_closed_shape(self, g):
         n = necklace_graph(g)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphpotentials import periods
 from graphpotentials.algebra import LaurentPoly
 from graphpotentials.graphs import (
     dumbbell_graph,
@@ -165,6 +167,35 @@ THETA_PIECES = [((0, 1, 2), {(1, 1, 1): 1, (1, -1, -1): 1, (-1, 1, -1): 1, (-1, 
                 ((0, 1, 2), {(-1, -1, -1): 1, (-1, 1, 1): 1, (1, -1, 1): 1, (1, 1, -1): 1})]
 
 
+def in_greedy_order(run):
+    """``run()`` with spies on the walk's gluing order and on ``contract``: the
+    pieces must be glued as the reference scan below glues them, each time the
+    first of the remaining pieces that leaves the fewest open legs."""
+    asked, glued = [], []
+
+    def order_spy(legs):
+        asked.append(list(legs))
+        return real_order(legs)
+
+    def contract_spy(a, b, order, bound):
+        glued.append((a[0], b[0]))
+        return real_contract(a, b, order, bound)
+
+    real_order, real_contract = periods._gluing_order, periods.contract
+    with patch.object(periods, "_gluing_order", order_spy), \
+            patch.object(periods, "contract", contract_spy):
+        result = run()
+    (series,) = asked
+    state, want = (), []
+    while series:
+        i = min(range(len(series)), key=lambda i: len(set(state) ^ set(series[i])))
+        legs = series.pop(i)
+        want.append((state, legs))
+        state = tuple(v for v in state if v not in legs) + tuple(v for v in legs if v not in state)
+    assert glued == want
+    return result
+
+
 class TestWalk:
     @given(piece_lists())
     @settings(max_examples=150, deadline=None)
@@ -200,8 +231,15 @@ class TestWalk:
         polys = [LaurentPoly(tuple(names[i] for i in at), terms) for at, terms in pieces]
         monomials = [(tuple(dict(zip(at, e)).get(i, 0) for i in range(nvars)), c)
                      for at, terms in pieces for e, c in terms.items()]
-        got = walk_terms(polys, order, names[nvars - kept:])
+        got = in_greedy_order(lambda: walk_terms(polys, order, names[nvars - kept:]))
         assert got == naive_walk(monomials, nvars, order, kept)
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5])
+    def test_graphs_glue_in_greedy_order(self, genus):
+        for g in enumerate_trivalent(genus):
+            for parity in (0, 1):
+                pieces = graph_potential(with_colors(g, {"v0": parity})).per_vertex.values()
+                in_greedy_order(lambda: walk_terms(pieces, 2))
 
     def test_entry_keeps_named_variables_in_place(self):
         # keys list the kept variables c and a as ``kept`` names them
