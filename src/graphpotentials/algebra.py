@@ -14,10 +14,11 @@ all products are truncated to the smaller order of the operands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
+
+from ._record import Record
 
 Scalar = Union[int, Fraction]
 Exponents = tuple  # tuple[int, ...], length == len(vars)
@@ -297,8 +298,7 @@ def _shift(p: LaurentPoly, shift: tuple[int, ...]) -> LaurentPoly:
                                      for e, c in p.terms.items()})
 
 
-@dataclass(frozen=True)
-class RationalExpr:
+class RationalExpr(Record):
     """Quotient of Laurent polynomials over a common variable tuple.
 
     Stored as given.  Equality is decided by cross-multiplication
@@ -308,14 +308,14 @@ class RationalExpr:
     gcd is attempted.
     """
 
-    num: LaurentPoly
-    den: LaurentPoly
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.num.vars != self.den.vars:
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
+        if num.vars != den.vars:
             raise ValueError("numerator and denominator must share variables")
-        if self.den.is_zero():
+        if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        self._set(num, den)
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "RationalExpr":
@@ -367,22 +367,21 @@ def rexpr_substitute(p: LaurentPoly, name: str, value: RationalExpr) -> Rational
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TSeries:
+class TSeries(Record):
     """Series in a formal parameter truncated at a fixed order (inclusive).
 
     Coefficients may be rational scalars or :class:`LaurentPoly` values, as
     long as the operands of a binary operation combine under ``+`` and ``*``.
     """
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order: int, coeffs: tuple):
+        if order < 0:
             raise ValueError("order must be >= 0")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(f"need {self.order + 1} coefficients, got {len(self.coeffs)}")
+        if len(coeffs) != order + 1:
+            raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
+        self._set(order, coeffs)
 
     @classmethod
     def from_list(cls, coeffs: Sequence) -> "TSeries":

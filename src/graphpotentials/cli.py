@@ -12,25 +12,26 @@ is deterministic: JSON keys are sorted and edges are visited in id order.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 
+# Each command imports the library modules it runs, so that ``table`` and
+# ``kernel`` load no graph code and ``period --method tqft`` no potential.
 
 # Largest genus that ``period --genus`` and ``table --genus-max`` accept: the
-# trace formula runs one kernel product per genus, and brute force glues the
-# 2g - 2 vertex states of the necklace one by one, each gluing costing about
-# the order to the power of its open legs: at genus 64 and order 64, minutes.
+# trace formula runs about 2 log2(g) kernel products at genus g, and g / 2
+# for the whole table, but brute force glues the 2g - 2 vertex states of the
+# necklace one by one, each gluing costing about the order to the power of
+# its open legs: at genus 64 and order 64, minutes.
 MAX_GENUS = 64
 
 # Largest ``--order`` of every command: at each even t-degree d a kernel holds
 # about 2 d^2 nonzero integers, one per mode pair (i, j) with |i|, |j| <= d and
 # i + j even, and the kernel commands multiply them before they print anything.
 # Their worst case at both limits, ``table --genus-max 64 --order 64``, takes
-# 8 to 11 s and 29 MB on 2 cores (Python 3.11).
+# 7 to 11 s and 27 MB on 2 cores (Python 3.11).
 MAX_ORDER = 64
 
 
@@ -73,6 +74,12 @@ def _poly_json(p) -> dict:
         "variables": list(p.vars),
         "terms": {_exps_key(e): str(p.terms[e]) for e in sorted(p.terms)},
     }
+
+
+def _ratio(c: int, f: int) -> str:
+    """c / f for f > 0 in lowest terms, as ``str(Fraction(c, f))`` prints it."""
+    g = math.gcd(c, f)
+    return str(c // g) if g == f else f"{c // g}/{f // g}"
 
 
 def _print_json(data):
@@ -240,6 +247,8 @@ def cmd_verify_coloring(args) -> int:
 
 
 def cmd_table(args) -> int:
+    import csv
+
     from .tqft import trace_formula_table
 
     if args.genus_max < 2:
@@ -258,7 +267,11 @@ def cmd_kernel(args) -> int:
 
     kernel = t1_kernel(args.order)
     modes = {key for t in kernel.terms for key in t}  # zeros are left out
-    entries = {f"{i},{j}": [str(c) for c in kernel.entry(i, j).coeffs] for i, j in modes}
+    scale = [math.factorial(d) for d in range(kernel.order + 1)]
+    # the (i, j) entry's series: at t^d the stored integer over d!
+    entries = {f"{i},{j}": [_ratio(c, f) if c else "0"
+                            for c, f in zip((t.get((i, j), 0) for t in kernel.terms), scale)]
+               for i, j in modes}
     _print_json({"order": kernel.order, "entries": entries})
     return 0
 
@@ -316,7 +329,7 @@ def cmd_glue(args) -> int:
         "order": glued.order,
         "leaf_vars": list(glued.leaf_vars),
         "coefficients": [
-            {"degree": d, "terms": {_exps_key(e): str(Fraction(c, math.factorial(d)))
+            {"degree": d, "terms": {_exps_key(e): _ratio(c, math.factorial(d))
                                     for e, c in sorted(t.items())}}
             for d, t in enumerate(glued.terms)
         ],
@@ -437,13 +450,15 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    from .graphs import InvalidGraph
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidGraph as exc:
+    except ValueError as exc:
+        from .graphs import InvalidGraph
+
+        if not isinstance(exc, InvalidGraph):
+            raise
         # the library validates the --graph file's graph where it uses it
         print(f"error: invalid graph in {args.graph}: " + "; ".join(exc.problems),
               file=sys.stderr)

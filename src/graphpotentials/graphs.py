@@ -9,36 +9,30 @@ namespace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 ORIENTATIONS = ("out", "in")
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: str
     color: int
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     ends: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     id: str
     vertex: str
     orientation: str
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class ColoredGraph(NamedTuple):
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     leaves: tuple[Leaf, ...]
@@ -198,8 +192,8 @@ def _keep_leaf_signs(old: ColoredGraph, new: ColoredGraph) -> ColoredGraph:
     was, now = ({v.id: v.color for v in h.vertices} for h in (old, new))
     before = {x.id: was[x.vertex] for x in old.leaves}
     flipped = {"out": "in", "in": "out"}
-    return replace(new, leaves=tuple(
-        replace(x, orientation=flipped[x.orientation]) if now[x.vertex] != before[x.id] else x
+    return new._replace(leaves=tuple(
+        x._replace(orientation=flipped[x.orientation]) if now[x.vertex] != before[x.id] else x
         for x in new.leaves))
 
 
@@ -273,11 +267,11 @@ def elementary_move(g: ColoredGraph, edge_id: str
     to = {s1[1]: v2, s2[0]: v1}  # each crossing slot -> its new vertex
     crossing = {slot[1] for slot in to}
     edges = tuple(
-        replace(e, ends=tuple(to.get(("edge", e.id, j), end) for j, end in enumerate(e.ends)))
+        e._replace(ends=tuple(to.get(("edge", e.id, j), end) for j, end in enumerate(e.ends)))
         if e.id in crossing else e for e in g.edges)
-    leaves = tuple(replace(x, vertex=to[("leaf", x.id)]) if ("leaf", x.id) in to else x
+    leaves = tuple(x._replace(vertex=to[("leaf", x.id)]) if ("leaf", x.id) in to else x
                    for x in g.leaves)
-    moved = _keep_leaf_signs(g, replace(g, edges=edges, leaves=leaves))
+    moved = _keep_leaf_signs(g, g._replace(edges=edges, leaves=leaves))
     return moved, ((s1[0][1], s1[1][1]), (s2[0][1], s2[1][1]))
 
 
@@ -295,6 +289,8 @@ def mgamma_member(g: ColoredGraph, weights: Mapping[str, Fraction | int]) -> boo
         extra = sorted(set(weights) - eids)
         raise ValueError(f"weights must cover the internal edges exactly "
                          f"(missing {missing}, extra {extra})")
+    from fractions import Fraction
+
     w = {k: Fraction(v) for k, v in weights.items()}
     if any((2 * x).denominator != 1 for x in w.values()):
         return False
@@ -452,8 +448,8 @@ def enumerate_trivalent(g: int) -> tuple[ColoredGraph, ...]:
 
 
 def with_colors(g: ColoredGraph, colors: Mapping[str, int]) -> ColoredGraph:
-    new = tuple(replace(v, color=colors.get(v.id, v.color)) for v in g.vertices)
-    return replace(g, vertices=new)
+    new = tuple(v._replace(color=colors.get(v.id, v.color)) for v in g.vertices)
+    return g._replace(vertices=new)
 
 
 # ---------------------------------------------------------------------------

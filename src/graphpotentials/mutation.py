@@ -29,15 +29,14 @@ symbolic substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import LaurentPoly, RationalExpr, rexpr_equal, rexpr_substitute, sum_over
 from .graphs import elementary_move
 from .potential import PotentialBundle, graph_potential
 
 
-@dataclass(frozen=True)
-class MutationCertificate:
+class MutationCertificate(NamedTuple):
     """Factored data of one mutation, sufficient to re-verify it."""
 
     edge: str

@@ -16,33 +16,37 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
 from operator import add, itemgetter, neg
 from typing import Iterable, Iterator
 
-from .algebra import LaurentPoly, sum_over
-from .graphs import ColoredGraph, genus, homology_ranks_f2, require_valid
-from .potential import graph_potential
+from ._record import Record
+
+# algebra, graphs and potential are imported where they are used, so that the
+# trace formula's commands, which load this module for contract, load none of
+# them through it
 
 
-@dataclass(frozen=True)
-class PeriodSequence:
-    order: int
-    pi: tuple[int, ...]
-    graph_fingerprint: str | None = None
+class PeriodSequence(Record):
+    """pi_0..pi_order, pi_0 = 1, and the fingerprint of the graph they
+    belong to, if any."""
 
-    def __post_init__(self):
-        if len(self.pi) != self.order + 1:
-            raise ValueError(f"need {self.order + 1} values, got {len(self.pi)}")
-        if self.pi[0] != 1:
+    __slots__ = ("order", "pi", "graph_fingerprint")
+
+    def __init__(self, order: int, pi: tuple[int, ...], graph_fingerprint: str | None = None):
+        if len(pi) != order + 1:
+            raise ValueError(f"need {order + 1} values, got {len(pi)}")
+        if pi[0] != 1:
             raise ValueError("pi[0] must be 1")
+        self._set(order, pi, graph_fingerprint)
 
 
 def _pieces(p: LaurentPoly) -> list[LaurentPoly]:
     """p's terms as pieces over their own variables: a term joins the smallest maximal
     support that holds it, so that no term starts a piece of its own and pieces stay narrow."""
+    from .algebra import LaurentPoly
+
     groups: dict[tuple, dict] = {}  # a piece's variable indices -> its terms
     for e in sorted(p.terms, key=lambda e: -sum(map(bool, e))):  # the widest terms first
         s = tuple(i for i, x in enumerate(e) if x)
@@ -166,6 +170,8 @@ def walk_terms(pieces: Iterable[LaurentPoly], order: int, kept: tuple[str, ...] 
     is in three and no kept one in two, then glued one at a time, next the
     one that leaves the fewest open legs.
     """
+    from .algebra import sum_over
+
     pieces, keep = list(pieces), set(kept)
     while True:
         held = Counter(v for p in pieces for v in p.vars)
@@ -211,6 +217,8 @@ def periods_bruteforce(p: LaurentPoly, order: int) -> PeriodSequence:
 
 
 def graph_fingerprint(g: ColoredGraph) -> str:
+    from .graphs import genus
+
     return f"g{genus(g)}e{g.coloring_parity()}"
 
 
@@ -224,8 +232,12 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     Both agree; the tests cross-validate them.  ``backend`` is checked as
     in :func:`constant_terms_of_powers`.
     """
+    from .graphs import homology_ranks_f2, require_valid
+
     _check_backend(backend)
     if method == "brute":
+        from .potential import graph_potential
+
         pieces = graph_potential(g).per_vertex.values()  # validates g
     else:
         require_valid(g)

@@ -11,10 +11,8 @@ for the vertex color (out at color 0, in at color 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import LaurentPoly, sum_over
 from .graphs import ColoredGraph, genus, require_valid, vertex_slots
@@ -48,18 +46,17 @@ def vertex_potential(slots: Sequence[str], parity: int) -> LaurentPoly:
     return LaurentPoly._raw(vs, terms)
 
 
-@dataclass(frozen=True)
-class PotentialBundle:
+class PotentialBundle(NamedTuple):
     """A graph with its potential split by vertex: ``per_vertex[v]`` lives
     over the sorted distinct slot variables of v, leaf signs applied, and
     ``potential``, their sum over ``variables`` (every internal edge id and
-    leaf id), is built on first read."""
+    leaf id), is built on every read."""
 
     graph: ColoredGraph
     variables: tuple[str, ...]
     per_vertex: Mapping[str, LaurentPoly]
 
-    @cached_property
+    @property
     def potential(self) -> LaurentPoly:
         return sum_over(self.variables, self.per_vertex.values())
 

@@ -17,15 +17,21 @@ against brute-force periods in the tests.
 
 Every chain is therefore a power of A with at most one flip.  T1 is
 invariant under (x, y) -> (1/x, 1/y), so AS = SA, and S^2 = 1: the flips
-of a chain move to its end and cancel in pairs.  One generator yields the
-powers A, A^2, ..., one product with S A at a time, and a flip negates one
-mode of every entry of a power, never a product.
+of a chain move to its end and cancel in pairs, and a flip negates one
+mode of every entry of a power, never a product.  A^n is built by
+repeated squaring, one product per bit of n after the first and one more
+per further bit set.  A trace never forms the last product: A^(g-1) is
+A^ceil((g-1)/2) times A^floor((g-1)/2), and one pass over the pairs of
+their entries sums tr(PQ) and tr(PQS) together (:func:`_pair_traces`).
+The table builds A, A^2, ..., A^floor(g_max/2), one product each and
+only the last two kept, and reads both parities of every genus from one
+pairing.
 
 Kernels and boundary states share one format, the walk's: at t^d, mode or
 leaf exponents map to d! times the coefficient, a Python ``int``, zeros left
-out.  The scaling keeps every intermediate an integer: the scaled T1
-entries are multinomial sums and the scaled product rule only multiplies by
-binomials.  The trace of a power's integers is the periods: :func:`trace_periods`.
+out.  The scaling keeps every intermediate an integer: a scaled T1 entry
+is a multinomial times a binomial and the scaled product rule only
+multiplies by binomials.  The trace of a power's integers is the periods: :func:`trace_periods`.
 
 Almost every entry of a kernel is zero: an entry of a power of A vanishes
 unless i = j (mod 2), and at t^d unless |i|, |j| <= d.  A product is the
@@ -46,15 +52,9 @@ the benchmark's traced runs, loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import TSeries
-from .graphs import ColoredGraph, make_graph
 from .periods import contract, walk_terms
-from .potential import DEFAULT_ORIENTATION, graph_potential
 
 
 def _require_order(order: int) -> None:
@@ -65,6 +65,10 @@ def _require_order(order: int) -> None:
 
 def _scaled_series(order: int, scaled) -> TSeries:
     """The series whose t^d coefficient is the d-th of ``scaled`` over d!."""
+    from fractions import Fraction
+
+    from .algebra import TSeries
+
     return TSeries(order, tuple(Fraction(c, math.factorial(d)) for d, c in enumerate(scaled)))
 
 
@@ -154,24 +158,25 @@ def flip_operator(order: int) -> KernelMatrix:
 def t1_kernel(order: int) -> KernelMatrix:
     """Coefficient matrix of T1(x, y) = B(t(x+y)) B(t(x^-1+y^-1)).
 
-    Built from the closed form: the scaled (i, j) entry at t^(2m+2n)
-    collects C(2m, a) C(2n, c) (2m+2n)! / (m! m! n! n!) over a - c = i,
-    (2m - a) - (2n - c) = j.  The tests check this against the direct
-    series-product construction.
+    Built from the closed form: at t^d, d = 2m + 2n, the term x^a y^(2m-a)
+    of (x+y)^(2m) and x^-c y^-(2n-c) of (1/x+1/y)^(2n) meet at
+    (i, j) = (a - c, 2(m - n) - i), so i + j fixes m and, by Vandermonde's
+    identity, the scaled entry is d! / (m! m! n! n!) C(d, 2n + i) for
+    -2n <= i <= 2m.  The tests check this against the direct series-product
+    construction.
     """
     _require_order(order)
-    D = order
-    terms = [{} for _ in range(D + 1)]
-    for d in range(0, D + 1, 2):
+    terms = [{} for _ in range(order + 1)]
+    for d in range(0, order + 1, 2):
+        row = [math.comb(d, k) for k in range(d + 1)]
         acc = terms[d]
         for m in range(d // 2 + 1):
             n = d // 2 - m
-            base = math.factorial(d) // (math.factorial(m) ** 2 * math.factorial(n) ** 2)
-            for a in range(2 * m + 1):
-                for c in range(2 * n + 1):
-                    key = (a - c, (2 * m - a) - (2 * n - c))
-                    acc[key] = acc.get(key, 0) + base * math.comb(2 * m, a) * math.comb(2 * n, c)
-    return KernelMatrix._raw(D, terms)
+            # d! / (m! m! n! n!) = C(d, 2m) C(2m, m) C(2n, n)
+            base = row[2 * m] * math.comb(2 * m, m) * math.comb(2 * n, n)
+            for i in range(-2 * n, 2 * m + 1):
+                acc[(i, 2 * (m - n) - i)] = base * row[2 * n + i]
+    return KernelMatrix._raw(order, terms)
 
 
 def _composed(p: KernelMatrix, q: KernelMatrix, q_terms: list) -> KernelMatrix:
@@ -202,13 +207,20 @@ def kernel_trace(p: KernelMatrix, flips: int) -> tuple[int, ...]:
     return tuple(sum(t.get((i, s * i), 0) for i in modes) for t in p.terms)
 
 
+def _rows_flipped(p: KernelMatrix) -> KernelMatrix:
+    """S p without its rows |i| > order - d at t^d, the right factor that
+    makes kernel_compose the plain product with p: those rows meet no column
+    of a power of A, which holds none |k| > d at t^d."""
+    order = p.order
+    return KernelMatrix._raw(order, [{(-i, j): v for (i, j), v in t.items() if abs(i) <= order - d}
+                                     for d, t in enumerate(p.terms)])
+
+
 def _powers(order: int) -> Iterator[KernelMatrix]:
-    """A, A^2, A^3, ... for the T1 kernel A, one kernel_compose with S A per
-    step, taken only when the next power is asked for."""
+    """A, A^2, A^3, ... for the T1 kernel A, one product with A per step,
+    taken only when the next power is asked for."""
     power = t1_kernel(order)
-    # S A without its rows |i| > order - d at t^d: they meet no column of a power
-    sa = KernelMatrix._raw(order, [{(-i, j): v for (i, j), v in t.items() if abs(i) <= order - d}
-                                   for d, t in enumerate(power.terms)])
+    sa = _rows_flipped(power)
     while True:
         yield power
         # looked up by module name, so a wrapper (perfbench/tracing.py, the
@@ -216,19 +228,66 @@ def _powers(order: int) -> Iterator[KernelMatrix]:
         power = kernel_compose(power, sa)
 
 
+def _by_squaring(a: KernelMatrix, sa: KernelMatrix, n: int) -> KernelMatrix:
+    """a^n for n >= 1 and ``sa`` the rows-flipped a: over the bits of n after
+    the first, square, then multiply by a where the bit is set."""
+    power = a
+    for bit in bin(n)[3:]:
+        power = kernel_compose(power, _rows_flipped(power))
+        if bit == "1":
+            power = kernel_compose(power, sa)
+    return power
+
+
 def _power(order: int, n: int) -> KernelMatrix:
-    """A^n for n >= 1, in n - 1 products."""
-    return next(islice(_powers(order), n - 1, None))
+    """A^n for n >= 1."""
+    a = t1_kernel(order)
+    return _by_squaring(a, _rows_flipped(a), n)
+
+
+def _pair_traces(p: KernelMatrix, q: KernelMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """tr(p q) and tr(p q S) of the d!-scaled kernels, without forming p q:
+    t^d sums C(d, d_a) p[i, j] q[j, i], and p[i, j] q[j, -i] for the flip,
+    over p's entries at t^(d_a) and the entries q stores at t^(d - d_a)."""
+    order = p.order
+    plain, flipped = [0] * (order + 1), [0] * (order + 1)
+    for da, tp in enumerate(p.terms):
+        if not tp:
+            continue
+        for db in range(order - da + 1):
+            tq = q.terms[db]
+            if not tq:
+                continue
+            same = cross = 0
+            for (i, j), v in tp.items():
+                w = tq.get((j, i))
+                if w is not None:
+                    same += v * w
+                w = tq.get((j, -i))
+                if w is not None:
+                    cross += v * w
+            w = math.comb(da + db, da)
+            plain[da + db] += w * same
+            flipped[da + db] += w * cross
+    return tuple(plain), tuple(flipped)
 
 
 def trace_periods(g: int, parity: int, order: int) -> tuple[int, ...]:
     """Periods pi_0..pi_order of the closed genus-g graph of the given
-    parity: tr(A^(g-1) S^(g-1+parity)) of the d!-scaled kernels."""
+    parity: tr(A^(g-1) S^(g-1+parity)) of the d!-scaled kernels, A^(g-1)
+    paired as A^ceil((g-1)/2) times A^floor((g-1)/2)."""
     if g < 2:
         raise ValueError("the trace formula needs genus >= 2")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    return kernel_trace(_power(order, g - 1), g - 1 + parity)
+    n = g - 1
+    a = t1_kernel(order)
+    if n == 1:
+        return kernel_trace(a, n + parity)
+    sa = _rows_flipped(a)
+    low = _by_squaring(a, sa, n // 2)
+    high = kernel_compose(low, sa) if n % 2 else low
+    return _pair_traces(high, low)[(n + parity) % 2]
 
 
 def trace_formula(g: int, parity: int, order: int) -> TSeries:
@@ -237,15 +296,24 @@ def trace_formula(g: int, parity: int, order: int) -> TSeries:
 
 
 def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], tuple[int, ...]]:
-    """trace_periods for every genus 2..g_max and both parities, sharing
-    the accumulated kernel powers."""
+    """trace_periods for every genus 2..g_max and both parities: genus
+    n + 1 pairs A^ceil(n/2) with A^floor(n/2), so the powers come one
+    product at a time, up to A^floor(g_max/2), and only the last two are kept."""
     if g_max < 2:
         raise ValueError("need g_max >= 2")
+    powers = _powers(order)
+    low = high = next(powers)  # A^floor(n/2) and A^ceil(n/2)
+    traces = kernel_trace(high, 0), kernel_trace(high, 1)  # tr(A) and tr(A S) for n = 1
     table = {}
-    # range first: zip stops before asking for a power past A^(g_max-1)
-    for g, power in zip(range(2, g_max + 1), _powers(order)):
+    for n in range(1, g_max):
+        if n > 1:
+            if n % 2:
+                high = next(powers)
+            else:
+                low = high
+            traces = _pair_traces(high, low)
         for parity in (0, 1):
-            table[(g, parity)] = kernel_trace(power, g - 1 + parity)
+            table[(n + 1, parity)] = traces[(n + parity) % 2]
     return table
 
 
@@ -254,8 +322,7 @@ def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], tuple[i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryState:
+class BoundaryState(NamedTuple):
     """The state of an open graph in the walk's integers: ``terms[d]`` maps
     leaf exponents, in ``leaf_vars`` order, to d! times the coefficient of
     t^d, zeros left out.  In a graph's state every leaf exponent at t^d is
@@ -299,7 +366,9 @@ def k_state(g: ColoredGraph, order: int) -> BoundaryState:
     along the internal edges, never summing W, and keeps the leaf variables.
     A closed graph's periods are the state of a graph with no leaves.
     """
-    # graph_potential is looked up by module name, so a wrapper sees the call
+    # imported at the call, so a wrapper of graph_potential sees it
+    from .potential import graph_potential
+
     pieces = graph_potential(g).per_vertex.values()
     leaf_vars = tuple(sorted(x.id for x in g.leaves))
     return BoundaryState(order, leaf_vars, walk_terms(pieces, order, leaf_vars))
@@ -337,6 +406,9 @@ def wdvv_check(parity: int, order: int) -> bool:
     of exp(t w_p) along m.  It must be invariant under all 24 slot
     permutations, which (12) and (1234) generate.
     """
+    from .graphs import make_graph
+    from .potential import DEFAULT_ORIENTATION
+
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     out_a, out_b = DEFAULT_ORIENTATION[parity], DEFAULT_ORIENTATION[1 - parity]

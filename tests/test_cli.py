@@ -489,6 +489,28 @@ def test_no_command_imports_numpy():
     assert out.split() == ["False", "True"]
 
 
+@pytest.mark.parametrize("argv,also_absent", [
+    (("period", "--graph", "theta.json", "--order", "8", "--method", "tqft", "--json"), ()),
+    (("table", "--genus-max", "4", "--order", "8"), ("graphpotentials.graphs",)),
+    (("kernel", "--order", "4"), ("graphpotentials.graphs",)),
+], ids=["period-tqft", "table", "kernel"])
+def test_trace_formula_commands_load_only_what_they_run(argv, also_absent):
+    # the kernel commands call no graph-potential code, and no record needs
+    # dataclasses; `table` and `kernel` read no graph either
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code = ("import contextlib, io, json, sys\n"
+            "from graphpotentials import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    loaded = set(json.loads(subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                                           capture_output=True, text=True, check=True).stdout))
+    assert {"graphpotentials.periods", "graphpotentials.tqft"} <= loaded
+    for name in ("dataclasses", "graphpotentials.algebra", "graphpotentials.potential",
+                 "graphpotentials.mutation", *also_absent):
+        assert name not in loaded
+
+
 def test_reader_closing_the_pipe_early_ends_quietly():
     # the kernel at order 24 prints far more than a pipe holds, so the
     # command is still writing when its reader goes away

@@ -2,7 +2,6 @@ import importlib.util
 import json
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -103,7 +102,7 @@ def _both_re_pairings(g, edge_id):
     v2 = g.edge(edge_id).ends[1]
     c, d = (s[1] for s in vertex_slots(g)[v2] if s[1] != edge_id)
     swap = {c: d, d: c}
-    swapped = replace(g, edges=tuple(replace(e, id=swap.get(e.id, e.id)) for e in g.edges))
+    swapped = g._replace(edges=tuple(e._replace(id=swap.get(e.id, e.id)) for e in g.edges))
     return elementary_transformation(g, edge_id), elementary_transformation(swapped, edge_id)
 
 

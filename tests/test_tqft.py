@@ -92,7 +92,7 @@ class TestBessel:
 
 class TestT1Kernel:
     def test_closed_form_equals_direct_product(self):
-        for order in (8, 12):
+        for order in (*range(17), 24):
             assert t1_kernel(order) == t1_kernel_direct(order)
 
     def test_sample_entries(self):
@@ -352,24 +352,36 @@ class TestOperators:
 
 class TestTraceFormula:
     def test_genus2_odd_is_central_binomial_cubed(self):
-        t = trace_formula(2, 1, 16)
-        for n in range(9):
-            assert t.coeffs[2 * n] == Fraction(comb(2 * n, n) ** 3, factorial(2 * n))
+        # pi_2d = C(2d, d)^3 (Coates, Corti, Galkin, Kasprzyk, arXiv:1303.3288)
+        t = trace_formula(2, 1, 64)
+        for k in range(65):
+            assert t.coeffs[k] == (Fraction(comb(k, k // 2) ** 3, factorial(k)) if k % 2 == 0 else 0)
 
     def test_genus2_even_anchors(self):
         t = trace_formula(2, 0, 12)
         table = {0: 1, 4: 384, 8: 645120, 12: 1513881600}
         for k in range(13):
             assert t.coeffs[k] * factorial(k) == table.get(k, 0)
+        # in closed form pi_4m = C(4m, 2m) 16^m C(2m, m)^2, and 0 elsewhere
+        even = tuple(comb(k, k // 2) * 16 ** (k // 4) * comb(k // 2, k // 4) ** 2
+                     if k % 4 == 0 else 0 for k in range(65))
+        assert trace_periods(2, 0, 64) == trace_formula_table(3, 64)[(2, 0)] == even
 
     def test_genus_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             trace_formula(1, 0, 4)
 
-    @pytest.mark.parametrize("g", [2, 3, 4, 7])
+    # genus -> (products for one trace, products for the table up to it):
+    # A^(g-1) is paired as A^ceil((g-1)/2) times A^floor((g-1)/2), the
+    # second by squaring, the first one product more when g - 1 is odd
+    # (g = 16: A^7 from A, A^2, A^3, A^6, A^7, then A^8); the table builds
+    # A^1..A^floor(g/2), one product each
+    PRODUCTS = {2: (0, 0), 3: (0, 0), 4: (1, 1), 7: (2, 2), 8: (3, 3), 16: (5, 7), 25: (4, 11)}
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 7, 8, 16, 25])
     def test_one_product_per_genus_step(self, g, monkeypatch):
-        # the power loop draws A^(g-1) in g - 2 compositions with S A, and
-        # calls them through the module name so that a wrapper sees each one
+        # the products are counted through the module name, where a wrapper
+        # (perfbench/tracing.py) sees each one
         from graphpotentials import tqft
 
         real = tqft.kernel_compose
@@ -380,13 +392,14 @@ class TestTraceFormula:
             return real(p, q)
 
         monkeypatch.setattr(tqft, "kernel_compose", counting)
+        single, table = self.PRODUCTS[g]
         for parity in (0, 1):
             calls.clear()
             trace_formula(g, parity, 6)
-            assert len(calls) == g - 2
+            assert len(calls) == single
         calls.clear()
         trace_formula_table(g, 6)
-        assert len(calls) == g - 2
+        assert len(calls) == table
 
     def test_table_matches_single_calls(self):
         table = trace_formula_table(5, 8)
@@ -449,6 +462,51 @@ class TestTracePeriods:
         assert str(built.value) == str(refused.value)
 
 
+def composed_chain(order: int, beads: int) -> list[KernelMatrix]:
+    """A, A o A, A o A o A, ... up to ``beads`` factors: the chain of
+    kernel_compose calls, A^k S^(k-1), a flip between every two factors and
+    no pruning.  The oracle for powers by squaring and paired traces."""
+    a = t1_kernel(order)
+    chain = [a]
+    while len(chain) < beads:
+        chain.append(kernel_compose(chain[-1], a))
+    return chain
+
+
+class TestSquaringAndPairing:
+    """trace_periods and the table against the chain:
+    tr(A^(g-1) S^(g-1+parity)) is the chain of g - 1 factors with 1 + parity
+    more flips."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 8, 13, 16, 21, 24])
+    def test_trace_periods_match_the_chain(self, order):
+        chain = composed_chain(order, 24)
+        for g in range(2, 26):
+            for parity in (0, 1):
+                want = kernel_trace(chain[g - 2], 1 + parity)
+                assert trace_periods(g, parity, order) == want, (g, parity)
+
+    @pytest.mark.parametrize("g_max", [2, 3, 7, 12, 25])
+    def test_table_matches_the_chain(self, g_max):
+        for order in (0, 1, 8, 13, 24):
+            chain = composed_chain(order, g_max - 1)
+            table = trace_formula_table(g_max, order)
+            # the CSV columns follow this order
+            assert list(table) == [(g, p) for g in range(2, g_max + 1) for p in (0, 1)]
+            assert table == {(g, p): kernel_trace(chain[g - 2], 1 + p) for g, p in table}
+
+    def test_right_factor_drops_only_the_rows_no_power_meets(self):
+        # at t^d a power of A has no column |k| > d, so rows |i| > K - d of
+        # the right factor meet nothing within the order
+        order = 12
+        a3 = tqft._power(order, 3)
+        pruned = tqft._rows_flipped(a3)
+        for d, (t, kept) in enumerate(zip(a3.terms, pruned.terms)):
+            assert kept == {(-i, j): v for (i, j), v in t.items() if abs(i) <= order - d}
+        assert sum(map(len, pruned.terms)) < sum(map(len, a3.terms))
+        assert kernel_compose(a3, pruned) == dense_product(a3, a3)
+
+
 class TestBoundaryStates:
     @pytest.mark.parametrize("g,parity", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_k_state_matches_kernel_power(self, g, parity):
@@ -463,21 +521,18 @@ class TestBoundaryStates:
     @pytest.mark.parametrize("parity", [0, 1])
     def test_necklace_state_is_the_composed_chain(self, parity):
         # A o A o ... o A (each o inserts a flip), then one right flip for
-        # odd parity: pins necklace_state's A^g S^(g-1+parity) without k_state
+        # odd parity: pins necklace_state's A^g S^(g-1+parity), built by
+        # squaring, without k_state
         order = 10
         a = t1_kernel(order)
         chain = a
-        for g in range(1, 6):
+        for g in range(1, 12):
             if g > 1:
                 chain = kernel_compose(chain, a)
             expect = kernel_matmul(chain, flip_operator(order)) if parity else chain
             state = necklace_state(g, parity, order)
             assert state.leaf_vars == XY
-            for d in range(order + 1):
-                terms = state.terms[d]
-                for i in range(-order, order + 1):
-                    for j in range(-order, order + 1):
-                        assert terms.get((i, j), 0) == expect.entry(i, j).coeffs[d] * factorial(d)
+            assert state.terms == expect.terms, g
 
     def test_bessel_product_for_open_genus_one(self):
         # two pairs of pants glued along two of their boundaries
