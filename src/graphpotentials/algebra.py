@@ -96,9 +96,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_coefficient(self) -> Scalar:
-        return self.terms.get((0,) * len(self.vars), 0)
-
     def support(self) -> list[Exponents]:
         """Sorted exponent vectors with nonzero coefficient."""
         return sorted(self.terms)
@@ -204,25 +201,6 @@ class LaurentPoly:
             parts.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
         rest = self.vars[:i] + self.vars[i + 1:]
         return {k: LaurentPoly._raw(rest, t) for k, t in parts.items()}
-
-    def constant_term(self, names: Iterable[str] | None = None) -> "LaurentPoly":
-        """Part with exponent 0 in every named variable, those variables dropped.
-
-        With ``names=None`` the constant term in all variables is taken and
-        the result is a polynomial over the empty variable tuple.
-        """
-        if names is None:
-            names = self.vars
-        drop = set(names)
-        for v in drop:
-            if v not in self.vars:
-                raise ValueError(f"unknown variable {v!r}")
-        out = self
-        for v in drop:
-            out = out.by_degree(v).get(0)
-            if out is None:
-                return LaurentPoly.zero(tuple(x for x in self.vars if x not in drop))
-        return out
 
     def negate_var(self, name: str) -> "LaurentPoly":
         """Substitute ``name -> name**-1``."""
@@ -382,10 +360,6 @@ class TSeries(Record):
         if len(coeffs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
         self._set(order, coeffs)
-
-    @classmethod
-    def from_list(cls, coeffs: Sequence) -> "TSeries":
-        return cls(len(coeffs) - 1, tuple(coeffs))
 
     def __getitem__(self, d: int):
         return self.coeffs[d]

@@ -86,6 +86,18 @@ def _print_json(data):
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
+def _report(rows, failure: str) -> int:
+    """Print a PASS or FAIL line for each (ok, text) row, as it comes, then
+    raise VerificationFailure(failure) if any row failed."""
+    failed = False
+    for ok, text in rows:
+        failed = failed or not ok
+        print(f"{'PASS' if ok else 'FAIL'} {text}")
+    if failed:
+        raise VerificationFailure(failure)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -204,46 +216,28 @@ def cmd_verify_mutation(args) -> int:
         edges = sorted(e.id for e in g.edges if e.ends[0] != e.ends[1])
         if not edges:
             raise UsageError("graph has no non-loop internal edges")
-    reports = {}
+    rows = []  # every report before any line: a bad edge prints nothing
     for eid in edges:
         try:
-            reports[eid] = mutation_report(bundle, eid)
+            report = mutation_report(bundle, eid)
         except KeyError:
             raise UsageError(f"no edge {eid!r} in {args.graph}") from None
         except ValueError as exc:
             raise UsageError(f"edge {eid!r}: {exc}") from exc
-    failed = False
-    for eid in edges:
-        report = reports[eid]
-        ok = all(report.values())
-        failed = failed or not ok
         detail = " ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in sorted(report.items()))
-        print(f"{'PASS' if ok else 'FAIL'} edge {eid}: {detail}")
-    if failed:
-        raise VerificationFailure("mutation verification failed")
-    return 0
+        rows.append((all(report.values()), f"edge {eid}: {detail}"))
+    return _report(rows, "mutation verification failed")
 
 
 def cmd_verify_coloring(args) -> int:
-    from .graphs import coloring_boundary_move
-    from .mutation import _frozen_unchanged
+    from .mutation import coloring_report
     from .potential import graph_potential
 
-    g = _read_graph(args.graph)
-    bundle = graph_potential(g)
-    failed = False
-    for e in sorted(g.edges, key=lambda e: e.id):
-        # every other vertex is unchanged and each endpoint inverts e: summed,
-        # the moved potential is the potential with e inverted
-        moved = graph_potential(coloring_boundary_move(g, e.id))
-        ok = _frozen_unchanged(bundle, moved, e.id) and all(
-            moved.per_vertex[v] == bundle.per_vertex[v].negate_var(e.id) for v in e.ends)
-        failed = failed or not ok
-        print(f"{'PASS' if ok else 'FAIL'} edge {e.id}: "
-              f"boundary move matches inverting {e.id}")
-    if failed:
-        raise VerificationFailure("coloring verification failed")
-    return 0
+    bundle = graph_potential(_read_graph(args.graph))
+    rows = ((all(coloring_report(bundle, e.id).values()),
+             f"edge {e.id}: boundary move matches inverting {e.id}")
+            for e in sorted(bundle.graph.edges, key=lambda e: e.id))
+    return _report(rows, "coloring verification failed")
 
 
 def cmd_table(args) -> int:
@@ -306,15 +300,9 @@ def cmd_wdvv(args) -> int:
     from .tqft import wdvv_check
 
     parities = (0, 1) if args.parity == "both" else (int(args.parity),)
-    failed = False
-    for parity in parities:
-        ok = wdvv_check(parity, args.order)
-        failed = failed or not ok
-        print(f"{'PASS' if ok else 'FAIL'} parity {parity}: "
-              f"four-point symmetry at order {args.order}")
-    if failed:
-        raise VerificationFailure("four-point symmetry failed")
-    return 0
+    rows = ((wdvv_check(p, args.order), f"parity {p}: four-point symmetry at order {args.order}")
+            for p in parities)
+    return _report(rows, "four-point symmetry failed")
 
 
 def cmd_glue(args) -> int:

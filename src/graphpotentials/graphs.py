@@ -231,12 +231,19 @@ def vertex_slots(g: ColoredGraph) -> dict[str, list[tuple]]:
     the slot carries in the potential.  Every endpoint and leaf vertex must
     name a vertex of ``g``.
     """
-    slots: dict[str, list[tuple]] = {v.id: [] for v in g.vertices}
+    return _slots_at(g, [v.id for v in g.vertices])
+
+
+def _slots_at(g: ColoredGraph, vids: Sequence[str]) -> dict[str, list[tuple]]:
+    """The rows of :func:`vertex_slots` at the vertices ``vids`` alone."""
+    slots: dict[str, list[tuple]] = {v: [] for v in vids}
     for e in sorted(g.edges, key=lambda e: e.id):
         for j, end in enumerate(e.ends):
-            slots[end].append(("edge", e.id, j))
+            if end in slots:
+                slots[end].append(("edge", e.id, j))
     for leaf in sorted(g.leaves, key=lambda x: x.id):
-        slots[leaf.vertex].append(("leaf", leaf.id))
+        if leaf.vertex in slots:
+            slots[leaf.vertex].append(("leaf", leaf.id))
     return slots
 
 
@@ -255,12 +262,12 @@ def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:
 def elementary_move(g: ColoredGraph, edge_id: str
                     ) -> tuple[ColoredGraph, tuple[tuple[str, str], tuple[str, str]]]:
     """:func:`elementary_transformation` at ``edge_id`` together with the
-    variable names (a, b), (c, d) of the slots it re-pairs, from one build
-    of the slot table."""
+    variable names (a, b), (c, d) of the slots it re-pairs, read off the
+    rows of the edge's two endpoints alone."""
     v1, v2 = g.edge(edge_id).ends
     if v1 == v2:
         raise ValueError(f"edge {edge_id} is a loop")
-    slots = vertex_slots(g)
+    slots = _slots_at(g, (v1, v2))
     s1, s2 = ([s for s in slots[v] if s[:2] != ("edge", edge_id)] for v in (v1, v2))
     if len(s1) != 2 or len(s2) != 2:
         raise ValueError(f"edge {edge_id}: endpoints are not trivalent")
@@ -448,7 +455,7 @@ def enumerate_trivalent(g: int) -> tuple[ColoredGraph, ...]:
 
 
 def with_colors(g: ColoredGraph, colors: Mapping[str, int]) -> ColoredGraph:
-    new = tuple(v._replace(color=colors.get(v.id, v.color)) for v in g.vertices)
+    new = tuple(Vertex(v.id, colors[v.id]) if v.id in colors else v for v in g.vertices)
     return g._replace(vertices=new)
 
 

@@ -24,7 +24,11 @@ product identity are the same statement:
 :func:`mutate` therefore certifies a move by the splits, the product
 identity and the frozen part.  :func:`mutation_report`, behind
 ``graphpot verify mutation``, re-verifies it independently by the full
-symbolic substitution.
+symbolic substitution.  :func:`coloring_report`, behind ``graphpot verify
+coloring``, checks the other move: a coloring boundary move inverts the edge
+variable.  Both moves rebuild the edge's endpoint potentials alone, and
+their ``frozen_unchanged`` compares every other vertex in fresh slot tables
+of the two graphs (:func:`~graphpotentials.potential.moved_bundle`).
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import LaurentPoly, RationalExpr, rexpr_equal, rexpr_substitute, sum_over
-from .graphs import elementary_move
-from .potential import PotentialBundle, graph_potential
+from .graphs import coloring_boundary_move, elementary_move
+from .potential import PotentialBundle, moved_bundle
 
 
 class MutationCertificate(NamedTuple):
@@ -67,13 +71,6 @@ def local_potential(bundle: PotentialBundle, edge_id: str) -> LaurentPoly:
     return sum_over(tuple(sorted(set(w1.vars) | set(w2.vars))), (w1, w2))
 
 
-def _frozen_unchanged(bundle: PotentialBundle, moved: PotentialBundle, edge_id: str) -> bool:
-    """Whether every vertex off the edge has the same potential in both."""
-    ends = bundle.graph.edge(edge_id).ends
-    return bundle.per_vertex.keys() == moved.per_vertex.keys() and all(
-        w == moved.per_vertex[v] for v, w in bundle.per_vertex.items() if v not in ends)
-
-
 def _x_coefficients(local: LaurentPoly, x: str) -> tuple[LaurentPoly, LaurentPoly]:
     """Split ``local = mu * x**-1 + nu * x``; x-degrees must be exactly +-1."""
     parts = local.by_degree(x)
@@ -85,12 +82,12 @@ def _x_coefficients(local: LaurentPoly, x: str) -> tuple[LaurentPoly, LaurentPol
 
 
 def _certificate(bundle: PotentialBundle, edge_id: str):
-    """(transformed bundle, certificate, local potential of the source, local
-    potential of the target) from one build of the transformed bundle."""
+    """(transformed bundle, certificate, frozen_unchanged, local potentials of
+    the source and of the target) from one build of the transformed bundle."""
     g = bundle.graph
     v1, v2 = g.edge(edge_id).ends
     moved, slots = elementary_move(g, edge_id)
-    bundle2 = graph_potential(moved)
+    bundle2, frozen = moved_bundle(bundle, moved, (v1, v2))
     local = local_potential(bundle, edge_id)
     local2 = local_potential(bundle2, edge_id)
     mu, nu = _x_coefficients(local, edge_id)
@@ -105,7 +102,7 @@ def _certificate(bundle: PotentialBundle, edge_id: str):
         nu_prime=nu2,
         product_identity_checked=mu * nu == mu2 * nu2,
     )
-    return bundle2, cert, local, local2
+    return bundle2, cert, frozen, local, local2
 
 
 def mu_nu_factors(bundle: PotentialBundle, edge_id: str) -> MutationCertificate:
@@ -124,13 +121,26 @@ def mutation_report(bundle: PotentialBundle, edge_id: str) -> dict[str, bool]:
     This is the independent re-verification of :func:`mutate`: it runs the
     full substitution that :func:`mutate` replaces by the product identity.
     """
-    bundle2, cert, local, local2 = _certificate(bundle, edge_id)
+    _, cert, frozen, local, local2 = _certificate(bundle, edge_id)
     substituted = rexpr_substitute(local, edge_id, cert.substitution)
     return {
         "product_identity": cert.product_identity_checked,
         "substitution_identity": rexpr_equal(substituted, RationalExpr.from_poly(local2)),
-        "frozen_unchanged": _frozen_unchanged(bundle, bundle2, edge_id),
+        "frozen_unchanged": frozen,
     }
+
+
+def coloring_report(bundle: PotentialBundle, edge_id: str) -> dict[str, bool]:
+    """Named checks that the coloring boundary move at an edge, loops
+    included, inverts the edge variable and nothing else in the potential.
+
+    * ``frozen_unchanged``: every other vertex potential is unchanged
+    * ``ends_invert_edge``: each endpoint potential has the edge inverted
+    """
+    ends = bundle.graph.edge(edge_id).ends
+    moved, frozen = moved_bundle(bundle, coloring_boundary_move(bundle.graph, edge_id), ends)
+    inverted = all(moved.per_vertex[v] == bundle.per_vertex[v].negate_var(edge_id) for v in ends)
+    return {"frozen_unchanged": frozen, "ends_invert_edge": inverted}
 
 
 def verify_mutation(bundle: PotentialBundle, edge_id: str) -> bool:
@@ -155,12 +165,12 @@ def mutate(bundle: PotentialBundle, edge_id: str) -> tuple[PotentialBundle, Muta
     The transformed bundle is built once and serves the certificate and
     every check.  A failed check raises ``ArithmeticError`` naming it.
     """
-    bundle2, cert, _, _ = _certificate(bundle, edge_id)
+    bundle2, cert, frozen, _, _ = _certificate(bundle, edge_id)
     checks = {
         "nu_nonzero": not cert.nu.is_zero(),
         "mu_prime_nonzero": not cert.mu_prime.is_zero(),
         "product_identity": cert.product_identity_checked,
-        "frozen_unchanged": _frozen_unchanged(bundle, bundle2, edge_id),
+        "frozen_unchanged": frozen,
     }
     failed = sorted(k for k, v in checks.items() if not v)
     if failed:

@@ -246,11 +246,12 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     h0, h1 = homology_ranks_f2(g)
     if h0 != 1:
         raise ValueError("periods are defined for connected graphs")
-    fp = graph_fingerprint(g)
+    parity = g.coloring_parity()
+    fp = f"g{h1}e{parity}"  # graph_fingerprint(g), from the homology computed here
     if method == "brute":
         return PeriodSequence(order, tuple(t.get((), 0) for t in walk_terms(pieces, order)), fp)
     if method == "tqft":
         from .tqft import trace_periods
 
-        return PeriodSequence(order, trace_periods(h1, g.coloring_parity(), order), fp)
+        return PeriodSequence(order, trace_periods(h1, parity, order), fp)
     raise ValueError(f"unknown method {method!r}")

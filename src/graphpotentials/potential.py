@@ -12,10 +12,10 @@ for the vertex color (out at color 0, in at color 1).
 from __future__ import annotations
 
 from itertools import product
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import LaurentPoly, sum_over
-from .graphs import ColoredGraph, genus, require_valid, vertex_slots
+from .graphs import ColoredGraph, Vertex, genus, require_valid, vertex_slots
 
 DEFAULT_ORIENTATION = {0: "out", 1: "in"}
 
@@ -63,17 +63,53 @@ class PotentialBundle(NamedTuple):
 
 def graph_potential(g: ColoredGraph) -> PotentialBundle:
     require_valid(g)
-    variables = tuple(sorted([e.id for e in g.edges] + [x.id for x in g.leaves]))
+    return PotentialBundle(g, _variables(g), _vertex_potentials(g, vertex_slots(g), g.vertices))
+
+
+def moved_bundle(bundle: PotentialBundle, moved: ColoredGraph,
+                 changed: Sequence[str]) -> tuple[PotentialBundle, bool]:
+    """The bundle of ``moved``, a graph that a move made from ``bundle.graph``
+    and that differs from it at the vertices ``changed`` alone, and whether it
+    does.
+
+    Only the potentials at ``changed`` are built; every other vertex keeps its
+    potential from ``bundle``.  That is right exactly when the returned bool
+    holds: every other vertex has the same color, the same row of
+    :func:`vertex_slots` and the same orientations of its leaves in both
+    graphs, read off a fresh slot table of each, so that the check does not
+    rest on the move code.
+    """
+    require_valid(moved)
+    before, after = vertex_slots(bundle.graph), vertex_slots(moved)
+    unchanged = _vertex_data(bundle.graph, before, changed) == _vertex_data(moved, after, changed)
+    rebuilt = _vertex_potentials(moved, after, (v for v in moved.vertices if v.id in changed))
+    return PotentialBundle(moved, _variables(moved), {**bundle.per_vertex, **rebuilt}), unchanged
+
+
+def _variables(g: ColoredGraph) -> tuple[str, ...]:
+    return tuple(sorted([e.id for e in g.edges] + [x.id for x in g.leaves]))
+
+
+def _vertex_potentials(g: ColoredGraph, slots: Mapping[str, list[tuple]],
+                       vertices: Iterable[Vertex]) -> dict[str, LaurentPoly]:
+    """The potentials of ``vertices``, vertices of g, from g's slot table."""
     orientation = {x.id: x.orientation for x in g.leaves}
-    slots = vertex_slots(g)
     per_vertex = {}
-    for v in g.vertices:
+    for v in vertices:
         w = vertex_potential([s[1] for s in slots[v.id]], v.color)
         for s in slots[v.id]:
             if s[0] == "leaf" and orientation[s[1]] != DEFAULT_ORIENTATION[v.color]:
                 w = w.negate_var(s[1])
         per_vertex[v.id] = w
-    return PotentialBundle(g, variables, per_vertex)
+    return per_vertex
+
+
+def _vertex_data(g: ColoredGraph, slots: Mapping[str, list[tuple]], changed: Sequence[str]):
+    """What the potentials of the vertices of g outside ``changed`` are built
+    from: their colors, their slots and the orientations of their leaves."""
+    return ({v.id: v.color for v in g.vertices if v.id not in changed},
+            {v: row for v, row in slots.items() if v not in changed},
+            {x.id: x.orientation for x in g.leaves if x.vertex not in changed})
 
 
 def quadrivalent_potential(slots: Sequence[str], z: str, parity: int) -> LaurentPoly:

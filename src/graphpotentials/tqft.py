@@ -248,7 +248,8 @@ def _power(order: int, n: int) -> KernelMatrix:
 def _pair_traces(p: KernelMatrix, q: KernelMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """tr(p q) and tr(p q S) of the d!-scaled kernels, without forming p q:
     t^d sums C(d, d_a) p[i, j] q[j, i], and p[i, j] q[j, -i] for the flip,
-    over p's entries at t^(d_a) and the entries q stores at t^(d - d_a)."""
+    over p's entries at t^(d_a) and q's at t^(d - d_a), walking the smaller
+    of the two and looking up the other."""
     order = p.order
     plain, flipped = [0] * (order + 1), [0] * (order + 1)
     for da, tp in enumerate(p.terms):
@@ -259,13 +260,22 @@ def _pair_traces(p: KernelMatrix, q: KernelMatrix) -> tuple[tuple[int, ...], tup
             if not tq:
                 continue
             same = cross = 0
-            for (i, j), v in tp.items():
-                w = tq.get((j, i))
-                if w is not None:
-                    same += v * w
-                w = tq.get((j, -i))
-                if w is not None:
-                    cross += v * w
+            if len(tp) <= len(tq):
+                for (i, j), v in tp.items():
+                    w = tq.get((j, i))
+                    if w is not None:
+                        same += v * w
+                    w = tq.get((j, -i))
+                    if w is not None:
+                        cross += v * w
+            else:
+                for (j, i), w in tq.items():
+                    v = tp.get((i, j))
+                    if v is not None:
+                        same += v * w
+                    v = tp.get((-i, j))
+                    if v is not None:
+                        cross += v * w
             w = math.comb(da + db, da)
             plain[da + db] += w * same
             flipped[da + db] += w * cross

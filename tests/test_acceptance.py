@@ -160,7 +160,7 @@ def test_criterion_07_bessel_product_and_glue():
             power = p ** (2 * m)
             coeffs[2 * m] = LaurentPoly(power.vars, {
                 e: c / Fraction(factorial(m)) ** 2 for e, c in power.terms.items()})
-        return TSeries.from_list(coeffs)
+        return TSeries(8, tuple(coeffs))
 
     left = bessel_of(LaurentPoly(xy, {(1, 0): Fraction(1), (0, -1): Fraction(1)}))
     right = bessel_of(LaurentPoly(xy, {(-1, 0): Fraction(1), (0, 1): Fraction(1)}))

@@ -26,6 +26,25 @@ def var(name, variables=AB):
     return LaurentPoly.variable(variables, name)
 
 
+def series(coeffs) -> TSeries:
+    """The series truncated after the last of ``coeffs``."""
+    return TSeries(len(coeffs) - 1, tuple(coeffs))
+
+
+def constant_term(p: LaurentPoly, names=None) -> LaurentPoly:
+    """The part of p with exponent 0 in every named variable (default: all),
+    over the variables left."""
+    drop = set(p.vars if names is None else names)
+    assert drop <= set(p.vars)
+    for v in drop:
+        p = p.by_degree(v).get(0, LaurentPoly.zero(tuple(x for x in p.vars if x != v)))
+    return p
+
+
+def constant_coefficient(p: LaurentPoly):
+    return p.terms.get((0,) * len(p.vars), 0)
+
+
 class TestLaurentPoly:
     def test_zero_coefficients_dropped(self):
         p = LaurentPoly(AB, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
@@ -55,15 +74,15 @@ class TestLaurentPoly:
 
     def test_constant_term_all_vars(self):
         p = P({(0, 0): 7, (1, -1): 3})
-        assert p.constant_term() == P({(): 7}, ())
-        assert p.constant_coefficient() == 7
-        assert type(P({(1, -1): 3}).constant_coefficient()) is int  # 0, not Fraction(0)
+        assert constant_term(p) == P({(): 7}, ())
+        assert constant_coefficient(p) == 7
+        assert type(constant_coefficient(P({(1, -1): 3}))) is int  # 0, not Fraction(0)
 
     def test_constant_term_some_vars(self):
         # killing only `a` keeps the b-dependence of the a-free part
         p = P({(0, 2): 5, (1, 2): 1, (0, -1): 2})
-        assert p.constant_term(["a"]) == P({(2,): 5, (-1,): 2}, ("b",))
-        assert P({(1, 2): 1}).constant_term(["a"]) == LaurentPoly.zero(("b",))
+        assert constant_term(p, ["a"]) == P({(2,): 5, (-1,): 2}, ("b",))
+        assert constant_term(P({(1, 2): 1}), ["a"]) == LaurentPoly.zero(("b",))
 
     def test_by_degree(self):
         # W = mu/a + nu*a: the a-degrees that occur, each over b
@@ -131,7 +150,7 @@ class TestCoefficientPolicy:
     def test_operations_keep_int_and_fraction(self, p, q, k):
         ints_only = all(type(c) is int for c in (*p.terms.values(), *q.terms.values(), k))
         results = [p + q, p - q, p * q, p * k, k * p, p + k, k - p, p.embed(("a", "b", "c")),
-                   p.negate_var("a"), p.constant_term(["a"]), *p.by_degree("b").values()]
+                   p.negate_var("a"), constant_term(p, ["a"]), *p.by_degree("b").values()]
         for r in results:
             for c in r.terms.values():
                 assert c != 0
@@ -194,13 +213,13 @@ class TestRationalExpr:
 
 class TestTSeries:
     def test_from_list_and_truncate(self):
-        s = TSeries.from_list([1, 0, 2, 5])
+        s = series([1, 0, 2, 5])
         assert s.order == 3
         assert s.coeffs == (1, 0, 2, 5)
 
     def test_mul_truncates_to_min_order(self):
-        s = TSeries.from_list([1, 1, 1])
-        t = TSeries.from_list([1, 2, 0, 0, 0])
+        s = series([1, 1, 1])
+        t = series([1, 2, 0, 0, 0])
         u = s * t
         assert u.order == 2
         assert u.coeffs == (1, 3, 3)
@@ -208,7 +227,7 @@ class TestTSeries:
     def test_ts_exp_of_scalar_poly(self):
         w = LaurentPoly.constant(("x",), 2)
         e = ts_exp(w, 4)
-        got = [c.constant_coefficient() for c in e.coeffs]
+        got = [constant_coefficient(c) for c in e.coeffs]
         assert got == [1, 2, 2, Fraction(4, 3), Fraction(2, 3)]
 
     def test_ts_exp_powers(self):
@@ -225,9 +244,9 @@ class TestPairing:
         # degree k of the pairing is sum over a+b=k of the constant term in m
         # of f_a(m) * g_b(1/m)
         vs = ("m", "x")
-        f = TSeries.from_list([P({(1, 0): 1, (-1, 0): 1}, vs),
+        f = series([P({(1, 0): 1, (-1, 0): 1}, vs),
                                P({(1, 1): 1, (-1, 0): 1}, vs)])
-        g = TSeries.from_list([P({(1, 0): 1}, vs),
+        g = series([P({(1, 0): 1}, vs),
                                P({(1, 1): 1}, vs)])
         paired = pairing_in_var(f, g, "m")
         direct = []
@@ -235,13 +254,13 @@ class TestPairing:
             acc = LaurentPoly.zero(("x",))
             for a in range(k + 1):
                 prod = f.coeffs[a] * g.coeffs[k - a].negate_var("m")
-                acc = acc + prod.constant_term(["m"])
+                acc = acc + constant_term(prod, ["m"])
             direct.append(acc)
-        assert paired == TSeries.from_list(direct)
+        assert paired == series(direct)
         assert paired.coeffs[1] == P({(1,): 2}, ("x",))
 
     def test_pairing_drops_the_variable(self):
-        f = TSeries.from_list([P({(1,): 1, (-1,): 1}, ("m",))])
+        f = series([P({(1,): 1, (-1,): 1}, ("m",))])
         out = pairing_in_var(f, f, "m")
         assert out.coeffs[0].vars == ()
-        assert out.coeffs[0].constant_coefficient() == 2
+        assert constant_coefficient(out.coeffs[0]) == 2

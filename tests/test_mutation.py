@@ -20,6 +20,7 @@ from graphpotentials.graphs import (
     with_colors,
 )
 from graphpotentials.mutation import (
+    coloring_report,
     local_potential,
     mu_nu_factors,
     mutate,
@@ -169,12 +170,13 @@ class TestThetaDumbbell:
 
         bundle = graph_potential(necklace_graph(3, parity=1))
         calls = []
+        real = mutation_mod.moved_bundle
 
-        def counting(g):
+        def counting(source, g, changed):
             calls.append(g)
-            return graph_potential(g)
+            return real(source, g, changed)
 
-        monkeypatch.setattr(mutation_mod, "graph_potential", counting)
+        monkeypatch.setattr(mutation_mod, "moved_bundle", counting)
         out, _ = mutate(bundle, "s2")
         assert len(calls) == 1 and out.graph is calls[0]
 
@@ -385,11 +387,11 @@ class TestRoutes:
 NECKLACE_G3 = FIXTURES / "necklace_closed_g3.json"  # s2 joins v2 and v3
 
 
-def _doubled(bundle, vid):
-    """``bundle`` with the potential of vertex ``vid`` doubled."""
-    per_vertex = dict(bundle.per_vertex)
-    per_vertex[vid] = per_vertex[vid] * 2
-    return PotentialBundle(bundle.graph, bundle.variables, per_vertex)
+def _rewired_at_v1(g):
+    """A move's result on NECKLACE_G3 with d1 moved from v1 to v4 and s4 (v4-v1)
+    turned into a loop at v1: v1 and v4 change, s2's ends v2 and v3 do not."""
+    ends = {"d1": ("v4", "v2"), "s4": ("v1", "v1")}
+    return g._replace(edges=tuple(e._replace(ends=ends.get(e.id, e.ends)) for e in g.edges))
 
 
 def _forbidden(name):
@@ -399,9 +401,33 @@ def _forbidden(name):
     return forbidden
 
 
+def _rebuilt_coloring_verdict(bundle, edge_id):
+    """The coloring check on a full rebuild of the moved graph's potential:
+    every vertex off the edge keeps its potential, and each end inverts it."""
+    ends = bundle.graph.edge(edge_id).ends
+    moved = graph_potential(coloring_boundary_move(bundle.graph, edge_id)).per_vertex
+    return moved.keys() == bundle.per_vertex.keys() and all(
+        moved[v] == (w.negate_var(edge_id) if v in ends else w)
+        for v, w in bundle.per_vertex.items())
+
+
 class TestVertexWise:
     """The moves are checked vertex by vertex against the source bundle,
     without the full potential."""
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5])
+    def test_moves_rebuild_only_the_ends(self, genus):
+        # the two rebuilt end potentials and the kept ones make up the full
+        # rebuild, and the coloring check agrees with it at every edge
+        for g in enumerate_trivalent(genus):
+            for parity in (0, 1):
+                bundle = graph_potential(with_colors(g, {"v0": parity}))
+                for e in g.edges:
+                    if e.ends[0] != e.ends[1]:
+                        moved, _ = mutate(bundle, e.id)
+                        assert moved.per_vertex == graph_potential(moved.graph).per_vertex
+                    assert all(coloring_report(bundle, e.id).values()) \
+                        == _rebuilt_coloring_verdict(bundle, e.id)
 
     def test_moves_never_build_the_full_potential(self, monkeypatch, capsys):
         from graphpotentials import cli
@@ -413,7 +439,7 @@ class TestVertexWise:
         assert cli.main(["verify", "coloring", "--graph", str(NECKLACE_G3)]) == 0
 
     def test_potentials_and_moves_embed_nothing(self, monkeypatch, capsys):
-        # graph_potential runs inside both, on the source and on each moved graph
+        # vertex potentials are built inside both, on the source and on each moved graph
         from graphpotentials import cli
 
         monkeypatch.setattr(LaurentPoly, "embed", _forbidden("embed"))
@@ -422,12 +448,17 @@ class TestVertexWise:
 
     @pytest.fixture
     def corrupted_v1(self, monkeypatch):
-        # v1 is off s2: doubling its potential in the moved graph leaves
-        # both local potentials, and so the product identity, intact
+        # v1 is off s2: rewiring it in the moved graph leaves both local
+        # potentials, and so the product identity, intact
         from graphpotentials import mutation as mutation_mod
 
-        real = mutation_mod.graph_potential
-        monkeypatch.setattr(mutation_mod, "graph_potential", lambda g: _doubled(real(g), "v1"))
+        real = mutation_mod.elementary_move
+
+        def rewiring(g, edge_id):
+            moved, slots = real(g, edge_id)
+            return _rewired_at_v1(moved), slots
+
+        monkeypatch.setattr(mutation_mod, "elementary_move", rewiring)
 
     def test_changed_frozen_vertex_fails_the_mutation(self, corrupted_v1):
         bundle = graph_potential(graph_from_json(json.loads(NECKLACE_G3.read_text())))
@@ -446,14 +477,28 @@ class TestVertexWise:
         assert out == "FAIL edge s2: frozen_unchanged=FAIL product_identity=ok substitution_identity=ok\n"
         assert err == "verification failed: mutation verification failed\n"
 
+    @pytest.mark.parametrize("change", [
+        lambda g: with_colors(g, {"v4": 1}),
+        lambda g: g._replace(leaves=tuple(x._replace(orientation="in") if x.id == "x" else x
+                                          for x in g.leaves)),
+    ], ids=["color", "leaf"])
+    def test_changed_color_or_leaf_off_the_edge_is_seen(self, change, monkeypatch):
+        # s2 joins v2 and v3 of the open genus-2 necklace; x hangs at v1, y at v4
+        from graphpotentials import mutation as mutation_mod
+
+        real = mutation_mod.coloring_boundary_move
+        monkeypatch.setattr(mutation_mod, "coloring_boundary_move", lambda g, e: change(real(g, e)))
+        bundle = graph_potential(necklace_graph(2, open_ends=True))
+        assert coloring_report(bundle, "s2") == {"frozen_unchanged": False,
+                                                 "ends_invert_edge": True}
+
     def test_changed_vertex_fails_verify_coloring(self, monkeypatch, capsys):
         from graphpotentials import cli
-        from graphpotentials import potential as potential_mod
+        from graphpotentials import mutation as mutation_mod
 
-        real = potential_mod.graph_potential
-        moved = coloring_boundary_move(graph_from_json(json.loads(NECKLACE_G3.read_text())), "s2")
-        monkeypatch.setattr(potential_mod, "graph_potential",
-                            lambda g: _doubled(real(g), "v1") if g == moved else real(g))
+        real = mutation_mod.coloring_boundary_move
+        monkeypatch.setattr(mutation_mod, "coloring_boundary_move",
+                            lambda g, e: _rewired_at_v1(real(g, e)) if e == "s2" else real(g, e))
         code = cli.main(["verify", "coloring", "--graph", str(NECKLACE_G3)])
         out, err = capsys.readouterr()
         assert code == 3

@@ -411,3 +411,13 @@ class TestGraphPeriods:
         assert graph_fingerprint(dumbbell_graph(1)) == "g2e1"
         seq = periods_of_graph(theta_graph(1), 4)
         assert seq.graph_fingerprint == "g2e1"
+
+    @pytest.mark.parametrize("method", ["brute", "tqft"])
+    def test_fingerprint_reads_the_homology_once(self, method, monkeypatch):
+        from graphpotentials import graphs
+
+        real = graphs.homology_ranks_f2
+        calls = []
+        monkeypatch.setattr(graphs, "homology_ranks_f2", lambda g: calls.append(g) or real(g))
+        assert periods_of_graph(necklace_graph(3, parity=1), 4, method).graph_fingerprint == "g3e1"
+        assert len(calls) == 1

@@ -55,7 +55,7 @@ def bessel_of(p: LaurentPoly, order: int) -> TSeries:
         coeffs[2 * m] = power.__class__(power.vars, {
             e: c / Fraction(factorial(m)) ** 2 for e, c in power.terms.items()})
         m += 1
-    return TSeries.from_list(coeffs)
+    return TSeries(order, tuple(coeffs))
 
 
 def t1_kernel_direct(order: int) -> KernelMatrix:
@@ -494,6 +494,14 @@ class TestSquaringAndPairing:
             # the CSV columns follow this order
             assert list(table) == [(g, p) for g in range(2, g_max + 1) for p in (0, 1)]
             assert table == {(g, p): kernel_trace(chain[g - 2], 1 + p) for g, p in table}
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (1, 4), (2, 5), (3, 4)])
+    def test_pair_traces_walk_either_factor(self, m, n):
+        # A^m and A^n store different numbers of entries at a degree, so the
+        # two orders walk different factors wherever the sizes differ
+        p, q, whole = (tqft._power(16, k) for k in (m, n, m + n))
+        assert tqft._pair_traces(p, q) == tqft._pair_traces(q, p) \
+            == (kernel_trace(whole, 0), kernel_trace(whole, 1))
 
     def test_right_factor_drops_only_the_rows_no_power_meets(self):
         # at t^d a power of A has no column |k| > d, so rows |i| > K - d of
