@@ -109,9 +109,10 @@ def cmd_potential(args) -> int:
     g = _read_graph(args.graph)
     bundle = graph_potential(g)
     if args.json:
+        variables = bundle.variables  # sorted on every read
         _print_json({
-            "variables": list(bundle.variables),
-            "per_vertex": {v: _poly_json(w.embed(bundle.variables))
+            "variables": list(variables),
+            "per_vertex": {v: _poly_json(w.embed(variables))
                            for v, w in sorted(bundle.per_vertex.items())},
             "potential": _poly_json(bundle.potential),
         })

@@ -222,28 +222,26 @@ def normalize_coloring(g: ColoredGraph) -> tuple[ColoredGraph, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def vertex_slots(g: ColoredGraph) -> dict[str, list[tuple]]:
-    """The incidences at every vertex, in the order of ``g.vertices``.
+def vertex_slots(g: ColoredGraph, vids: Sequence[str] | None = None) -> dict[str, list[tuple]]:
+    """The incidences at the vertices ``vids``, in that order, by default at
+    every vertex in the order of ``g.vertices``.
 
     A slot is ("edge", edge id, end index) or ("leaf", leaf id), listed
     edges by ascending id first, then leaves by ascending id; a loop
     contributes two adjacent slots.  The slot id (index 1) is the variable
-    the slot carries in the potential.  Every endpoint and leaf vertex must
-    name a vertex of ``g``.
+    the slot carries in the potential.  Only the edges and leaves at
+    ``vids`` are sorted, so a row costs no sort of the whole graph.
     """
-    return _slots_at(g, [v.id for v in g.vertices])
-
-
-def _slots_at(g: ColoredGraph, vids: Sequence[str]) -> dict[str, list[tuple]]:
-    """The rows of :func:`vertex_slots` at the vertices ``vids`` alone."""
-    slots: dict[str, list[tuple]] = {v: [] for v in vids}
-    for e in sorted(g.edges, key=lambda e: e.id):
-        for j, end in enumerate(e.ends):
-            if end in slots:
-                slots[end].append(("edge", e.id, j))
-    for leaf in sorted(g.leaves, key=lambda x: x.id):
-        if leaf.vertex in slots:
-            slots[leaf.vertex].append(("leaf", leaf.id))
+    slots: dict[str, list[tuple]] = {v: [] for v in ([v.id for v in g.vertices]
+                                                     if vids is None else vids)}
+    for eid, (a, b) in sorted([e for e in g.edges if e.ends[0] in slots or e.ends[1] in slots],
+                              key=lambda e: e.id):
+        if a in slots:
+            slots[a].append(("edge", eid, 0))
+        if b in slots:
+            slots[b].append(("edge", eid, 1))
+    for leaf in sorted([x for x in g.leaves if x.vertex in slots], key=lambda x: x.id):
+        slots[leaf.vertex].append(("leaf", leaf.id))
     return slots
 
 
@@ -267,7 +265,7 @@ def elementary_move(g: ColoredGraph, edge_id: str
     v1, v2 = g.edge(edge_id).ends
     if v1 == v2:
         raise ValueError(f"edge {edge_id} is a loop")
-    slots = _slots_at(g, (v1, v2))
+    slots = vertex_slots(g, (v1, v2))
     s1, s2 = ([s for s in slots[v] if s[:2] != ("edge", edge_id)] for v in (v1, v2))
     if len(s1) != 2 or len(s2) != 2:
         raise ValueError(f"edge {edge_id}: endpoints are not trivalent")

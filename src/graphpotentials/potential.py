@@ -47,14 +47,18 @@ def vertex_potential(slots: Sequence[str], parity: int) -> LaurentPoly:
 
 
 class PotentialBundle(NamedTuple):
-    """A graph with its potential split by vertex: ``per_vertex[v]`` lives
-    over the sorted distinct slot variables of v, leaf signs applied, and
-    ``potential``, their sum over ``variables`` (every internal edge id and
-    leaf id), is built on every read."""
+    """A graph, its :func:`vertex_slots` table and the potential built from that
+    table, split by vertex: ``per_vertex[v]`` lives over the sorted distinct
+    slot variables of v, leaf signs applied.  ``variables`` (the internal edge
+    and leaf ids) and ``potential``, the sum over them, are built on every read."""
 
     graph: ColoredGraph
-    variables: tuple[str, ...]
+    slots: Mapping[str, list[tuple]]
     per_vertex: Mapping[str, LaurentPoly]
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return tuple(sorted([e.id for e in self.graph.edges] + [x.id for x in self.graph.leaves]))
 
     @property
     def potential(self) -> LaurentPoly:
@@ -63,7 +67,8 @@ class PotentialBundle(NamedTuple):
 
 def graph_potential(g: ColoredGraph) -> PotentialBundle:
     require_valid(g)
-    return PotentialBundle(g, _variables(g), _vertex_potentials(g, vertex_slots(g), g.vertices))
+    slots = vertex_slots(g)
+    return PotentialBundle(g, slots, _vertex_potentials(g, slots, g.vertices))
 
 
 def moved_bundle(bundle: PotentialBundle, moved: ColoredGraph,
@@ -76,18 +81,14 @@ def moved_bundle(bundle: PotentialBundle, moved: ColoredGraph,
     potential from ``bundle``.  That is right exactly when the returned bool
     holds: every other vertex has the same color, the same row of
     :func:`vertex_slots` and the same orientations of its leaves in both
-    graphs, read off a fresh slot table of each, so that the check does not
-    rest on the move code.
+    graphs, read off ``bundle.slots`` and a fresh table of ``moved`` that the
+    moved bundle keeps, so that the check does not rest on the move code.
     """
     require_valid(moved)
-    before, after = vertex_slots(bundle.graph), vertex_slots(moved)
-    unchanged = _vertex_data(bundle.graph, before, changed) == _vertex_data(moved, after, changed)
-    rebuilt = _vertex_potentials(moved, after, (v for v in moved.vertices if v.id in changed))
-    return PotentialBundle(moved, _variables(moved), {**bundle.per_vertex, **rebuilt}), unchanged
-
-
-def _variables(g: ColoredGraph) -> tuple[str, ...]:
-    return tuple(sorted([e.id for e in g.edges] + [x.id for x in g.leaves]))
+    slots = vertex_slots(moved)
+    rebuilt = _vertex_potentials(moved, slots, (v for v in moved.vertices if v.id in changed))
+    out = PotentialBundle(moved, slots, {**bundle.per_vertex, **rebuilt})
+    return out, _vertex_data(bundle, changed) == _vertex_data(out, changed)
 
 
 def _vertex_potentials(g: ColoredGraph, slots: Mapping[str, list[tuple]],
@@ -104,12 +105,12 @@ def _vertex_potentials(g: ColoredGraph, slots: Mapping[str, list[tuple]],
     return per_vertex
 
 
-def _vertex_data(g: ColoredGraph, slots: Mapping[str, list[tuple]], changed: Sequence[str]):
-    """What the potentials of the vertices of g outside ``changed`` are built
+def _vertex_data(bundle: PotentialBundle, changed: Sequence[str]):
+    """What the potentials of the vertices outside ``changed`` are built
     from: their colors, their slots and the orientations of their leaves."""
-    return ({v.id: v.color for v in g.vertices if v.id not in changed},
-            {v: row for v, row in slots.items() if v not in changed},
-            {x.id: x.orientation for x in g.leaves if x.vertex not in changed})
+    return ({v.id: v.color for v in bundle.graph.vertices if v.id not in changed},
+            {v: row for v, row in bundle.slots.items() if v not in changed},
+            {x.id: x.orientation for x in bundle.graph.leaves if x.vertex not in changed})
 
 
 def quadrivalent_potential(slots: Sequence[str], z: str, parity: int) -> LaurentPoly:

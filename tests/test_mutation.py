@@ -149,6 +149,26 @@ class TestReport:
             assert verify_mutation(graph_potential(dumbbell_graph(parity)), "a")
 
 
+def count_full_slot_tables(monkeypatch) -> list:
+    """The graphs that full ``vertex_slots`` tables are built of from now on,
+    in ``graphs`` and ``potential``; tables of chosen rows are not counted."""
+    from graphpotentials import graphs as graphs_mod
+    from graphpotentials import potential as potential_mod
+
+    real = graphs_mod.vertex_slots
+    calls = []
+
+    def counting(g, vids=None):
+        if vids is None:
+            calls.append(g)
+            return real(g)
+        return real(g, vids)
+
+    for module in (graphs_mod, potential_mod):
+        monkeypatch.setattr(module, "vertex_slots", counting)
+    return calls
+
+
 class TestThetaDumbbell:
     def test_theta_mu_nu(self):
         cert = mu_nu_factors(graph_potential(theta_graph()), "a")
@@ -195,22 +215,23 @@ class TestThetaDumbbell:
         assert calls == [bundle, out]
 
     def test_mutate_builds_two_slot_tables(self, monkeypatch):
-        # one for the source graph's re-pairing, one for the moved graph's potential
-        from graphpotentials import graphs as graphs_mod
-        from graphpotentials import potential as potential_mod
-
+        # a move reads the source graph's table off the bundle and builds one
+        # full table, the moved graph's, so a chain of two moves builds two;
+        # the re-pairing reads the rows of the edge's two ends alone
         bundle = graph_potential(necklace_graph(4))
-        real = graphs_mod.vertex_slots
-        calls = []
-
-        def counting(g):
-            calls.append(g)
-            return real(g)
-
-        for module in (graphs_mod, potential_mod):
-            monkeypatch.setattr(module, "vertex_slots", counting)
+        calls = count_full_slot_tables(monkeypatch)
         out, _ = mutate(bundle, "s2")
-        assert calls == [bundle.graph, out.graph]
+        assert calls == [out.graph]
+        back, _ = mutate(out, "s4")
+        assert calls == [out.graph, back.graph]
+
+    @pytest.mark.parametrize("report", [mutation_report, coloring_report])
+    def test_each_report_builds_one_slot_table(self, report, monkeypatch):
+        bundle = graph_potential(necklace_graph(4, parity=1))
+        calls = count_full_slot_tables(monkeypatch)
+        for n, eid in enumerate(("s2", "s4", "d3"), start=1):
+            assert all(report(bundle, eid).values())
+            assert len(calls) == n and calls[-1] is not bundle.graph
 
     def test_mutate_swaps_the_pair(self):
         b_theta = graph_potential(theta_graph())

@@ -12,9 +12,17 @@ import pytest
 
 from graphpotentials import periods, potential, tqft
 from graphpotentials.algebra import LaurentPoly, TSeries, pairing_in_var, ts_exp
-from graphpotentials.graphs import graph_from_json, necklace_graph, theta_graph
+from graphpotentials.graphs import (
+    Leaf,
+    enumerate_trivalent,
+    graph_from_json,
+    homology_ranks_f2,
+    necklace_graph,
+    theta_graph,
+    with_colors,
+)
 from graphpotentials.periods import periods_of_graph, walk_terms
-from graphpotentials.potential import graph_potential, vertex_potential
+from graphpotentials.potential import DEFAULT_ORIENTATION, graph_potential, vertex_potential
 from graphpotentials.tqft import (
     BoundaryState,
     KernelMatrix,
@@ -604,6 +612,61 @@ class TestBoundaryStates:
         state = necklace_state(1, 0, 4)
         with pytest.raises(ValueError):
             glue(state, "x", "nope")
+
+
+def two_leaf_cuts(genus: int):
+    """(parity, open graph) for every class of ``enumerate_trivalent(genus)``,
+    both parities and every edge whose removal leaves the graph connected,
+    loops included: the edge becomes the leaves x at its first end and y at
+    its second, each at its vertex's default orientation, and v0 is colored
+    for parity 1.  Each open graph has genus ``genus - 1``."""
+    for closed in enumerate_trivalent(genus):
+        for cut in closed.edges:
+            rest = closed._replace(edges=tuple(e for e in closed.edges if e.id != cut.id))
+            if homology_ranks_f2(rest)[0] != 1:
+                continue
+            for parity in (0, 1):
+                colored = with_colors(rest, {"v0": parity})
+                yield parity, colored._replace(leaves=tuple(
+                    Leaf(x, v, DEFAULT_ORIENTATION[colored.color(v)])
+                    for x, v in zip(XY, cut.ends)))
+
+
+class TestOpenGraphStates:
+    """The state of an open graph depends only on its genus and parity: every
+    two-leaf graph cut from a closed class has the open necklace's state,
+    which ``necklace_state`` builds as a power of T1, not by the walk."""
+
+    # genus of the closed classes -> open graphs cut from them, both parities
+    CUTS = {2: 10, 3: 48, 4: 250}
+
+    @pytest.mark.parametrize("genus", sorted(CUTS))
+    def test_two_leaf_states_are_the_necklace_states(self, genus):
+        # at K = 8 >= 2 (genus - 1) the two parities' states differ
+        want = {p: necklace_state(genus - 1, p, 8) for p in (0, 1)}
+        assert want[0] != want[1]
+        cuts = list(two_leaf_cuts(genus))
+        assert len(cuts) == self.CUTS[genus]
+        for parity, open_graph in cuts:
+            assert k_state(open_graph, 8) == want[parity], (parity, open_graph)
+
+
+class TestParityVisibility:
+    """Below these orders the two parities cannot be told apart, so a check
+    that should see the parity must run at least that far."""
+
+    def test_necklace_states_differ_from_order_2g(self):
+        for g in range(1, 7):
+            for order in range(2, 13):
+                same = necklace_state(g, 0, order) == necklace_state(g, 1, order)
+                assert same == (order < 2 * g), (g, order)
+
+    def test_trace_periods_differ_from_order_2g_minus_2(self):
+        table = trace_formula_table(14, 24)
+        for g in range(2, 15):
+            for order in range(25):
+                same = table[(g, 0)][:order + 1] == table[(g, 1)][:order + 1]
+                assert same == (order < 2 * g - 2), (g, order)
 
 
 def drop_term(w, drop_monomial):
