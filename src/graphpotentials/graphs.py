@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations, product
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 ORIENTATIONS = ("out", "in")
@@ -243,6 +244,28 @@ def vertex_slots(g: ColoredGraph, vids: Sequence[str] | None = None) -> dict[str
     for leaf in sorted([x for x in g.leaves if x.vertex in slots], key=lambda x: x.id):
         slots[leaf.vertex].append(("leaf", leaf.id))
     return slots
+
+
+def moved_vertices(a: ColoredGraph, b: ColoredGraph) -> set[str] | None:
+    """The vertices at which two graphs that list the same vertex, edge and
+    leaf ids in the same order differ, or None if the ids differ: where the
+    color differs, an edge end (keyed by edge id and end index) or a leaf
+    moves to or from the vertex, or a leaf's orientation differs.  Only the
+    set differences of the graphs' tuples cost Python steps.
+
+    A vertex outside the set keeps its color, its (edge id, end index)
+    incidences and its leaves with their orientations, so its sorted
+    :func:`vertex_slots` row too; one inside changes one of these.  So the set
+    is exactly the vertices whose color, slot row or leaf orientations differ.
+    """
+    ids = attrgetter("id")
+    if any(tuple(map(ids, x)) != tuple(map(ids, y)) for x, y in zip(a, b)):
+        return None
+    old, new = set(a.edges), set(b.edges)
+    ends = {(e.id, j, v) for e in old - new for j, v in enumerate(e.ends)}
+    ends ^= {(e.id, j, v) for e in new - old for j, v in enumerate(e.ends)}
+    return ({v for _, _, v in ends} | {v.id for v in set(a.vertices) ^ set(b.vertices)}
+            | {x.vertex for x in set(a.leaves) ^ set(b.leaves)})
 
 
 def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:

@@ -27,10 +27,8 @@ identity and the frozen part.  :func:`mutation_report`, behind
 symbolic substitution.  :func:`coloring_report`, behind ``graphpot verify
 coloring``, checks the other move: a coloring boundary move inverts the edge
 variable.  Both moves rebuild the edge's endpoint potentials alone, and
-their ``frozen_unchanged`` compares every other vertex in the slot table the
-source bundle keeps and in one fresh table of the moved graph
-(:func:`~graphpotentials.potential.moved_bundle`), so each move, certified
-or reported, builds one full slot table.
+their ``frozen_unchanged`` is a diff of the two graphs, with no full slot
+table or validation (:func:`~graphpotentials.potential.moved_bundle`).
 """
 
 from __future__ import annotations

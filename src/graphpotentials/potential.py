@@ -12,12 +12,12 @@ for the vertex color (out at color 0, in at color 1).
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import LaurentPoly, sum_over
-from .graphs import ColoredGraph, Vertex, genus, require_valid, vertex_slots
+from .graphs import ORIENTATIONS, ColoredGraph, genus, moved_vertices, require_valid, vertex_slots
 
-DEFAULT_ORIENTATION = {0: "out", 1: "in"}
+DEFAULT_ORIENTATION = dict(enumerate(ORIENTATIONS))  # out at color 0, in at color 1
 
 
 # the sign patterns of each parity: an even or odd number of inverted slots
@@ -47,13 +47,12 @@ def vertex_potential(slots: Sequence[str], parity: int) -> LaurentPoly:
 
 
 class PotentialBundle(NamedTuple):
-    """A graph, its :func:`vertex_slots` table and the potential built from that
-    table, split by vertex: ``per_vertex[v]`` lives over the sorted distinct
-    slot variables of v, leaf signs applied.  ``variables`` (the internal edge
-    and leaf ids) and ``potential``, the sum over them, are built on every read."""
+    """A graph and its potential split by vertex: ``per_vertex[v]`` lives over
+    the sorted distinct slot variables of v, leaf signs applied.  ``variables``
+    (the internal edge and leaf ids) and ``potential``, the sum over them, are
+    built on every read."""
 
     graph: ColoredGraph
-    slots: Mapping[str, list[tuple]]
     per_vertex: Mapping[str, LaurentPoly]
 
     @property
@@ -67,50 +66,40 @@ class PotentialBundle(NamedTuple):
 
 def graph_potential(g: ColoredGraph) -> PotentialBundle:
     require_valid(g)
-    slots = vertex_slots(g)
-    return PotentialBundle(g, slots, _vertex_potentials(g, slots, g.vertices))
+    return PotentialBundle(g, _vertex_potentials(g))
 
 
 def moved_bundle(bundle: PotentialBundle, moved: ColoredGraph,
                  changed: Sequence[str]) -> tuple[PotentialBundle, bool]:
     """The bundle of ``moved``, a graph that a move made from ``bundle.graph``
     and that differs from it at the vertices ``changed`` alone, and whether it
-    does.
+    does: whether :func:`moved_vertices` of the two graphs, a check that does
+    not rest on the move code, lies within ``changed``.
 
-    Only the potentials at ``changed`` are built; every other vertex keeps its
-    potential from ``bundle``.  That is right exactly when the returned bool
-    holds: every other vertex has the same color, the same row of
-    :func:`vertex_slots` and the same orientations of its leaves in both
-    graphs, read off ``bundle.slots`` and a fresh table of ``moved`` that the
-    moved bundle keeps, so that the check does not rest on the move code.
+    Only the potentials at ``changed`` are built, and they refuse a degree,
+    color or orientation that ``validate`` would; every other vertex keeps
+    its potential from ``bundle``, which is right exactly when the bool holds.
     """
-    require_valid(moved)
-    slots = vertex_slots(moved)
-    rebuilt = _vertex_potentials(moved, slots, (v for v in moved.vertices if v.id in changed))
-    out = PotentialBundle(moved, slots, {**bundle.per_vertex, **rebuilt})
-    return out, _vertex_data(bundle, changed) == _vertex_data(out, changed)
+    diff = moved_vertices(bundle.graph, moved)
+    out = PotentialBundle(moved, {**bundle.per_vertex, **_vertex_potentials(moved, changed)})
+    return out, diff is not None and diff <= set(changed)
 
 
-def _vertex_potentials(g: ColoredGraph, slots: Mapping[str, list[tuple]],
-                       vertices: Iterable[Vertex]) -> dict[str, LaurentPoly]:
-    """The potentials of ``vertices``, vertices of g, from g's slot table."""
-    orientation = {x.id: x.orientation for x in g.leaves}
+def _vertex_potentials(g: ColoredGraph, vids: Sequence[str] | None = None
+                       ) -> dict[str, LaurentPoly]:
+    """The potentials of g's vertices ``vids``, by default of all of them,
+    from their rows of :func:`vertex_slots`.  A leaf's variable is inverted
+    unless its orientation is its vertex color's default, ORIENTATIONS[color]."""
+    slots = vertex_slots(g, vids)
+    default_color = {x.id: ORIENTATIONS.index(x.orientation) for x in g.leaves}  # raises on others
     per_vertex = {}
-    for v in vertices:
+    for v in (v for v in g.vertices if v.id in slots):
         w = vertex_potential([s[1] for s in slots[v.id]], v.color)
         for s in slots[v.id]:
-            if s[0] == "leaf" and orientation[s[1]] != DEFAULT_ORIENTATION[v.color]:
+            if s[0] == "leaf" and default_color[s[1]] != v.color:
                 w = w.negate_var(s[1])
         per_vertex[v.id] = w
     return per_vertex
-
-
-def _vertex_data(bundle: PotentialBundle, changed: Sequence[str]):
-    """What the potentials of the vertices outside ``changed`` are built
-    from: their colors, their slots and the orientations of their leaves."""
-    return ({v.id: v.color for v in bundle.graph.vertices if v.id not in changed},
-            {v: row for v, row in bundle.slots.items() if v not in changed},
-            {x.id: x.orientation for x in bundle.graph.leaves if x.vertex not in changed})
 
 
 def quadrivalent_potential(slots: Sequence[str], z: str, parity: int) -> LaurentPoly:

@@ -7,6 +7,7 @@ import pytest
 
 from graphpotentials.algebra import LaurentPoly, rexpr_equal, sum_over
 from graphpotentials.graphs import (
+    Leaf,
     canonical_form,
     coloring_boundary_move,
     dumbbell_graph,
@@ -14,9 +15,11 @@ from graphpotentials.graphs import (
     enumerate_trivalent,
     graph_from_json,
     make_graph,
+    moved_vertices,
     necklace_graph,
     normalize_coloring,
     theta_graph,
+    vertex_slots,
     with_colors,
 )
 from graphpotentials.mutation import (
@@ -151,7 +154,8 @@ class TestReport:
 
 def count_full_slot_tables(monkeypatch) -> list:
     """The graphs that full ``vertex_slots`` tables are built of from now on,
-    in ``graphs`` and ``potential``; tables of chosen rows are not counted."""
+    wherever ``graphs`` or ``potential`` call it; the rows at chosen vertices,
+    all a move builds, are not counted."""
     from graphpotentials import graphs as graphs_mod
     from graphpotentials import potential as potential_mod
 
@@ -214,24 +218,25 @@ class TestThetaDumbbell:
         out, _ = mutate(bundle, "s2")
         assert calls == [bundle, out]
 
-    def test_mutate_builds_two_slot_tables(self, monkeypatch):
-        # a move reads the source graph's table off the bundle and builds one
-        # full table, the moved graph's, so a chain of two moves builds two;
-        # the re-pairing reads the rows of the edge's two ends alone
-        bundle = graph_potential(necklace_graph(4))
+    def test_mutate_builds_no_full_slot_table(self, monkeypatch):
+        # the source's potential comes from one full table; a move builds the
+        # rows of the edge's two ends alone and checks the rest by the graph
+        # diff, so neither a move nor a chain of two builds a full table
         calls = count_full_slot_tables(monkeypatch)
+        g = necklace_graph(4)
+        bundle = graph_potential(g)
+        assert calls == [g]
         out, _ = mutate(bundle, "s2")
-        assert calls == [out.graph]
-        back, _ = mutate(out, "s4")
-        assert calls == [out.graph, back.graph]
+        mutate(out, "s4")
+        assert calls == [g]
 
     @pytest.mark.parametrize("report", [mutation_report, coloring_report])
-    def test_each_report_builds_one_slot_table(self, report, monkeypatch):
+    def test_each_report_builds_no_full_slot_table(self, report, monkeypatch):
         bundle = graph_potential(necklace_graph(4, parity=1))
         calls = count_full_slot_tables(monkeypatch)
-        for n, eid in enumerate(("s2", "s4", "d3"), start=1):
+        for eid in ("s2", "s4", "d3"):
             assert all(report(bundle, eid).values())
-            assert len(calls) == n and calls[-1] is not bundle.graph
+        assert calls == []
 
     def test_mutate_swaps_the_pair(self):
         b_theta = graph_potential(theta_graph())
@@ -527,3 +532,117 @@ class TestVertexWise:
             "PASS edge d1", "PASS edge d1x", "PASS edge d3", "PASS edge d3x",
             "FAIL edge s2", "PASS edge s4"]
         assert err == "verification failed: coloring verification failed\n"
+
+
+def _vertex_data(g):
+    """Each vertex's color, full-table slot row and leaf orientations."""
+    rows = vertex_slots(g)
+    return {v.id: (v.color, rows[v.id], {x.id: x.orientation for x in g.leaves if x.vertex == v.id})
+            for v in g.vertices}
+
+
+def _differing_vertices(a, b):
+    """The oracle of ``moved_vertices`` on graphs with the same ids: the
+    vertices whose data differ, compared over the whole of both graphs."""
+    data_a, data_b = _vertex_data(a), _vertex_data(b)
+    return {v for v in data_a if data_a[v] != data_b[v]}
+
+
+def _diff_cases():
+    for genus in (2, 3, 4, 5):
+        for i, g in enumerate(enumerate_trivalent(genus)):
+            for p in (0, 1):
+                yield pytest.param(with_colors(g, {"v0": p}), id=f"g{genus}-{i}-p{p}")
+    yield from TestLeafSigns.GRAPHS
+
+
+# the open genus-2 necklace with its leaf x at v1 inverted, moved at d1 (v1-v2):
+# both moves leave x at an end with its sign inverted
+LEAFY = necklace_graph(2, open_ends=True)._replace(
+    leaves=(Leaf("x", "v1", "in"), Leaf("y", "v4", "out")))
+
+
+def _renamed(g):  # d1x has both ends at the move's ends after either move
+    return g._replace(edges=tuple(e._replace(id="d1y") if e.id == "d1x" else e for e in g.edges))
+
+
+def _end_of_degree_four(g):  # the first edge at v2 but d1 moves its end there to v1
+    moving = next(e.id for e in g.edges if e.id != "d1" and "v2" in e.ends)
+    return g._replace(edges=tuple(
+        e._replace(ends=tuple("v1" if v == "v2" else v for v in e.ends)) if e.id == moving else e
+        for e in g.edges))
+
+
+# (graph, edge, corruption of the moved graph, whether the frozen check or a
+# ValueError catches it)
+CORRUPTIONS = [
+    pytest.param(LEAFY, "d1", _renamed, "frozen", id="edge renamed"),
+    pytest.param(LEAFY, "d1", lambda g: g._replace(edges=tuple(e for e in g.edges if e.id != "d3")),
+                 "frozen", id="edge dropped"),
+    pytest.param(LEAFY, "d1", lambda g: g._replace(edges=tuple(
+        e._replace(ends=e.ends[::-1]) if e.id == "d3" else e for e in g.edges)),
+                 "frozen", id="edge off the move reversed"),
+    pytest.param(graph_from_json(json.loads(NECKLACE_G3.read_text())), "s2", _rewired_at_v1,
+                 "frozen", id="third vertex rewired"),
+    pytest.param(LEAFY, "d1", _end_of_degree_four, ValueError, id="end of degree 4"),
+    pytest.param(LEAFY, "d1", lambda g: with_colors(g, {"v1": 2}), ValueError, id="end colored 2"),
+    pytest.param(LEAFY, "d1", lambda g: g._replace(leaves=tuple(
+        x._replace(orientation="sideways") if x.vertex in ("v1", "v2") else x for x in g.leaves)),
+                 ValueError, id="leaf sideways"),
+]
+
+
+class TestGraphDiff:
+    """``frozen_unchanged`` is ``moved_vertices`` of the source and the moved
+    graph, which agrees with a comparison of whole-graph data."""
+
+    @pytest.mark.parametrize("g", _diff_cases())
+    def test_diff_equals_the_oracle(self, g):
+        for e in g.edges:
+            moves = [coloring_boundary_move(g, e.id)]
+            if e.ends[0] != e.ends[1]:
+                moves.append(elementary_transformation(g, e.id))
+            for moved in moves:
+                diff = moved_vertices(g, moved)
+                assert diff == _differing_vertices(g, moved), e.id
+                assert diff <= set(e.ends), e.id
+
+    def test_ids_must_agree(self):
+        g = LEAFY
+        assert moved_vertices(g, g) == set()
+        for h in (_renamed(g), g._replace(edges=g.edges[1:]), g._replace(edges=g.edges[::-1]),
+                  g._replace(vertices=g.vertices[::-1]), g._replace(leaves=g.leaves[:1])):
+            assert moved_vertices(g, h) is None
+
+    def test_far_end_that_stays_put_is_left_out(self):
+        # s2 (v2-v3) keeps its end at v3 and moves the one at v2
+        g = LEAFY
+        moved = g._replace(edges=tuple(e._replace(ends=("v1", "v3")) if e.id == "s2" else e
+                                       for e in g.edges))
+        assert moved_vertices(g, moved) == {"v1", "v2"}
+
+    @pytest.mark.parametrize("g, edge_id, corrupt, caught", CORRUPTIONS)
+    def test_corrupted_moves_are_never_certified(self, g, edge_id, corrupt, caught, monkeypatch):
+        from graphpotentials import mutation as mutation_mod
+
+        move, flip = mutation_mod.elementary_move, mutation_mod.coloring_boundary_move
+
+        def corrupted_move(h, e):
+            moved, slots = move(h, e)
+            return corrupt(moved), slots
+
+        monkeypatch.setattr(mutation_mod, "elementary_move", corrupted_move)
+        monkeypatch.setattr(mutation_mod, "coloring_boundary_move", lambda h, e: corrupt(flip(h, e)))
+        bundle = graph_potential(g)
+        if caught == "frozen":
+            with pytest.raises(ArithmeticError, match="frozen_unchanged"):
+                mutate(bundle, edge_id)
+            for report in (mutation_report, coloring_report):
+                try:
+                    assert report(bundle, edge_id)["frozen_unchanged"] is False
+                except ValueError:  # a renamed variable meets the report's algebra
+                    assert corrupt is _renamed
+        else:
+            for check in (mutate, mutation_report, coloring_report):
+                with pytest.raises(caught):
+                    check(bundle, edge_id)
