@@ -7,15 +7,15 @@ Submodules:
 * ``potential``: vertex and graph potentials, degenerations
 * ``mutation``: elementary transformations with symbolic certificates
 * ``periods``: brute-force period sequences (vertex states glued exactly)
-* ``tqft``: Bessel kernels and boundary states in the walk's d!-scaled
-  integers, the trace formula, and the four-point check on the state of
-  the two-vertex graph
+* ``tqft``: boundary states in the walk's d!-scaled integers, one record
+  for all of them (a Bessel kernel is the state on two legs), the trace
+  formula, and the four-point check on the state of the two-vertex graph
 * ``cli``: the ``graphpot`` command
 
 Symbols are re-exported lazily so that importing the package stays cheap.
-The library runs on the standard library alone: kernels and boundary states
-are dicts of Python integers, and numpy is loaded only by a kernel's
-``mats`` view, which no library path reads.
+The library runs on the standard library alone: a state is dicts of Python
+integers, and numpy is loaded only by a two-leg state's ``mats`` view,
+which no library path reads.
 """
 
 from importlib import import_module
@@ -57,7 +57,6 @@ _EXPORTS = {
     "PeriodSequence": "periods",
     "periods_bruteforce": "periods",
     "periods_of_graph": "periods",
-    "KernelMatrix": "tqft",
     "BoundaryState": "tqft",
     "bessel": "tqft",
     "t1_kernel": "tqft",

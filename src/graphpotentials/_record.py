@@ -1,5 +1,6 @@
 """The base of the records that validate their fields: ``PeriodSequence``,
-``TSeries`` and ``RationalExpr``.  The other records are ``NamedTuple``s."""
+``TSeries``, ``RationalExpr`` and ``BoundaryState``.  The other records are
+``NamedTuple``s."""
 
 
 class Record:

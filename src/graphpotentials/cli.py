@@ -31,7 +31,7 @@ MAX_GENUS = 64
 # about 2 d^2 nonzero integers, one per mode pair (i, j) with |i|, |j| <= d and
 # i + j even, and the kernel commands multiply them before they print anything.
 # Their worst case at both limits, ``table --genus-max 64 --order 64``, takes
-# 7 to 11 s and 27 MB on 2 cores (Python 3.11).
+# 5.3 to 7.2 s and 27 MB on 2 cores (Python 3.11, six runs).
 MAX_ORDER = 64
 
 

@@ -27,9 +27,10 @@ The table builds A, A^2, ..., A^floor(g_max/2), one product each and
 only the last two kept, and reads both parities of every genus from one
 pairing.
 
-Kernels and boundary states share one format, the walk's: at t^d, mode or
-leaf exponents map to d! times the coefficient, a Python ``int``, zeros left
-out.  The scaling keeps every intermediate an integer: a scaled T1 entry
+One record, :class:`BoundaryState`, holds every state in the walk's format:
+at t^d, leaf exponents map to d! times the coefficient, a Python ``int``,
+zeros left out.  A kernel is the state on legs (x, y), its exponents the
+modes.  The scaling keeps every intermediate an integer: a scaled T1 entry
 is a multinomial times a binomial and the scaled product rule only
 multiplies by binomials.  The trace of a power's integers is the periods: :func:`trace_periods`.
 
@@ -41,19 +42,20 @@ whole antidiagonal at t^0).  Brute force still checks the trace formula: the
 two glue different states, vertex states and powers of the closed-form T1.
 
 Brute-force states are ``periods.walk_terms`` of the vertex potentials,
-the open-necklace states wrap a kernel power's entries, and two leaves join
-by contraction with a cylinder; only a closed state's series and the Laplace
-view :func:`trace_formula` divide by d!.
+an open-necklace state is a kernel power, and two leaves join by
+contraction with the cylinder state S; only a closed state's series and
+the Laplace view :func:`trace_formula` divide by d!.
 The four-point function is the state of the two-vertex graph with four
-leaves.  Nothing here needs numpy: only a kernel's ``mats`` view, kept for
-the benchmark's traced runs, loads it.
+leaves.  Nothing here needs numpy: only the ``mats`` view of a two-leg
+state, kept for the benchmark's traced runs, loads it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
+from ._record import Record
 from .periods import contract, walk_terms
 
 
@@ -78,51 +80,59 @@ def bessel(order: int) -> TSeries:
     return _scaled_series(order, (0 if d % 2 else math.comb(d, d // 2) for d in range(order + 1)))
 
 
-class KernelMatrix:
-    """Two-boundary kernel in Fourier modes -D..D, truncated at t^D.
+class BoundaryState(Record):
+    """The state of an open graph in the walk's integers: ``terms[d]`` maps
+    leaf exponents, in ``leaf_vars`` order, to d! times the coefficient of
+    t^d, an ``int``, zeros left out.  Every exponent lies in -order..order,
+    and in a graph's state every leaf exponent at t^d is at most d in
+    absolute value.
 
-    Kept as boundary states are: ``terms[d]`` maps a mode pair (i, j) to d!
-    times the coefficient of x^i y^j t^d, an ``int``, zeros left out.  Every
-    kernel built here has empty odd degrees and, at t^d, no entry with
-    i + j odd or max(|i|, |j|) > d.
+    A kernel is the state on legs ("x", "y"): entry (i, j) is the
+    coefficient of x^i y^j.  Every kernel built here has empty odd degrees
+    and, at t^d, no entry with i + j odd or max(|i|, |j|) > d.
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "leaf_vars", "terms")
 
-    def __init__(self, order: int, terms: Sequence[dict]):
+    def __init__(self, order: int, leaf_vars: Sequence[str], terms: Sequence[dict]):
         _require_order(order)
         if len(terms) != order + 1:
             raise ValueError(f"need {order + 1} degree dicts, got {len(terms)}")
+        leaf_vars = tuple(leaf_vars)
         for t in terms:
-            for (i, j), v in t.items():
-                # modes pair by key in a product: 0.5 would meet nothing, True prints as True
-                if type(i) is not int or type(j) is not int or max(abs(i), abs(j)) > order:
-                    raise ValueError(f"mode ({i!r}, {j!r}) out of range: "
-                                     f"need ints in -{order}..{order}")
+            for key, v in t.items():
+                # exponents pair by key: 0.5 would meet nothing, True prints as True
+                if (type(key) is not tuple or len(key) != len(leaf_vars)
+                        or any(type(e) is not int or abs(e) > order for e in key)):
+                    raise ValueError(f"exponents {key!r} out of range: need ints in "
+                                     f"-{order}..{order}, one per leaf of {leaf_vars}")
                 if type(v) is not int:  # fixed-width numbers wrap or round without notice
-                    raise ValueError(f"entry ({i}, {j}) is {type(v).__name__}, need int")
-        self.order = order
-        self.terms = [{k: v for k, v in t.items() if v} for t in terms]
+                    raise ValueError(f"term {key} is {type(v).__name__}, need int")
+        self._set(order, leaf_vars, [{k: v for k, v in t.items() if v} for t in terms])
 
     @classmethod
-    def _raw(cls, order: int, terms: list[dict]) -> KernelMatrix:
-        # internal: terms already in range, all ints, no zeros
-        k = cls.__new__(cls)
-        k.order = order
-        k.terms = terms
-        return k
+    def _raw(cls, order: int, leaf_vars: tuple[str, ...], terms: list[dict]) -> BoundaryState:
+        # internal: exponents in range, all ints, no zeros
+        state = cls.__new__(cls)
+        state._set(order, leaf_vars, terms)
+        return state
 
     @property
     def size(self) -> int:
         return 2 * self.order + 1
 
+    def _require_kernel(self) -> None:
+        if len(self.leaf_vars) != 2:
+            raise ValueError(f"a kernel view needs two leaves, got {self.leaf_vars}")
+
     @property
     def mats(self) -> tuple:
-        """The even t-degrees as numpy object arrays, entry (i, j) at t^d in
+        """A kernel's even t-degrees as numpy object arrays, (i, j) at t^d in
         ``mats[d // 2][D + i, D + j]``, built on every read.  No library path
         reads it: the benchmark's traced runs and the tests' dense oracle do."""
         import numpy as np
 
+        self._require_kernel()
         D = self.order
         out = []
         for t in self.terms[::2]:
@@ -133,29 +143,31 @@ class KernelMatrix:
         return tuple(out)
 
     def entry(self, i: int, j: int) -> TSeries:
-        """Series of the (i, j) coefficient, unscaled."""
+        """Series of a kernel's (i, j) coefficient, unscaled."""
+        self._require_kernel()
         D = self.order
         if abs(i) > D or abs(j) > D:
             raise IndexError(f"mode ({i}, {j}) out of range for order {D}")
         return _scaled_series(D, (t.get((i, j), 0) for t in self.terms))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KernelMatrix):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+    def scalar_series(self) -> TSeries:
+        """The state of a closed-up graph as a plain rational series."""
+        if self.leaf_vars:
+            raise ValueError(f"state still has open leaves {self.leaf_vars}")
+        return _scaled_series(self.order, (t.get((), 0) for t in self.terms))
 
 
-def flip_operator(order: int) -> KernelMatrix:
+def flip_operator(order: int) -> BoundaryState:
     """S with S[i, j] = 1 iff j = -i, concentrated in t-degree 0: as a kernel
     sum_i x^i y^-i, the state of a cylinder, and the identity for
     :func:`kernel_compose`."""
     _require_order(order)
     terms = [{} for _ in range(order + 1)]
     terms[0] = {(i, -i): 1 for i in range(-order, order + 1)}
-    return KernelMatrix._raw(order, terms)
+    return BoundaryState._raw(order, ("x", "y"), terms)
 
 
-def t1_kernel(order: int) -> KernelMatrix:
+def t1_kernel(order: int) -> BoundaryState:
     """Coefficient matrix of T1(x, y) = B(t(x+y)) B(t(x^-1+y^-1)).
 
     Built from the closed form: at t^d, d = 2m + 2n, the term x^a y^(2m-a)
@@ -176,30 +188,30 @@ def t1_kernel(order: int) -> KernelMatrix:
             base = row[2 * m] * math.comb(2 * m, m) * math.comb(2 * n, n)
             for i in range(-2 * n, 2 * m + 1):
                 acc[(i, 2 * (m - n) - i)] = base * row[2 * n + i]
-    return KernelMatrix._raw(order, terms)
+    return BoundaryState._raw(order, ("x", "y"), terms)
 
 
-def _composed(p: KernelMatrix, q: KernelMatrix, q_terms: list) -> KernelMatrix:
+def _composed(p: BoundaryState, q: BoundaryState, q_terms: list) -> BoundaryState:
     # p on legs (x, z) glued to q_terms on (z, y): mode k of p pairs with -k
     if p.order != q.order:
         raise ValueError("kernel orders differ")
-    return KernelMatrix._raw(p.order, contract((("x", "z"), p.terms), (("z", "y"), q_terms),
-                                               p.order, {})[1])
+    return BoundaryState._raw(p.order, *contract((("x", "z"), p.terms), (("z", "y"), q_terms),
+                                                p.order, {}))
 
 
-def kernel_compose(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
+def kernel_compose(p: BoundaryState, q: BoundaryState) -> BoundaryState:
     """Compose two kernels along a shared boundary circle: [p(x, z) q(z, y)]_{z^0}
     pairs mode k of p's second variable with mode -k of q's first, the matrix
     product p S q.  The flip kernel itself is the identity."""
     return _composed(p, q, q.terms)
 
 
-def kernel_matmul(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
+def kernel_matmul(p: BoundaryState, q: BoundaryState) -> BoundaryState:
     """Plain matrix product of coefficient matrices: p composed with S q."""
     return _composed(p, q, [{(-k, j): v for (k, j), v in t.items()} for t in q.terms])
 
 
-def kernel_trace(p: KernelMatrix, flips: int) -> tuple[int, ...]:
+def kernel_trace(p: BoundaryState, flips: int) -> tuple[int, ...]:
     """tr(S^flips p) of the stored integers, d! times the trace at t^d: the entries
     at (i, i), or at (i, -i) when the flip count is odd, since (S p)[i, i] = p[-i, i]."""
     s = -1 if flips % 2 else 1
@@ -207,16 +219,15 @@ def kernel_trace(p: KernelMatrix, flips: int) -> tuple[int, ...]:
     return tuple(sum(t.get((i, s * i), 0) for i in modes) for t in p.terms)
 
 
-def _rows_flipped(p: KernelMatrix) -> KernelMatrix:
+def _rows_flipped(p: BoundaryState) -> BoundaryState:
     """S p without its rows |i| > order - d at t^d, the right factor that
     makes kernel_compose the plain product with p: those rows meet no column
     of a power of A, which holds none |k| > d at t^d."""
-    order = p.order
-    return KernelMatrix._raw(order, [{(-i, j): v for (i, j), v in t.items() if abs(i) <= order - d}
-                                     for d, t in enumerate(p.terms)])
+    return BoundaryState._raw(p.order, p.leaf_vars, [{(-i, j): v for (i, j), v in t.items()
+                              if abs(i) <= p.order - d} for d, t in enumerate(p.terms)])
 
 
-def _powers(order: int) -> Iterator[KernelMatrix]:
+def _powers(order: int) -> Iterator[BoundaryState]:
     """A, A^2, A^3, ... for the T1 kernel A, one product with A per step,
     taken only when the next power is asked for."""
     power = t1_kernel(order)
@@ -228,7 +239,7 @@ def _powers(order: int) -> Iterator[KernelMatrix]:
         power = kernel_compose(power, sa)
 
 
-def _by_squaring(a: KernelMatrix, sa: KernelMatrix, n: int) -> KernelMatrix:
+def _by_squaring(a: BoundaryState, sa: BoundaryState, n: int) -> BoundaryState:
     """a^n for n >= 1 and ``sa`` the rows-flipped a: over the bits of n after
     the first, square, then multiply by a where the bit is set."""
     power = a
@@ -239,13 +250,13 @@ def _by_squaring(a: KernelMatrix, sa: KernelMatrix, n: int) -> KernelMatrix:
     return power
 
 
-def _power(order: int, n: int) -> KernelMatrix:
+def _power(order: int, n: int) -> BoundaryState:
     """A^n for n >= 1."""
     a = t1_kernel(order)
     return _by_squaring(a, _rows_flipped(a), n)
 
 
-def _pair_traces(p: KernelMatrix, q: KernelMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _pair_traces(p: BoundaryState, q: BoundaryState) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """tr(p q) and tr(p q S) of the d!-scaled kernels, without forming p q:
     t^d sums C(d, d_a) p[i, j] q[j, i], and p[i, j] q[j, -i] for the flip,
     over p's entries at t^(d_a) and q's at t^(d - d_a), walking the smaller
@@ -259,23 +270,16 @@ def _pair_traces(p: KernelMatrix, q: KernelMatrix) -> tuple[tuple[int, ...], tup
             tq = q.terms[db]
             if not tq:
                 continue
+            # tr(pq) = tr(qp), and tr(pqS) = tr(qpS) as AS = SA: either factor may walk
+            walk, look = (tp, tq) if len(tp) <= len(tq) else (tq, tp)
             same = cross = 0
-            if len(tp) <= len(tq):
-                for (i, j), v in tp.items():
-                    w = tq.get((j, i))
-                    if w is not None:
-                        same += v * w
-                    w = tq.get((j, -i))
-                    if w is not None:
-                        cross += v * w
-            else:
-                for (j, i), w in tq.items():
-                    v = tp.get((i, j))
-                    if v is not None:
-                        same += v * w
-                    v = tp.get((-i, j))
-                    if v is not None:
-                        cross += v * w
+            for (i, j), v in walk.items():
+                w = look.get((j, i))
+                if w is not None:
+                    same += v * w
+                w = look.get((j, -i))
+                if w is not None:
+                    cross += v * w
             w = math.comb(da + db, da)
             plain[da + db] += w * same
             flipped[da + db] += w * cross
@@ -332,23 +336,6 @@ def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], tuple[i
 # ---------------------------------------------------------------------------
 
 
-class BoundaryState(NamedTuple):
-    """The state of an open graph in the walk's integers: ``terms[d]`` maps
-    leaf exponents, in ``leaf_vars`` order, to d! times the coefficient of
-    t^d, zeros left out.  In a graph's state every leaf exponent at t^d is
-    at most d in absolute value."""
-
-    order: int
-    leaf_vars: tuple[str, ...]
-    terms: list[dict]
-
-    def scalar_series(self) -> TSeries:
-        """The state of a closed-up graph as a plain rational series."""
-        if self.leaf_vars:
-            raise ValueError(f"state still has open leaves {self.leaf_vars}")
-        return _scaled_series(self.order, (t.get((), 0) for t in self.terms))
-
-
 def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
     """State T_g(x, y^(+-1)) of the open genus-g necklace, via kernel powers.
 
@@ -362,10 +349,11 @@ def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
         raise ValueError("need genus >= 1")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    terms = _power(order, g).terms
+    power = _power(order, g)
     if (g - 1 + parity) % 2:
-        terms = [{(i, -j): v for (i, j), v in t.items()} for t in terms]
-    return BoundaryState(order, ("x", "y"), terms)
+        return BoundaryState._raw(order, power.leaf_vars, [{(i, -j): v for (i, j), v in t.items()}
+                                                           for t in power.terms])
+    return power
 
 
 def k_state(g: ColoredGraph, order: int) -> BoundaryState:
@@ -381,7 +369,7 @@ def k_state(g: ColoredGraph, order: int) -> BoundaryState:
 
     pieces = graph_potential(g).per_vertex.values()
     leaf_vars = tuple(sorted(x.id for x in g.leaves))
-    return BoundaryState(order, leaf_vars, walk_terms(pieces, order, leaf_vars))
+    return BoundaryState._raw(order, leaf_vars, walk_terms(pieces, order, leaf_vars))
 
 
 def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
@@ -392,12 +380,10 @@ def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
     for name in (leaf_a, leaf_b):
         if name not in state.leaf_vars:
             raise ValueError(f"unknown leaf variable {name!r}")
-    # the cylinder pairs mode i of leaf_a with mode -i of leaf_b, for every
-    # mode the state holds, which may exceed its order
-    reach = max((abs(x) for t in state.terms for e in t for x in e), default=0)
-    cylinder = [flip_operator(reach).terms[0]] + [{} for _ in range(state.order)]
-    return BoundaryState(state.order, *contract((state.leaf_vars, state.terms),
-                                                ((leaf_a, leaf_b), cylinder), state.order, {}))
+    # the cylinder's state on (leaf_a, leaf_b) pairs mode i of one with -i of the other
+    cylinder = flip_operator(state.order).terms
+    return BoundaryState._raw(state.order, *contract((state.leaf_vars, state.terms),
+                                                     ((leaf_a, leaf_b), cylinder), state.order, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +394,12 @@ def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
 def wdvv_check(parity: int, order: int) -> bool:
     """Whether the four-point function is symmetric in its four slots.
 
-    M4(x1, x2, x3, x4) is the k_state of the two-vertex graph: vertex a of
-    color ``parity`` holds leaves x1 and x2, vertex b of color 1 - parity
-    holds x3 and x4, edge m joins them, and every leaf has its vertex's
-    default orientation.  Inverting one slot flips a vertex potential's
-    parity, so w_p(x3, x4, 1/m) = w_(1-p)(x3, x4, m): M4 pairs two copies
-    of exp(t w_p) along m.  It must be invariant under all 24 slot
+    M4(x1, x2, x3, x4) is the k_state of the two-vertex graph of coloring
+    parity ``parity``: vertex a of color ``parity`` holds leaves x1 and x2,
+    vertex b of color 0 holds x3 and x4, edge m joins them, and every leaf
+    has its vertex's default orientation.  Inverting one slot flips a vertex
+    potential's parity, w_0(x3, x4, m) = w_1(x3, x4, 1/m), so the two
+    parities' states differ.  M4 must be invariant under all 24 slot
     permutations, which (12) and (1234) generate.
     """
     from .graphs import make_graph
@@ -421,8 +407,8 @@ def wdvv_check(parity: int, order: int) -> bool:
 
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    out_a, out_b = DEFAULT_ORIENTATION[parity], DEFAULT_ORIENTATION[1 - parity]
-    g = make_graph([("a", parity), ("b", 1 - parity)], [("m", "a", "b")],
+    out_a, out_b = DEFAULT_ORIENTATION[parity], DEFAULT_ORIENTATION[0]
+    g = make_graph([("a", parity), ("b", 0)], [("m", "a", "b")],
                    [("x1", "a", out_a), ("x2", "a", out_a), ("x3", "b", out_b), ("x4", "b", out_b)])
     # k_state is looked up by module name, so a wrapper sees the call
     terms = k_state(g, order).terms

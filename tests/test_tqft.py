@@ -25,7 +25,6 @@ from graphpotentials.periods import periods_of_graph, walk_terms
 from graphpotentials.potential import DEFAULT_ORIENTATION, graph_potential, vertex_potential
 from graphpotentials.tqft import (
     BoundaryState,
-    KernelMatrix,
     bessel,
     flip_operator,
     glue,
@@ -66,7 +65,7 @@ def bessel_of(p: LaurentPoly, order: int) -> TSeries:
     return TSeries(order, tuple(coeffs))
 
 
-def t1_kernel_direct(order: int) -> KernelMatrix:
+def t1_kernel_direct(order: int) -> BoundaryState:
     """T1 by multiplying the two Bessel series: the oracle for t1_kernel."""
     prod = bessel_of(xy({(1, 0): 1, (0, 1): 1}), order) * bessel_of(xy({(-1, 0): 1, (0, -1): 1}), order)
     terms = [{} for _ in range(order + 1)]
@@ -75,7 +74,7 @@ def t1_kernel_direct(order: int) -> KernelMatrix:
             v = c * factorial(d)
             assert v.denominator == 1, "scaled entry is not integral"
             t[e] = v.numerator
-    return KernelMatrix(order, terms)
+    return BoundaryState(order, XY, terms)
 
 
 def as_series(state) -> TSeries:
@@ -143,7 +142,7 @@ class TestT1Kernel:
         assert trace_formula(2, 0, 4) == want
 
 
-def dense_product(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
+def dense_product(p: BoundaryState, q: BoundaryState) -> BoundaryState:
     """The product over full dense numpy matrices of the ``mats`` view: at
     t^d, with d!-scaled entries, the sum over even a of C(d, a) p_a q_(d-a).
     Oracle for kernel_matmul and kernel_compose, which run on
@@ -158,10 +157,10 @@ def dense_product(p: KernelMatrix, q: KernelMatrix) -> KernelMatrix:
         for a in range(1, u + 1):
             acc += comb(2 * u, 2 * a) * (pm[a] @ qm[u - a])
         terms[2 * u] = {(i - D, j - D): v for (i, j), v in np.ndenumerate(acc)}
-    return KernelMatrix(D, terms)
+    return BoundaryState(D, XY, terms)
 
 
-def random_kernel(order: int, rng: random.Random, density: float) -> KernelMatrix:
+def random_kernel(order: int, rng: random.Random, density: float) -> BoundaryState:
     """Signed entries anywhere in the even degrees, odd i + j and |i|, |j| > d
     included."""
     modes = range(-order, order + 1)
@@ -171,7 +170,7 @@ def random_kernel(order: int, rng: random.Random, density: float) -> KernelMatri
             for j in modes:
                 if rng.random() < density:
                     t[(i, j)] = rng.randint(-2 ** 70, 2 ** 70)
-    return KernelMatrix(order, terms)
+    return BoundaryState(order, XY, terms)
 
 
 class TestProduct:
@@ -192,11 +191,11 @@ class TestProduct:
         a3 = tqft._power(10, 3)
         s = flip_operator(10)
         for p, q in ((a, a), (a3, a), (a, s), (s, a3)):
-            flipped = KernelMatrix(q.order, [{(-i, j): v for (i, j), v in t.items()} for t in q.terms])
+            flipped = BoundaryState(q.order, XY, [{(-i, j): v for (i, j), v in t.items()} for t in q.terms])
             assert kernel_compose(p, q) == dense_product(p, flipped)
 
     def test_zero_kernel(self):
-        zero = KernelMatrix(8, [{} for _ in range(9)])
+        zero = BoundaryState(8, XY, [{} for _ in range(9)])
         a = t1_kernel(8)
         for p, q in ((zero, a), (a, zero), (zero, zero)):
             assert kernel_matmul(p, q) == dense_product(p, q) == zero
@@ -230,8 +229,8 @@ class TestProduct:
 
     def test_cancelled_entries_left_out(self):
         # (0, 0) sums 1 * 1 + 1 * -1: a zero, which the format leaves out
-        p = KernelMatrix(2, [{(0, 0): 1, (0, 1): 1}, {}, {}])
-        q = KernelMatrix(2, [{(0, 0): 1, (1, 0): -1}, {}, {}])
+        p = BoundaryState(2, XY, [{(0, 0): 1, (0, 1): 1}, {}, {}])
+        q = BoundaryState(2, XY, [{(0, 0): 1, (1, 0): -1}, {}, {}])
         assert kernel_matmul(p, q).terms == [{}, {}, {}]
 
 
@@ -272,6 +271,9 @@ class TestIndependentChecks:
 
 
 class TestKernelMatrix:
+    """A kernel is the state on legs (x, y): the constructor's checks on two
+    legs, and the matrix view that only a two-leg state has."""
+
     @pytest.mark.parametrize("value", [float(2 ** 40), np.int64(2 ** 40), True],
                              ids=["float64", "int64", "bool"])
     def test_fixed_width_entries_rejected(self, value):
@@ -279,18 +281,18 @@ class TestKernelMatrix:
         # bool prints as True
         terms = [{(0, 0): value}] + [{} for _ in range(4)]
         with pytest.raises(ValueError, match="need int"):
-            KernelMatrix(4, terms)
+            BoundaryState(4, XY, terms)
 
     def test_degree_count_and_mode_range_checked(self):
         with pytest.raises(ValueError, match="degree dicts"):
-            KernelMatrix(4, [{} for _ in range(3)])
+            BoundaryState(4, XY, [{} for _ in range(3)])
         with pytest.raises(ValueError, match="out of range"):
-            KernelMatrix(4, [{(0, 5): 1}] + [{} for _ in range(4)])
+            BoundaryState(4, XY, [{(0, 5): 1}] + [{} for _ in range(4)])
 
     @pytest.mark.parametrize("order", [-1, -3, 1.0, True])
     def test_order_must_be_a_natural_int(self, order):
         with pytest.raises(ValueError, match="order >= 0"):
-            KernelMatrix(order, [] if order == -1 else [{}, {}])
+            BoundaryState(order, XY, [] if order == -1 else [{}, {}])
 
     @pytest.mark.parametrize("mode", [(0.5, 0), (0, 1.0), (True, 0), (0, False), ("0", 0)],
                              ids=["float", "integral-float", "bool", "bool-false", "str"])
@@ -298,11 +300,11 @@ class TestKernelMatrix:
         # 0.5 or "0" never pairs in a contraction, and 1.0 or True pairs as 1
         # but prints otherwise
         with pytest.raises(ValueError, match="need ints"):
-            KernelMatrix(2, [{mode: 1}, {}, {}])
+            BoundaryState(2, XY, [{mode: 1}, {}, {}])
 
     def test_zeros_left_out_and_terms_copied(self):
         terms = [{(0, 0): 0, (1, 1): 2}, {}, {}]
-        k = KernelMatrix(2, terms)
+        k = BoundaryState(2, XY, terms)
         terms[0][(1, 1)] = 3
         assert k.terms == [{(1, 1): 2}, {}, {}]
 
@@ -314,6 +316,46 @@ class TestKernelMatrix:
             for i in range(-6, 7):
                 for j in range(-6, 7):
                     assert mats[d // 2][6 + i, 6 + j] == a.terms[d].get((i, j), 0)
+
+
+class TestBoundaryState:
+    """One record holds the states on any number of legs, kernels included."""
+
+    # name -> (the key on n legs, its value, the refusal), at order 2
+    REFUSED = {
+        "wrong-arity": (lambda n: (0,) * (n + 1), 1, "out of range"),
+        "float-exponent": (lambda n: (0.0,) * n, 1, "need ints"),
+        "bool-exponent": (lambda n: (True,) * n, 1, "need ints"),
+        "beyond-order": (lambda n: (3,) + (0,) * (n - 1), 1, "out of range"),
+        "float-value": (lambda n: (0,) * n, 1.0, "need int"),
+        "int64-value": (lambda n: (0,) * n, np.int64(1), "need int"),
+    }
+
+    @pytest.mark.parametrize("legs", [("a",), ("a", "b", "c")], ids=["1-leg", "3-leg"])
+    @pytest.mark.parametrize("refused", list(REFUSED))
+    def test_constructor_refuses(self, legs, refused):
+        key, value, match = self.REFUSED[refused]
+        n = len(legs)
+        BoundaryState(2, legs, [{(0,) * n: 1}, {}, {}])
+        with pytest.raises(ValueError, match=match):
+            BoundaryState(2, legs, [{key(n): value}, {}, {}])
+
+    def test_a_glued_kernel_is_its_flipped_trace(self):
+        a = t1_kernel(12)
+        closed = glue(a, "x", "y")
+        assert closed.leaf_vars == ()
+        assert tuple(t.get((), 0) for t in closed.terms) == kernel_trace(a, 1)
+
+    def test_open_genus_one_necklace_is_the_kernel(self):
+        assert necklace_state(1, 0, 8) == t1_kernel(8)
+
+    def test_kernel_views_need_two_legs(self):
+        state = BoundaryState(1, ("a", "b", "c"), [{(0, 0, 0): 1}, {}])
+        assert state.size == 3
+        with pytest.raises(ValueError, match="two leaves"):
+            state.mats
+        with pytest.raises(ValueError, match="two leaves"):
+            state.entry(0, 0)
 
 
 class TestOperators:
@@ -464,13 +506,13 @@ class TestTracePeriods:
     @pytest.mark.parametrize("builder", [t1_kernel, flip_operator])
     def test_builders_refuse_what_kernel_matrix_refuses(self, builder, order):
         with pytest.raises(ValueError) as refused:
-            KernelMatrix(order, [])
+            BoundaryState(order, XY, [])
         with pytest.raises(ValueError) as built:
             builder(order)
         assert str(built.value) == str(refused.value)
 
 
-def composed_chain(order: int, beads: int) -> list[KernelMatrix]:
+def composed_chain(order: int, beads: int) -> list[BoundaryState]:
     """A, A o A, A o A o A, ... up to ``beads`` factors: the chain of
     kernel_compose calls, A^k S^(k-1), a flip between every two factors and
     no pruning.  The oracle for powers by squaring and paired traces."""
@@ -605,8 +647,8 @@ class TestBoundaryStates:
         assert as_series(state) == ts_exp(graph_potential(tripod).potential, 6)
 
     def test_glue_leaves_out_cancelled_terms(self):
-        state = BoundaryState(1, ("a", "b", "c"), [{}, {(1, -1, 0): 2, (2, -2, 0): -2, (1, 0, 1): 5}])
-        assert glue(state, "a", "b") == BoundaryState(1, ("c",), [{}, {}])
+        state = BoundaryState(2, ("a", "b", "c"), [{}, {(1, -1, 0): 2, (2, -2, 0): -2, (1, 0, 1): 5}, {}])
+        assert glue(state, "a", "b") == BoundaryState(2, ("c",), [{}, {}, {}])
 
     def test_glue_requires_existing_leaves(self):
         state = necklace_state(1, 0, 4)
@@ -685,9 +727,9 @@ def corrupt_vertex_potential(monkeypatch, drop_monomial):
 
 
 def four_point_pair(parity, drop_monomial=None):
-    """w_p(x1, x2, m) and w_(1-p)(x3, x4, m), each corrupted as the graph's."""
+    """w_p(x1, x2, m) and w_0(x3, x4, m), each corrupted as the graph's."""
     return (drop_term(vertex_potential(("x1", "x2", "m"), parity), drop_monomial),
-            drop_term(vertex_potential(("x3", "x4", "m"), 1 - parity), drop_monomial))
+            drop_term(vertex_potential(("x3", "x4", "m"), 0), drop_monomial))
 
 
 def series_wdvv_check(parity, order, drop_monomial=None):
@@ -708,7 +750,9 @@ class TestWdvv:
     @pytest.mark.parametrize("drop", [0, 1, 2, 3])
     def test_corrupted_potential_fails(self, drop, monkeypatch):
         corrupt_vertex_potential(monkeypatch, drop)
-        assert not wdvv_check(0, 6)
+        assert not wdvv_check(1, 6)
+        # without term 2 or 3, two color-0 vertices still give a symmetric state
+        assert wdvv_check(0, 6) == (drop in (2, 3))
 
     @pytest.mark.parametrize("order", [5, 8])  # 5: the odd-degree pairing of the walk
     @pytest.mark.parametrize("parity", [0, 1])
@@ -720,14 +764,23 @@ class TestWdvv:
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_four_point_graph_pairs_two_copies_of_one_vertex(self, parity, monkeypatch):
-        # the other color with m inverted is the same vertex potential
+        # vertex b has color 0: a copy of vertex a at parity 0, and at parity 1
+        # a copy with m inverted, the other color
         seen = []
         monkeypatch.setattr(tqft, "k_state", lambda g, order: seen.append(g) or k_state(g, order))
         assert wdvv_check(parity, 4)
         left, right = four_point_pair(parity)
-        assert right == vertex_potential(("x3", "x4", "m"), parity).negate_var("m")
+        twin = vertex_potential(("x3", "x4", "m"), parity)
+        assert right == (twin.negate_var("m") if parity else twin)
         names = ("m", "x1", "x2", "x3", "x4")
         assert graph_potential(seen[0]).potential == left.embed(names) + right.embed(names)
+
+    def test_the_two_parities_check_different_states(self, monkeypatch):
+        states = []
+        monkeypatch.setattr(tqft, "k_state",
+                            lambda g, order: states.append(k_state(g, order)) or states[-1])
+        assert wdvv_check(0, 4) and wdvv_check(1, 4)
+        assert len(states) == 2 and states[0] != states[1]
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_walk_terms_are_the_series_pairing(self, parity):
