@@ -1,12 +1,13 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 on usage errors (bad arguments, malformed
-input files, an ``--order`` outside 0..``MAX_ORDER``, a genus above
-``MAX_GENUS``), 3 when a verification or cross-check fails.  ``table`` and
-``period --method tqft`` print the kernel traces' integers as they are.  A
-reader that closes the pipe early ends the output quietly, with the code
-reached so far: 0, or 2 or 3 if the command had already failed.  All output
-is deterministic: JSON keys are sorted and edges are visited in id order.
+input files, an ``--order`` outside 0..``MAX_ORDER``, a ``--genus`` or
+``--genus-max`` outside 2..``MAX_GENUS``), 3 when a verification or
+cross-check fails.  ``table`` and ``period --method tqft`` print the kernel
+traces' integers as they are.  A reader that closes the pipe early ends the
+output quietly, with the code reached so far: 0, or 2 or 3 if the command
+had already failed.  All output is deterministic: JSON keys are sorted and
+edges are visited in id order.
 """
 
 from __future__ import annotations
@@ -132,10 +133,6 @@ def _resolve_period_graph(args):
         return _read_graph(args.graph)  # periods_of_graph validates it
     if args.genus is None or args.parity is None:
         raise UsageError("need either --graph or both --genus and --parity")
-    if args.genus < 2:
-        raise UsageError("closed graphs need genus >= 2")
-    if args.genus > MAX_GENUS:
-        raise UsageError(f"--genus must be <= {MAX_GENUS}")
     return necklace_graph(args.genus, open_ends=False, parity=args.parity)
 
 
@@ -246,10 +243,6 @@ def cmd_table(args) -> int:
 
     from .tqft import trace_formula_table
 
-    if args.genus_max < 2:
-        raise UsageError("--genus-max must be >= 2")
-    if args.genus_max > MAX_GENUS:
-        raise UsageError(f"--genus-max must be <= {MAX_GENUS}")
     table = trace_formula_table(args.genus_max, args.order)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["k"] + [f"g{g}e{p}" for g, p in table])
@@ -341,20 +334,23 @@ def cmd_glue(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _order(text: str) -> int:
-    """argparse type of every ``--order``: an integer from 0 to MAX_ORDER."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    if value > MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_ORDER}, got {text!r}")
-    return value
+def _bounded(low: int, high: int):
+    """The argparse type of an integer from ``low`` to ``high``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
+    order, genus = _bounded(0, MAX_ORDER), _bounded(2, MAX_GENUS)
     order_help = f"truncation order in t, 0 to {MAX_ORDER}"
     parser = argparse.ArgumentParser(
         prog="graphpot",
@@ -369,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="period sequence of a closed graph")
     p.add_argument("--graph")
-    p.add_argument("--genus", type=int,
+    p.add_argument("--genus", type=genus,
                    help=f"genus of the closed necklace, 2 to {MAX_GENUS}")
     p.add_argument("--parity", type=int, choices=(0, 1))
-    p.add_argument("--order", type=_order, required=True, help=order_help)
+    p.add_argument("--order", type=order, required=True, help=order_help)
     p.add_argument("--method", choices=("brute", "tqft", "both"), default="both")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_period)
@@ -393,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_verify_coloring)
 
     p = sub.add_parser("table", help="CSV period table over genus and parity")
-    p.add_argument("--genus-max", type=int, required=True,
+    p.add_argument("--genus-max", type=genus, required=True,
                    help=f"largest genus in the table, 2 to {MAX_GENUS}")
-    p.add_argument("--order", type=_order, required=True, help=order_help)
+    p.add_argument("--order", type=order, required=True, help=order_help)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("kernel", help="dump the T1 kernel matrix")
-    p.add_argument("--order", type=_order, required=True, help=order_help)
+    p.add_argument("--order", type=order, required=True, help=order_help)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("grassmann", help="degenerate a genus-0 potential")
@@ -410,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grassmann)
 
     p = sub.add_parser("wdvv", help="four-point symmetry check")
-    p.add_argument("--order", type=_order, required=True, help=order_help)
+    p.add_argument("--order", type=order, required=True, help=order_help)
     p.add_argument("--parity", choices=("0", "1", "both"), default="both")
     p.set_defaults(func=cmd_wdvv)
 
@@ -418,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--leaf-a", required=True)
     p.add_argument("--leaf-b", required=True)
-    p.add_argument("--order", type=_order, required=True, help=order_help)
+    p.add_argument("--order", type=order, required=True, help=order_help)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_glue)
 

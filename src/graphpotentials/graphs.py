@@ -84,8 +84,9 @@ def validate(g: ColoredGraph) -> list[str]:
         problems.append("edge and leaf ids must be distinct (they name variables)")
     vset = set(vids)
     for v in g.vertices:
-        if v.color not in (0, 1):
-            problems.append(f"vertex {v.id}: color must be 0 or 1")
+        # exactly int, as graph_from_json reads it: True and 1.0 equal 1
+        if type(v.color) is not int or v.color not in (0, 1):
+            problems.append(f"vertex {v.id}: color must be the int 0 or 1, got {v.color!r}")
     for e in g.edges:
         for end in e.ends:
             if end not in vset:

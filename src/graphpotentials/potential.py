@@ -32,8 +32,8 @@ def vertex_potential(slots: Sequence[str], parity: int) -> LaurentPoly:
     """
     if len(slots) != 3:
         raise ValueError(f"a trivalent vertex has 3 slots, got {len(slots)}")
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
+    if type(parity) is not int or parity not in (0, 1):
+        raise ValueError(f"parity must be the int 0 or 1, got {parity!r}")
     vs = tuple(sorted(set(slots)))
     at = [vs.index(v) for v in slots]
     terms: dict[tuple, int] = {}

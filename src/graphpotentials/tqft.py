@@ -99,6 +99,8 @@ class BoundaryState(Record):
         if len(terms) != order + 1:
             raise ValueError(f"need {order + 1} degree dicts, got {len(terms)}")
         leaf_vars = tuple(leaf_vars)
+        if len(set(leaf_vars)) != len(leaf_vars):  # glue would sum out every copy of a name
+            raise ValueError(f"repeated leaf names in {leaf_vars}")
         for t in terms:
             for key, v in t.items():
                 # exponents pair by key: 0.5 would meet nothing, True prints as True
@@ -123,7 +125,7 @@ class BoundaryState(Record):
 
     def _require_kernel(self) -> None:
         if len(self.leaf_vars) != 2:
-            raise ValueError(f"a kernel view needs two leaves, got {self.leaf_vars}")
+            raise ValueError(f"a kernel needs two leaves, got {self.leaf_vars}")
 
     @property
     def mats(self) -> tuple:
@@ -191,10 +193,13 @@ def t1_kernel(order: int) -> BoundaryState:
     return BoundaryState._raw(order, ("x", "y"), terms)
 
 
-def _composed(p: BoundaryState, q: BoundaryState, q_terms: list) -> BoundaryState:
-    # p on legs (x, z) glued to q_terms on (z, y): mode k of p pairs with -k
+def _composed(p: BoundaryState, q: BoundaryState, flip: bool) -> BoundaryState:
+    # p on legs (x, z) glued to q, or to S q, on (z, y): mode k of p pairs with -k
+    p._require_kernel()
+    q._require_kernel()
     if p.order != q.order:
         raise ValueError("kernel orders differ")
+    q_terms = [{(-k, j): v for (k, j), v in t.items()} for t in q.terms] if flip else q.terms
     return BoundaryState._raw(p.order, *contract((("x", "z"), p.terms), (("z", "y"), q_terms),
                                                 p.order, {}))
 
@@ -203,17 +208,18 @@ def kernel_compose(p: BoundaryState, q: BoundaryState) -> BoundaryState:
     """Compose two kernels along a shared boundary circle: [p(x, z) q(z, y)]_{z^0}
     pairs mode k of p's second variable with mode -k of q's first, the matrix
     product p S q.  The flip kernel itself is the identity."""
-    return _composed(p, q, q.terms)
+    return _composed(p, q, flip=False)
 
 
 def kernel_matmul(p: BoundaryState, q: BoundaryState) -> BoundaryState:
     """Plain matrix product of coefficient matrices: p composed with S q."""
-    return _composed(p, q, [{(-k, j): v for (k, j), v in t.items()} for t in q.terms])
+    return _composed(p, q, flip=True)
 
 
 def kernel_trace(p: BoundaryState, flips: int) -> tuple[int, ...]:
     """tr(S^flips p) of the stored integers, d! times the trace at t^d: the entries
     at (i, i), or at (i, -i) when the flip count is odd, since (S p)[i, i] = p[-i, i]."""
+    p._require_kernel()
     s = -1 if flips % 2 else 1
     modes = range(-p.order, p.order + 1)
     return tuple(sum(t.get((i, s * i), 0) for i in modes) for t in p.terms)
@@ -261,6 +267,8 @@ def _pair_traces(p: BoundaryState, q: BoundaryState) -> tuple[tuple[int, ...], t
     t^d sums C(d, d_a) p[i, j] q[j, i], and p[i, j] q[j, -i] for the flip,
     over p's entries at t^(d_a) and q's at t^(d - d_a), walking the smaller
     of the two and looking up the other."""
+    p._require_kernel()
+    q._require_kernel()
     order = p.order
     plain, flipped = [0] * (order + 1), [0] * (order + 1)
     for da, tp in enumerate(p.terms):

@@ -340,24 +340,26 @@ EVERY_ORDER_COMMAND = pytest.mark.parametrize("argv", [
 
 
 class TestUsageErrors:
+    @staticmethod
+    def refused(capsys, argv, *extra):
+        """stdout and stderr of a command line that argparse refuses with exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(a) for a in argv + extra])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return out, err
+
     @EVERY_ORDER_COMMAND
     def test_negative_order_rejected(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([str(a) for a in argv] + ["--order", "-1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
+        _, err = self.refused(capsys, argv, "--order", -1)
         assert "argument --order: must be an integer >= 0" in err
-        assert "Traceback" not in err
 
     @EVERY_ORDER_COMMAND
     def test_order_above_limit_rejected(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([str(a) for a in argv] + ["--order", str(cli.MAX_ORDER + 1)])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
+        out, err = self.refused(capsys, argv, "--order", cli.MAX_ORDER + 1)
         assert out == ""
         assert f"argument --order: must be <= {cli.MAX_ORDER}" in err
-        assert "Traceback" not in err
 
     def test_order_limit_accepted_and_stated(self, capsys):
         assert cli.MAX_ORDER >= 48  # above every order the tests and benchmark use (32)
@@ -375,11 +377,18 @@ class TestUsageErrors:
         ("table", "--genus-max", 10 ** 12),
     ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
     def test_genus_above_limit_refused(self, argv, capsys):
-        code, out, err = run(capsys, *argv, "--order", 2)
-        assert code == 2
+        out, err = self.refused(capsys, argv, "--order", 2)
         assert out == ""
-        assert f"must be <= {cli.MAX_GENUS}" in err
-        assert "Traceback" not in err
+        assert f"argument {argv[1]}: must be <= {cli.MAX_GENUS}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("period", "--genus", 1, "--parity", 1),
+        ("table", "--genus-max", 1),
+    ], ids=lambda argv: argv[0])
+    def test_genus_below_two_refused(self, argv, capsys):
+        out, err = self.refused(capsys, argv, "--order", 2)
+        assert out == ""
+        assert f"argument {argv[1]}: must be an integer >= 2" in err
 
     def test_genus_limit_accepted_and_stated(self, capsys):
         assert cli.MAX_GENUS >= 4 * 16  # above every genus the tests and benchmark use

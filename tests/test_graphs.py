@@ -10,6 +10,7 @@ import pytest
 
 from graphpotentials.graphs import (
     MAX_ENUMERATION_GENUS,
+    InvalidGraph,
     _components,
     canonical_form,
     coloring_boundary_move,
@@ -34,6 +35,15 @@ from graphpotentials.potential import graph_potential
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 JOBS = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
+
+
+@pytest.fixture(scope="module")
+def jobs():
+    """perfbench/jobs.py, the benchmark's job entry, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _canonical_form_bruteforce(g):
@@ -201,6 +211,14 @@ class TestValidation:
         diags = validate(g)
         assert any("color" in d for d in diags)
         assert any("orientation" in d for d in diags)
+
+    @pytest.mark.parametrize("color", [True, 1.0], ids=["bool", "float"])
+    def test_color_must_be_an_int(self, color):
+        # both equal 1, and graph_from_json already refuses them
+        g = with_colors(theta_graph(), {"v2": color})
+        assert validate(g) == [f"vertex v2: color must be the int 0 or 1, got {color!r}"]
+        with pytest.raises(InvalidGraph):
+            graph_potential(g)
 
     def test_wrong_degree(self):
         g = make_graph([("v1", 0), ("v2", 0)], [("a", "v1", "v2")], [])
@@ -440,11 +458,8 @@ class TestEnumeration:
         for g in graphs:
             assert canonical_form(g) == _canonical_form_bruteforce(g), graph_to_json(g)
 
-    def test_canonical_form_key_shape(self):
+    def test_canonical_form_key_shape(self, jobs):
         # perfbench/jobs.py rebuilds a class's representative from its key
-        spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
-        jobs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(jobs)
         key = canonical_form(necklace_graph(4, parity=1))
         colors, edges, leaves = key
         assert colors == (0,) * 5 + (1,)
@@ -453,6 +468,15 @@ class TestEnumeration:
         assert canonical_form(jobs.representative(key)) == key
         open_key = canonical_form(necklace_graph(2, open_ends=True, parity=1))
         assert open_key[2] == ((1, "out"), (3, "in"))
+
+    @pytest.mark.parametrize("parity,classes,moves", [(0, 11, 91), (1, 40, 312)])
+    def test_benchmark_search_sizes(self, jobs, parity, classes, moves):
+        # the mutation-classes workload's searches: a change to canonical_form
+        # keys or to the move's re-pairing resizes that workload, and must say so
+        start = jobs.representative(canonical_form(necklace_graph(4, parity=parity)))
+        doc = jobs.search(start)
+        assert (doc["classes"], doc["moves"], doc["certified"]) == (classes, moves, True)
+        assert len(doc["graphs"]) == moves
 
     def test_isomorphism_respects_colors(self):
         a = with_colors(theta_graph(), {"v1": 1})

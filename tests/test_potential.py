@@ -85,6 +85,8 @@ class TestVertexPotential:
             vertex_potential(("a", "b"), 0)
         with pytest.raises(ValueError):
             vertex_potential(("a", "b", "c"), 2)
+        with pytest.raises(ValueError, match="int 0 or 1"):
+            vertex_potential(("a", "b", "c"), True)  # validate refuses it as a color
 
     def test_even_parity_three_distinct(self):
         # even number of inverted slots: +++ , +-- , -+- , --+

@@ -357,6 +357,29 @@ class TestBoundaryState:
         with pytest.raises(ValueError, match="two leaves"):
             state.entry(0, 0)
 
+    @pytest.mark.parametrize("operation", [
+        lambda s, a: kernel_compose(s, a),
+        lambda s, a: kernel_compose(a, s),
+        lambda s, a: kernel_matmul(s, a),
+        lambda s, a: kernel_matmul(a, s),
+        lambda s, a: kernel_trace(s, 0),
+        lambda s, a: kernel_trace(s, 1),
+        lambda s, a: tqft._pair_traces(s, a),
+        lambda s, a: tqft._pair_traces(a, s),
+    ], ids=["compose-left", "compose-right", "matmul-left", "matmul-right",
+            "trace", "flipped-trace", "pair-left", "pair-right"])
+    def test_kernel_operations_need_two_legs(self, operation):
+        # unchecked, a product pairs a 3-leg key by its first two exponents
+        # and a trace reads no entry of it
+        state = BoundaryState(2, ("a", "b", "c"), [{(0, 0, 0): 1}, {}, {(1, 0, -1): 2}])
+        with pytest.raises(ValueError, match="two leaves"):
+            operation(state, t1_kernel(2))
+
+    def test_constructor_refuses_repeated_leaf_names(self):
+        # glue would sum out every copy of "a" and leave no leaf open
+        with pytest.raises(ValueError, match="repeated leaf names"):
+            BoundaryState(1, ("a", "a", "b"), [{(0, 0, 0): 1}, {(1, 0, -1): 2}])
+
 
 class TestOperators:
     def test_flip_is_an_involution(self):
