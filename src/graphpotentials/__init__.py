@@ -2,7 +2,8 @@
 
 Submodules:
 
-* ``algebra``: Laurent polynomials, rational expressions, truncated series
+* ``algebra``: Laurent polynomials, rational expressions, and the series
+  references ``ts_exp`` and ``pairing_in_var`` (a series is a tuple)
 * ``graphs``: colored trivalent graphs, moves, enumeration
 * ``potential``: vertex and graph potentials, degenerations
 * ``mutation``: elementary transformations with symbolic certificates
@@ -25,7 +26,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "LaurentPoly": "algebra",
     "RationalExpr": "algebra",
-    "TSeries": "algebra",
     "ts_exp": "algebra",
     "pairing_in_var": "algebra",
     "rexpr_equal": "algebra",

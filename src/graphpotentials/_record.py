@@ -1,6 +1,6 @@
 """The base of the records that validate their fields: ``PeriodSequence``,
-``TSeries``, ``RationalExpr`` and ``BoundaryState``.  The other records are
-``NamedTuple``s."""
+``RationalExpr`` and ``BoundaryState``.  The other records are
+``NamedTuple``s, and a truncated series is a plain tuple."""
 
 
 class Record:

@@ -8,8 +8,9 @@ goes in, as a Fraction coefficient or scalar (a division by d!, say).  A
 ``bool`` is stored as the ``int`` it equals, and any other type raises
 ``TypeError``.  A Laurent polynomial is a dict from exponent tuples to
 nonzero coefficients, keyed by a canonical sorted variable order fixed at
-construction.  Truncated series carry their order explicitly and
-all products are truncated to the smaller order of the operands.
+construction.  A series truncated at order K is a plain tuple of K + 1
+coefficients, entry d that of t^d; a pairing of two is truncated to the
+shorter one.
 """
 
 from __future__ import annotations
@@ -345,58 +346,17 @@ def rexpr_substitute(p: LaurentPoly, name: str, value: RationalExpr) -> Rational
 # ---------------------------------------------------------------------------
 
 
-class TSeries(Record):
-    """Series in a formal parameter truncated at a fixed order (inclusive).
-
-    Coefficients may be rational scalars or :class:`LaurentPoly` values, as
-    long as the operands of a binary operation combine under ``+`` and ``*``.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: tuple):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if len(coeffs) != order + 1:
-            raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        self._set(order, coeffs)
-
-    def __getitem__(self, d: int):
-        return self.coeffs[d]
-
-    def __add__(self, other: "TSeries") -> "TSeries":
-        d = min(self.order, other.order)
-        return TSeries(d, tuple(self.coeffs[k] + other.coeffs[k] for k in range(d + 1)))
-
-    def __sub__(self, other: "TSeries") -> "TSeries":
-        d = min(self.order, other.order)
-        return TSeries(d, tuple(self.coeffs[k] - other.coeffs[k] for k in range(d + 1)))
-
-    def __mul__(self, other) -> "TSeries":
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return TSeries(self.order, tuple(c * other for c in self.coeffs))
-        d = min(self.order, other.order)
-        out = []
-        for k in range(d + 1):
-            acc = None
-            for a in range(k + 1):
-                t = self.coeffs[a] * other.coeffs[k - a]
-                acc = t if acc is None else acc + t
-            out.append(acc)
-        return TSeries(d, tuple(out))
-
-    __rmul__ = __mul__
-
-
-def ts_exp(w: LaurentPoly, order: int) -> TSeries:
-    """exp(t*w) truncated at the given order, coefficient k equals w**k / k!.
+def ts_exp(w: LaurentPoly, order: int) -> tuple[LaurentPoly, ...]:
+    """exp(t*w) truncated at the given order: entry k is w**k / k!.
 
     With :func:`pairing_in_var`, the reference the tests check the gluing of
     ``periods.walk_terms`` against: that engine keeps w**k, unscaled."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     coeffs = [LaurentPoly.one(w.vars)]
     for k in range(1, order + 1):
         coeffs.append(coeffs[-1] * w * Fraction(1, k))
-    return TSeries(order, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _pair_polys(p: LaurentPoly, q: LaurentPoly, name: str) -> LaurentPoly:
@@ -421,19 +381,20 @@ def _pair_polys(p: LaurentPoly, q: LaurentPoly, name: str) -> LaurentPoly:
     return acc
 
 
-def pairing_in_var(f: TSeries, g: TSeries, name: str) -> TSeries:
-    """Residue pairing of two series with Laurent-polynomial coefficients.
+def pairing_in_var(f: Sequence[LaurentPoly], g: Sequence[LaurentPoly],
+                   name: str) -> tuple[LaurentPoly, ...]:
+    """Residue pairing of two truncated series with Laurent-polynomial
+    coefficients, truncated to the shorter one.
 
-    Degree d of the result is ``sum_{a+b=d} [f_a(...) g_b(... name^-1 ...)]``
+    Entry d of the result is ``sum_{a+b=d} [f_a(...) g_b(... name^-1 ...)]``
     with the constant term taken in ``name``, which is removed from the
     coefficient variables: gluing along ``name``; with :func:`ts_exp`, the engine's reference.
     """
-    d = min(f.order, g.order)
     out = []
-    for k in range(d + 1):
+    for k in range(min(len(f), len(g))):
         acc = None
         for a in range(k + 1):
-            t = _pair_polys(f.coeffs[a], g.coeffs[k - a], name)
+            t = _pair_polys(f[a], g[k - a], name)
             acc = t if acc is None else acc + t
         out.append(acc)
-    return TSeries(d, tuple(out))
+    return tuple(out)

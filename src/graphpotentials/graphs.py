@@ -10,8 +10,8 @@ namespace.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations, product
-from operator import attrgetter
+from itertools import compress, permutations, product
+from operator import is_not
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 ORIENTATIONS = ("out", "in")
@@ -250,23 +250,31 @@ def vertex_slots(g: ColoredGraph, vids: Sequence[str] | None = None) -> dict[str
 def moved_vertices(a: ColoredGraph, b: ColoredGraph) -> set[str] | None:
     """The vertices at which two graphs that list the same vertex, edge and
     leaf ids in the same order differ, or None if the ids differ: where the
-    color differs, an edge end (keyed by edge id and end index) or a leaf
-    moves to or from the vertex, or a leaf's orientation differs.  Only the
-    set differences of the graphs' tuples cost Python steps.
+    color differs, an edge end (by edge and end index) or a leaf moves to or
+    from the vertex, or a leaf's orientation differs.  The tuples are compared
+    position by position, and a position where both graphs hold the same
+    record object costs no Python step: a move keeps every record it leaves
+    alone, so only the records it rewrote are looked at.
 
     A vertex outside the set keeps its color, its (edge id, end index)
     incidences and its leaves with their orientations, so its sorted
     :func:`vertex_slots` row too; one inside changes one of these.  So the set
     is exactly the vertices whose color, slot row or leaf orientations differ.
     """
-    ids = attrgetter("id")
-    if any(tuple(map(ids, x)) != tuple(map(ids, y)) for x, y in zip(a, b)):
-        return None
-    old, new = set(a.edges), set(b.edges)
-    ends = {(e.id, j, v) for e in old - new for j, v in enumerate(e.ends)}
-    ends ^= {(e.id, j, v) for e in new - old for j, v in enumerate(e.ends)}
-    return ({v for _, _, v in ends} | {v.id for v in set(a.vertices) ^ set(b.vertices)}
-            | {x.vertex for x in set(a.leaves) ^ set(b.leaves)})
+    changed = []
+    for xs, ys in zip(a, b):
+        if len(xs) != len(ys):
+            return None
+        pairs = list(compress(zip(xs, ys), map(is_not, xs, ys)))
+        if any(x.id != y.id for x, y in pairs):
+            return None
+        changed.append(pairs)
+    vertices, edges, leaves = changed
+    moved = {x.id for x, y in vertices if x.color != y.color}
+    moved.update(v for x, y in edges for ends in zip(x.ends, y.ends) if ends[0] != ends[1]
+                 for v in ends)
+    moved.update(v for x, y in leaves if x != y for v in (x.vertex, y.vertex))
+    return moved
 
 
 def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:

@@ -64,10 +64,15 @@ class MutationCertificate(NamedTuple):
 def local_potential(bundle: PotentialBundle, edge_id: str) -> LaurentPoly:
     """The sum of the two endpoint potentials of a non-loop edge, over their
     slot variables and the edge variable."""
-    v1, v2 = bundle.graph.edge(edge_id).ends
+    v1, v2 = ends = bundle.graph.edge(edge_id).ends
     if v1 == v2:
         raise ValueError(f"edge {edge_id} is a loop")
-    w1, w2 = bundle.per_vertex[v1], bundle.per_vertex[v2]
+    return _local(bundle, ends)
+
+
+def _local(bundle: PotentialBundle, ends: tuple[str, str]) -> LaurentPoly:
+    """The sum of the potentials at ``ends``, the two ends of a non-loop edge."""
+    w1, w2 = (bundle.per_vertex[v] for v in ends)
     return sum_over(tuple(sorted(set(w1.vars) | set(w2.vars))), (w1, w2))
 
 
@@ -85,11 +90,10 @@ def _certificate(bundle: PotentialBundle, edge_id: str):
     """(transformed bundle, certificate, frozen_unchanged, local potentials of
     the source and of the target) from one build of the transformed bundle."""
     g = bundle.graph
-    v1, v2 = g.edge(edge_id).ends
-    moved, slots = elementary_move(g, edge_id)
-    bundle2, frozen = moved_bundle(bundle, moved, (v1, v2))
-    local = local_potential(bundle, edge_id)
-    local2 = local_potential(bundle2, edge_id)
+    v1, v2 = ends = g.edge(edge_id).ends
+    moved, slots = elementary_move(g, edge_id)  # refuses a loop
+    bundle2, frozen = moved_bundle(bundle, moved, ends)
+    local, local2 = _local(bundle, ends), _local(bundle2, ends)
     mu, nu = _x_coefficients(local, edge_id)
     mu2, nu2 = _x_coefficients(local2, edge_id)
     cert = MutationCertificate(

@@ -30,11 +30,21 @@ from ._record import Record
 
 class PeriodSequence(Record):
     """pi_0..pi_order, pi_0 = 1, and the fingerprint of the graph they
-    belong to, if any."""
+    belong to, if any.  The values are exact, each an ``int`` or a
+    ``Fraction``, and are kept as a tuple."""
 
     __slots__ = ("order", "pi", "graph_fingerprint")
 
-    def __init__(self, order: int, pi: tuple[int, ...], graph_fingerprint: str | None = None):
+    def __init__(self, order: int, pi: Iterable, graph_fingerprint: str | None = None):
+        if type(order) is not int or order < 0:  # a bool or a float is refused too
+            raise ValueError(f"need an int order >= 0, got {order!r}")
+        pi = tuple(pi)
+        if any(type(x) is not int for x in pi):  # fractions is loaded only then
+            from fractions import Fraction
+
+            for x in pi:
+                if type(x) is not int and not isinstance(x, Fraction):
+                    raise ValueError(f"pi holds a {type(x).__name__}, need int or Fraction")
         if len(pi) != order + 1:
             raise ValueError(f"need {order + 1} values, got {len(pi)}")
         if pi[0] != 1:

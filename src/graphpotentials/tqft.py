@@ -65,19 +65,19 @@ def _require_order(order: int) -> None:
         raise ValueError(f"need an int order >= 0, got {order!r}")
 
 
-def _scaled_series(order: int, scaled) -> TSeries:
-    """The series whose t^d coefficient is the d-th of ``scaled`` over d!."""
+def _scaled_series(scaled) -> tuple:
+    """The truncated series whose t^d coefficient, entry d, is the d-th of
+    ``scaled`` over d!, a ``Fraction``."""
     from fractions import Fraction
 
-    from .algebra import TSeries
-
-    return TSeries(order, tuple(Fraction(c, math.factorial(d)) for d, c in enumerate(scaled)))
+    return tuple(Fraction(c, math.factorial(d)) for d, c in enumerate(scaled))
 
 
-def bessel(order: int) -> TSeries:
+def bessel(order: int) -> tuple:
     """B(z) = sum z^(2m) / (m!)^2 truncated at the given order: d! times its
     t^d coefficient is C(d, d/2) at even d."""
-    return _scaled_series(order, (0 if d % 2 else math.comb(d, d // 2) for d in range(order + 1)))
+    _require_order(order)
+    return _scaled_series(0 if d % 2 else math.comb(d, d // 2) for d in range(order + 1))
 
 
 class BoundaryState(Record):
@@ -144,19 +144,19 @@ class BoundaryState(Record):
             out.append(m)
         return tuple(out)
 
-    def entry(self, i: int, j: int) -> TSeries:
+    def entry(self, i: int, j: int) -> tuple:
         """Series of a kernel's (i, j) coefficient, unscaled."""
         self._require_kernel()
         D = self.order
         if abs(i) > D or abs(j) > D:
             raise IndexError(f"mode ({i}, {j}) out of range for order {D}")
-        return _scaled_series(D, (t.get((i, j), 0) for t in self.terms))
+        return _scaled_series(t.get((i, j), 0) for t in self.terms)
 
-    def scalar_series(self) -> TSeries:
+    def scalar_series(self) -> tuple:
         """The state of a closed-up graph as a plain rational series."""
         if self.leaf_vars:
             raise ValueError(f"state still has open leaves {self.leaf_vars}")
-        return _scaled_series(self.order, (t.get((), 0) for t in self.terms))
+        return _scaled_series(t.get((), 0) for t in self.terms)
 
 
 def flip_operator(order: int) -> BoundaryState:
@@ -312,9 +312,9 @@ def trace_periods(g: int, parity: int, order: int) -> tuple[int, ...]:
     return _pair_traces(high, low)[(n + parity) % 2]
 
 
-def trace_formula(g: int, parity: int, order: int) -> TSeries:
+def trace_formula(g: int, parity: int, order: int) -> tuple:
     """Laplace-transformed period series tr(A^(g-1) S^(g-1+parity)), pi_d / d! at t^d."""
-    return _scaled_series(order, trace_periods(g, parity, order))
+    return _scaled_series(trace_periods(g, parity, order))
 
 
 def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], tuple[int, ...]]:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from graphpotentials.algebra import (
     LaurentPoly,
     RationalExpr,
-    TSeries,
     pairing_in_var,
     rexpr_equal,
     rexpr_substitute,
@@ -24,11 +23,6 @@ def P(terms, variables=AB):
 
 def var(name, variables=AB):
     return LaurentPoly.variable(variables, name)
-
-
-def series(coeffs) -> TSeries:
-    """The series truncated after the last of ``coeffs``."""
-    return TSeries(len(coeffs) - 1, tuple(coeffs))
 
 
 def constant_term(p: LaurentPoly, names=None) -> LaurentPoly:
@@ -211,23 +205,11 @@ class TestRationalExpr:
         assert rexpr_equal(out, expected)
 
 
-class TestTSeries:
-    def test_from_list_and_truncate(self):
-        s = series([1, 0, 2, 5])
-        assert s.order == 3
-        assert s.coeffs == (1, 0, 2, 5)
-
-    def test_mul_truncates_to_min_order(self):
-        s = series([1, 1, 1])
-        t = series([1, 2, 0, 0, 0])
-        u = s * t
-        assert u.order == 2
-        assert u.coeffs == (1, 3, 3)
-
+class TestTsExp:
     def test_ts_exp_of_scalar_poly(self):
         w = LaurentPoly.constant(("x",), 2)
         e = ts_exp(w, 4)
-        got = [constant_coefficient(c) for c in e.coeffs]
+        got = [constant_coefficient(c) for c in e]
         assert got == [1, 2, 2, Fraction(4, 3), Fraction(2, 3)]
 
     def test_ts_exp_powers(self):
@@ -235,8 +217,16 @@ class TestTSeries:
         e = ts_exp(w, 3)
         two = LaurentPoly.constant(("x",), 2)
         six = LaurentPoly.constant(("x",), 6)
-        assert e.coeffs[2] * two == w * w
-        assert e.coeffs[3] * six == w * w * w
+        assert e[2] * two == w * w
+        assert e[3] * six == w * w * w
+
+    def test_ts_exp_is_a_tuple_of_order_plus_one(self):
+        w = P({(1,): 1, (-1,): 1}, ("x",))
+        for order in (0, 1, 5):
+            e = ts_exp(w, order)
+            assert type(e) is tuple and len(e) == order + 1
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            ts_exp(w, -1)
 
 
 class TestPairing:
@@ -244,23 +234,21 @@ class TestPairing:
         # degree k of the pairing is sum over a+b=k of the constant term in m
         # of f_a(m) * g_b(1/m)
         vs = ("m", "x")
-        f = series([P({(1, 0): 1, (-1, 0): 1}, vs),
-                               P({(1, 1): 1, (-1, 0): 1}, vs)])
-        g = series([P({(1, 0): 1}, vs),
-                               P({(1, 1): 1}, vs)])
+        f = (P({(1, 0): 1, (-1, 0): 1}, vs), P({(1, 1): 1, (-1, 0): 1}, vs))
+        g = (P({(1, 0): 1}, vs), P({(1, 1): 1}, vs), P({(2, 0): 1}, vs))
         paired = pairing_in_var(f, g, "m")
         direct = []
         for k in range(2):
             acc = LaurentPoly.zero(("x",))
             for a in range(k + 1):
-                prod = f.coeffs[a] * g.coeffs[k - a].negate_var("m")
+                prod = f[a] * g[k - a].negate_var("m")
                 acc = acc + constant_term(prod, ["m"])
             direct.append(acc)
-        assert paired == series(direct)
-        assert paired.coeffs[1] == P({(1,): 2}, ("x",))
+        assert paired == tuple(direct)  # truncated to the shorter series
+        assert paired[1] == P({(1,): 2}, ("x",))
 
     def test_pairing_drops_the_variable(self):
-        f = series([P({(1,): 1, (-1,): 1}, ("m",))])
+        f = (P({(1,): 1, (-1,): 1}, ("m",)),)
         out = pairing_in_var(f, f, "m")
-        assert out.coeffs[0].vars == ()
-        assert constant_coefficient(out.coeffs[0]) == 2
+        assert out[0].vars == ()
+        assert constant_coefficient(out[0]) == 2

@@ -14,6 +14,7 @@ from graphpotentials.graphs import (
     elementary_transformation,
     enumerate_trivalent,
     graph_from_json,
+    graph_to_json,
     make_graph,
     moved_vertices,
     necklace_graph,
@@ -210,11 +211,13 @@ class TestThetaDumbbell:
         bundle = graph_potential(necklace_graph(3, parity=1))
         calls = []
 
-        def counting(b, edge_id):
-            calls.append(b)
-            return local_potential(b, edge_id)
+        local = mutation_mod._local
 
-        monkeypatch.setattr(mutation_mod, "local_potential", counting)
+        def counting(b, ends):
+            calls.append(b)
+            return local(b, ends)
+
+        monkeypatch.setattr(mutation_mod, "_local", counting)
         out, _ = mutate(bundle, "s2")
         assert calls == [bundle, out]
 
@@ -606,6 +609,35 @@ class TestGraphDiff:
                 diff = moved_vertices(g, moved)
                 assert diff == _differing_vertices(g, moved), e.id
                 assert diff <= set(e.ends), e.id
+
+    def test_rebuilt_records_are_compared_by_value(self):
+        g = LEAFY
+        h = graph_from_json(graph_to_json(g))
+        assert all(x is not y for xs, ys in zip(g, h) for x, y in zip(xs, ys))
+        assert moved_vertices(g, h) == set()
+        # s2 (v2-v3) keeps its end at v3 and moves the one at v2 to v4
+        moved = h._replace(edges=tuple(e._replace(ends=("v4", "v3")) if e.id == "s2" else e
+                                       for e in h.edges))
+        assert moved_vertices(g, moved) == {"v2", "v4"}
+        # a leaf that moves is found at its old vertex too
+        moved = h._replace(leaves=(h.leaves[0], h.leaves[1]._replace(vertex="v1")))
+        assert moved_vertices(g, moved) == {"v1", "v4"}
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(with_colors(g, {"v0": p}), id=f"g{genus}-{i}-p{p}")
+        for genus in (2, 3, 4) for i, g in enumerate(enumerate_trivalent(genus)) for p in (0, 1)] + [
+        pytest.param(graph_from_json(json.loads((FIXTURES / "caterpillar.json").read_text())),
+                     id="caterpillar")])
+    def test_moves_share_the_records_they_keep(self, g):
+        # the diff looks only at positions where the graphs hold different
+        # objects; every move rebuilds exactly the records whose value it changes
+        for e in g.edges:
+            moves = [coloring_boundary_move(g, e.id)]
+            if e.ends[0] != e.ends[1]:
+                moves.append(elementary_transformation(g, e.id))
+            for moved in moves:
+                for xs, ys in zip(g, moved):
+                    assert [x is not y for x, y in zip(xs, ys)] == [x != y for x, y in zip(xs, ys)]
 
     def test_ids_must_agree(self):
         g = LEAFY

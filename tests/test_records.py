@@ -1,11 +1,9 @@
 """The library's records: immutable values, equal and hashed by value,
 validated where their constructors validate, printed as they always were."""
 
-from fractions import Fraction
-
 import pytest
 
-from graphpotentials.algebra import LaurentPoly, RationalExpr, TSeries
+from graphpotentials.algebra import LaurentPoly, RationalExpr
 from graphpotentials.graphs import ColoredGraph, Edge, Leaf, Vertex, theta_graph
 from graphpotentials.mutation import MutationCertificate, mutate
 from graphpotentials.periods import PeriodSequence
@@ -30,7 +28,6 @@ RECORDS = {
     MutationCertificate: (lambda k: mutate(graph_potential(theta_graph(k)), "a")[1], True),
     BoundaryState: (lambda k: necklace_state(1, k, 4), False),
     PeriodSequence: (lambda k: PeriodSequence(2, (1, k, 2), "g2e0"), True),
-    TSeries: (lambda k: TSeries(1, (Fraction(1), Fraction(k, 3))), True),
     RationalExpr: (lambda k: RationalExpr(poly({(1, 0): 1}), poly({(0, 1): k + 1})), True),
 }
 
@@ -69,7 +66,6 @@ def test_records_print_as_before():
     assert repr(Leaf("x", "v", "in")) == "Leaf(id='x', vertex='v', orientation='in')"
     assert repr(PeriodSequence(1, (1, 0))) == \
         "PeriodSequence(order=1, pi=(1, 0), graph_fingerprint=None)"
-    assert repr(TSeries(0, (1,))) == "TSeries(order=0, coeffs=(1,))"
 
 
 def test_replace_makes_a_new_record():
@@ -82,17 +78,27 @@ def test_replace_makes_a_new_record():
 @pytest.mark.parametrize("build,error,match", [
     (lambda: PeriodSequence(2, (1, 0)), ValueError, "need 3 values, got 2"),
     (lambda: PeriodSequence(1, (2, 0)), ValueError, r"pi\[0\] must be 1"),
-    (lambda: TSeries(-1, ()), ValueError, "order must be >= 0"),
-    (lambda: TSeries(2, (1, 0)), ValueError, "need 3 coefficients, got 2"),
+    (lambda: PeriodSequence(-1, ()), ValueError, "order >= 0"),
+    (lambda: PeriodSequence(0.0, (1,)), ValueError, "order >= 0"),
+    (lambda: PeriodSequence(True, (1, 0)), ValueError, "order >= 0"),
+    (lambda: PeriodSequence(1, (1, 0.5)), ValueError, "pi holds a float"),
+    (lambda: PeriodSequence(1, (1, False)), ValueError, "pi holds a bool"),
     (lambda: RationalExpr(poly({(1, 0): 1}), LaurentPoly(("a",), {(0,): 1})), ValueError,
      "must share variables"),
     (lambda: RationalExpr(poly({(1, 0): 1}), LaurentPoly.zero(AB)), ZeroDivisionError,
      "zero denominator"),
-], ids=["period-length", "period-pi0", "series-order", "series-length", "rexpr-vars",
+], ids=["period-length", "period-pi0", "period-negative-order", "period-float-order",
+        "period-bool-order", "period-float-value", "period-bool-value", "rexpr-vars",
         "rexpr-zero"])
 def test_validating_constructors_refuse(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+def test_period_sequence_keeps_a_tuple():
+    seq = PeriodSequence(1, [1, 0])
+    assert seq.pi == (1, 0) and type(seq.pi) is tuple
+    assert hash(seq) == hash(PeriodSequence(1, (1, 0)))
 
 
 def test_potential_is_the_sum_on_every_read():

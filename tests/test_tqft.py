@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from graphpotentials import periods, potential, tqft
-from graphpotentials.algebra import LaurentPoly, TSeries, pairing_in_var, ts_exp
+from graphpotentials.algebra import LaurentPoly, pairing_in_var, ts_exp
 from graphpotentials.graphs import (
     Leaf,
     enumerate_trivalent,
@@ -53,7 +53,13 @@ def xy(terms):
     return LaurentPoly(XY, {tuple(e): Fraction(c) for e, c in terms.items()})
 
 
-def bessel_of(p: LaurentPoly, order: int) -> TSeries:
+def series_product(f, g) -> tuple:
+    """The product of two truncated series, truncated to the shorter one."""
+    return tuple(sum((f[a] * g[d - a] for a in range(1, d + 1)), f[0] * g[d])
+                 for d in range(min(len(f), len(g))))
+
+
+def bessel_of(p: LaurentPoly, order: int) -> tuple[LaurentPoly, ...]:
     """B(t * p) as a series with Laurent-polynomial coefficients."""
     coeffs = [LaurentPoly.zero(p.vars) for _ in range(order + 1)]
     m = 0
@@ -62,12 +68,13 @@ def bessel_of(p: LaurentPoly, order: int) -> TSeries:
         coeffs[2 * m] = power.__class__(power.vars, {
             e: c / Fraction(factorial(m)) ** 2 for e, c in power.terms.items()})
         m += 1
-    return TSeries(order, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def t1_kernel_direct(order: int) -> BoundaryState:
     """T1 by multiplying the two Bessel series: the oracle for t1_kernel."""
-    prod = bessel_of(xy({(1, 0): 1, (0, 1): 1}), order) * bessel_of(xy({(-1, 0): 1, (0, -1): 1}), order)
+    prod = series_product(bessel_of(xy({(1, 0): 1, (0, 1): 1}), order),
+                          bessel_of(xy({(-1, 0): 1, (0, -1): 1}), order))
     terms = [{} for _ in range(order + 1)]
     for d, t in enumerate(terms):
         for e, c in prod[d].terms.items():
@@ -77,11 +84,10 @@ def t1_kernel_direct(order: int) -> BoundaryState:
     return BoundaryState(order, XY, terms)
 
 
-def as_series(state) -> TSeries:
+def as_series(state) -> tuple[LaurentPoly, ...]:
     """A state's terms as a series of Laurent polynomials, divided by d!."""
-    return TSeries(state.order, tuple(
-        LaurentPoly(state.leaf_vars, {e: Fraction(c, factorial(d)) for e, c in t.items()})
-        for d, t in enumerate(state.terms)))
+    return tuple(LaurentPoly(state.leaf_vars, {e: Fraction(c, factorial(d)) for e, c in t.items()})
+                 for d, t in enumerate(state.terms))
 
 
 class TestBessel:
@@ -89,12 +95,28 @@ class TestBessel:
         s = bessel(8)
         expected = [Fraction(1), 0, Fraction(1), 0, Fraction(1, 4), 0,
                     Fraction(1, 36), 0, Fraction(1, 576)]
-        assert list(s.coeffs) == expected
+        assert list(s) == expected
 
     def test_denominators_are_square_factorials(self):
         s = bessel(12)
         for m in range(7):
-            assert s.coeffs[2 * m] == Fraction(1, factorial(m) ** 2)
+            assert s[2 * m] == Fraction(1, factorial(m) ** 2)
+
+
+class TestSeriesViews:
+    """A truncated series is a tuple whose entry d is the coefficient of t^d."""
+
+    @pytest.mark.parametrize("order", [0, 1, 6])
+    def test_views_are_tuples_of_order_plus_one(self, order):
+        closed = glue(necklace_state(2, 1, order), "x", "y")
+        w = vertex_potential(("p", "q", "m"), 0)
+        for series in (bessel(order), trace_formula(3, 1, order), t1_kernel(order).entry(0, 0),
+                       closed.scalar_series(), ts_exp(w, order)):
+            assert type(series) is tuple and len(series) == order + 1
+        for g, parity in ((2, 0), (3, 1), (4, 0)):
+            pi = trace_periods(g, parity, order)
+            hat = trace_formula(g, parity, order)
+            assert all(hat[k] * factorial(k) == pi[k] for k in range(order + 1))
 
 
 class TestT1Kernel:
@@ -105,11 +127,11 @@ class TestT1Kernel:
     def test_sample_entries(self):
         # checked by expanding B(t(x+y)) B(t(1/x+1/y)) term by term
         a = t1_kernel(6)
-        assert a.entry(0, 0).coeffs == (1, 0, 0, 0, 6, 0, 0)
-        assert a.entry(1, 1).coeffs == (0, 0, 2, 0, 0, 0, 5)
-        assert a.entry(1, -1).coeffs == (0, 0, 0, 0, 4, 0, 0)
-        assert a.entry(2, 0).coeffs == (0, 0, 1, 0, 0, 0, Fraction(15, 4))
-        assert a.entry(2, 2).coeffs == (0, 0, 0, 0, Fraction(3, 2), 0, 0)
+        assert a.entry(0, 0) == (1, 0, 0, 0, 6, 0, 0)
+        assert a.entry(1, 1) == (0, 0, 2, 0, 0, 0, 5)
+        assert a.entry(1, -1) == (0, 0, 0, 0, 4, 0, 0)
+        assert a.entry(2, 0) == (0, 0, 1, 0, 0, 0, Fraction(15, 4))
+        assert a.entry(2, 2) == (0, 0, 0, 0, Fraction(3, 2), 0, 0)
 
     def test_symmetry_and_flip_invariance(self):
         a = t1_kernel(12)
@@ -123,7 +145,7 @@ class TestT1Kernel:
         for i in range(-10, 11):
             for j in range(-10, 11):
                 e = a.entry(i, j)
-                for k, c in enumerate(e.coeffs):
+                for k, c in enumerate(e):
                     if c == 0:
                         continue
                     assert k % 2 == 0
@@ -390,7 +412,7 @@ class TestOperators:
         for i in range(-6, 7):
             for j in range(-6, 7):
                 expect = 1 if (i == j) else 0
-                assert one.entry(i, j).coeffs[0] == expect
+                assert one.entry(i, j)[0] == expect
         assert kernel_compose(s, s) == s
 
     def test_flip_is_the_compose_identity(self):
@@ -416,8 +438,8 @@ class TestOperators:
         # tr(A S) sums the antidiagonal, tr(A) the diagonal
         t_diag = kernel_trace(a, 0)
         t_anti = kernel_trace(a, 1)
-        diag = sum((a.entry(i, i).coeffs[6] for i in range(-6, 7)), Fraction(0))
-        anti = sum((a.entry(i, -i).coeffs[6] for i in range(-6, 7)), Fraction(0))
+        diag = sum((a.entry(i, i)[6] for i in range(-6, 7)), Fraction(0))
+        anti = sum((a.entry(i, -i)[6] for i in range(-6, 7)), Fraction(0))
         # the trace of the stored integers: d! times the coefficient
         assert t_diag[6] == diag * factorial(6)
         assert t_anti[6] == anti * factorial(6)
@@ -428,13 +450,13 @@ class TestTraceFormula:
         # pi_2d = C(2d, d)^3 (Coates, Corti, Galkin, Kasprzyk, arXiv:1303.3288)
         t = trace_formula(2, 1, 64)
         for k in range(65):
-            assert t.coeffs[k] == (Fraction(comb(k, k // 2) ** 3, factorial(k)) if k % 2 == 0 else 0)
+            assert t[k] == (Fraction(comb(k, k // 2) ** 3, factorial(k)) if k % 2 == 0 else 0)
 
     def test_genus2_even_anchors(self):
         t = trace_formula(2, 0, 12)
         table = {0: 1, 4: 384, 8: 645120, 12: 1513881600}
         for k in range(13):
-            assert t.coeffs[k] * factorial(k) == table.get(k, 0)
+            assert t[k] * factorial(k) == table.get(k, 0)
         # in closed form pi_4m = C(4m, 2m) 16^m C(2m, m)^2, and 0 elsewhere
         even = tuple(comb(k, k // 2) * 16 ** (k // 4) * comb(k // 2, k // 4) ** 2
                      if k % 4 == 0 else 0 for k in range(65))
@@ -490,7 +512,7 @@ class TestTraceFormula:
             brute = periods_bruteforce(w, 8)
             t = trace_formula(3, parity, 8)
             for k in range(9):
-                assert t.coeffs[k] * factorial(k) == brute.pi[k]
+                assert t[k] * factorial(k) == brute.pi[k]
 
 
 class TestTracePeriods:
@@ -512,6 +534,7 @@ class TestTracePeriods:
                 assert tuple(hat[d] * factorial(d) for d in range(order + 1)) == pi
 
     @pytest.mark.parametrize("call,args", [
+        (bessel, (-1,)),
         (t1_kernel, (-1,)),
         (flip_operator, (-1,)),
         (necklace_state, (2, 0, -1)),
@@ -519,7 +542,7 @@ class TestTracePeriods:
         (trace_formula, (3, 0, -1)),
         (trace_formula_table, (3, -1)),
         (lambda g, order: periods_of_graph(g, order, "tqft"), (necklace_graph(3), -1)),
-    ], ids=["t1_kernel", "flip_operator", "necklace_state", "trace_periods",
+    ], ids=["bessel", "t1_kernel", "flip_operator", "necklace_state", "trace_periods",
             "trace_formula", "trace_formula_table", "periods_of_graph"])
     def test_negative_order_raises(self, call, args):
         with pytest.raises(ValueError, match="order >= 0"):
@@ -620,13 +643,13 @@ class TestBoundaryStates:
         state = necklace_state(1, 1, 8)
         left = bessel_of(xy({(1, 0): 1, (0, -1): 1}), 8)
         right = bessel_of(xy({(-1, 0): 1, (0, 1): 1}), 8)
-        assert as_series(state) == left * right
+        assert as_series(state) == series_product(left, right)
 
     def test_even_open_genus_one(self):
         state = necklace_state(1, 0, 8)
         left = bessel_of(xy({(1, 0): 1, (0, 1): 1}), 8)
         right = bessel_of(xy({(-1, 0): 1, (0, -1): 1}), 8)
-        assert as_series(state) == left * right
+        assert as_series(state) == series_product(left, right)
 
     @pytest.mark.parametrize("g,parity", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_glue_closes_the_necklace(self, g, parity):
@@ -762,7 +785,7 @@ def series_wdvv_check(parity, order, drop_monomial=None):
     left, right = four_point_pair(parity, drop_monomial)
     m4 = pairing_in_var(ts_exp(left, order), ts_exp(right.negate_var("m"), order), "m")
     return all(LaurentPoly(p.vars, {tuple(e[i] for i in perm): c for e, c in p.terms.items()}) == p
-               for perm in permutations(range(4)) for p in m4.coeffs)
+               for perm in permutations(range(4)) for p in m4)
 
 
 class TestWdvv:
