@@ -8,9 +8,18 @@ goes in, as a Fraction coefficient or scalar (a division by d!, say).  A
 ``bool`` is stored as the ``int`` it equals, and any other type raises
 ``TypeError``.  A Laurent polynomial is a dict from exponent tuples to
 nonzero coefficients, keyed by a canonical sorted variable order fixed at
-construction.  A series truncated at order K is a plain tuple of K + 1
+construction; an exponent is exactly an ``int``, and any other raises
+``ValueError``.  A series truncated at order K is a plain tuple of K + 1
 coefficients, entry d that of t^d; a pairing of two is truncated to the
 shorter one.
+
+The symbolic references are their formulas.  Substituting x = n/d into
+p = sum_k p_k x^k puts every term over one common denominator,
+``sum_k p_k n^(k - lo) d^(hi - k) / (n^-lo d^hi)`` with lo = min(0, min k) and
+hi = max(0, max k).  The residue pairing of two polynomials along x is the
+constant term in x of one product, ``[p(x) q(1/x)]_0``.  A rational
+expression prints with its monomial content divided out, the per-variable
+minimum exponent over the terms of its numerator and denominator.
 """
 
 from __future__ import annotations
@@ -69,6 +78,8 @@ class LaurentPoly:
         e = tuple(exps)
         if len(e) != len(self.vars):
             raise ValueError(f"exponent tuple {e!r} does not match {len(self.vars)} variables")
+        if not all(type(x) is int for x in e):  # a float is not Laurent, True prints as True
+            raise ValueError(f"exponent tuple {e!r} holds a non-int")
         return e, _coefficient(c)
 
     # ---- constructors -------------------------------------------------
@@ -159,14 +170,14 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        checked_int(n, 0, what="power")
-        result = LaurentPoly.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        """p^n by square-and-multiply from p: per bit of n below the top, square, times p if set."""
+        if not checked_int(n, 0, what="power"):
+            return self._raw(self.vars, {(0,) * len(self.vars): 1})
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     @classmethod
@@ -262,11 +273,9 @@ def sum_over(variables: Sequence[str], polys: Iterable[LaurentPoly]) -> LaurentP
 # ---------------------------------------------------------------------------
 
 
-def _monomial_content(terms: Iterable[Exponents], n: int) -> tuple[int, ...]:
-    lo = None
-    for e in terms:
-        lo = list(e) if lo is None else [min(a, b) for a, b in zip(lo, e)]
-    return tuple(lo) if lo is not None else (0,) * n
+def _monomial_content(terms: list[Exponents], n: int) -> tuple[int, ...]:
+    """The per-variable minimum exponent over ``terms``; n zeros if there are none."""
+    return tuple(map(min, zip(*terms))) if terms else (0,) * n
 
 
 def _shift(p: LaurentPoly, shift: tuple[int, ...]) -> LaurentPoly:
@@ -314,30 +323,24 @@ def rexpr_equal(a: RationalExpr, b: RationalExpr) -> bool:
 
 
 def rexpr_substitute(p: LaurentPoly, name: str, value: RationalExpr) -> RationalExpr:
-    """Substitute a rational expression for one variable of a Laurent polynomial.
+    """p = sum_k p_k x^k with its variable x = ``name`` replaced by ``value`` = n/d.
 
-    The variable may reappear inside ``value`` (as in the mutation change of
-    coordinates); the result lives over the union of the remaining variables
-    and the variables of ``value``.
+    Over the common denominator, with lo = min(0, min k) and hi = max(0, max k):
+    ``sum_k p_k n^(k - lo) d^(hi - k) / (n^-lo d^hi)``.  The variable may
+    reappear inside ``value`` (as in the mutation change of coordinates); the
+    result lives over the union of the remaining variables and the variables
+    of ``value``.
     """
     if name not in p.vars:
         raise ValueError(f"unknown variable {name!r}")
     parts = p.by_degree(name)
     target = tuple(sorted((set(p.vars) - {name}) | set(value.num.vars)))
-    m_pos = max(max(parts, default=0), 0)
-    m_neg = max(-min(parts, default=0), 0)
-    num_v = value.num.embed(target)
-    den_v = value.den.embed(target)
-    # precompute powers
-    npows = [LaurentPoly.one(target)]
-    dpows = [LaurentPoly.one(target)]
-    for _ in range(m_pos + m_neg):
-        npows.append(npows[-1] * num_v)
-        dpows.append(dpows[-1] * den_v)
-    acc = LaurentPoly.zero(target)
-    for k, part in parts.items():
-        acc = acc + part.embed(target) * npows[k + m_neg] * dpows[m_pos - k]
-    return RationalExpr(acc, npows[m_neg] * dpows[m_pos])
+    degrees = [0, *parts]
+    lo, hi = min(degrees), max(degrees)
+    n, d = value.num.embed(target), value.den.embed(target)
+    num = sum((part.embed(target) * n ** (k - lo) * d ** (hi - k) for k, part in parts.items()),
+              LaurentPoly.zero(target))
+    return RationalExpr(num, n ** -lo * d ** hi)
 
 
 # ---------------------------------------------------------------------------
@@ -358,25 +361,11 @@ def ts_exp(w: LaurentPoly, order: int) -> tuple[LaurentPoly, ...]:
 
 
 def _pair_polys(p: LaurentPoly, q: LaurentPoly, name: str) -> LaurentPoly:
-    """Constant term in ``name`` of p(...) * q(... name -> name**-1 ...).
-
-    Pairs the coefficient of ``name**k`` in ``p`` with the coefficient of
-    ``name**k`` in ``q`` for every k, over the union of remaining variables.
-    """
-    union = tuple(sorted((set(p.vars) | set(q.vars)) - {name}))
-
-    def split(r: LaurentPoly) -> dict[int, LaurentPoly]:
-        r = r.embed(sorted(set(r.vars) | {name}))
-        return {k: part.embed(union) for k, part in r.by_degree(name).items()}
-
-    ps = split(p)
-    qs = split(q)
-    acc = LaurentPoly.zero(union)
-    for k, part in ps.items():
-        other = qs.get(k)
-        if other is not None:
-            acc = acc + part * other
-    return acc
+    """``[p * q(name -> name**-1)]_0``, the constant term in ``name``, over
+    the other variables of both."""
+    vs = tuple(sorted(set(p.vars) | set(q.vars) | {name}))
+    product = p.embed(vs) * q.embed(vs).negate_var(name)
+    return product.by_degree(name).get(0, LaurentPoly.zero(tuple(v for v in vs if v != name)))
 
 
 def pairing_in_var(f: Sequence[LaurentPoly], g: Sequence[LaurentPoly],

@@ -139,11 +139,11 @@ class BoundaryState(Record):
         return tuple(out)
 
     def entry(self, i: int, j: int) -> tuple:
-        """Series of a kernel's (i, j) coefficient, unscaled."""
+        """Series of a kernel's (i, j) coefficient, unscaled; each mode an int
+        in -order..order."""
         self._require_kernel()
-        D = self.order
-        if abs(i) > D or abs(j) > D:
-            raise IndexError(f"mode ({i}, {j}) out of range for order {D}")
+        for mode in (i, j):
+            checked_int(mode, -self.order, self.order, what="mode")
         return _scaled_series(t.get((i, j), 0) for t in self.terms)
 
     def scalar_series(self) -> tuple:
@@ -214,7 +214,7 @@ def kernel_trace(p: BoundaryState, flips: int) -> tuple[int, ...]:
     """tr(S^flips p) of the stored integers, d! times the trace at t^d: the entries
     at (i, i), or at (i, -i) when the flip count is odd, since (S p)[i, i] = p[-i, i]."""
     p._require_kernel()
-    s = -1 if flips % 2 else 1
+    s = -1 if checked_int(flips, 0, what="flips") % 2 else 1
     modes = range(-p.order, p.order + 1)
     return tuple(sum(t.get((i, s * i), 0) for i in modes) for t in p.terms)
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphpotentials.algebra import (
@@ -11,6 +11,7 @@ from graphpotentials.algebra import (
     pairing_in_var,
     rexpr_equal,
     rexpr_substitute,
+    sum_over,
     ts_exp,
 )
 
@@ -59,12 +60,59 @@ class TestLaurentPoly:
     def test_pow_matches_repeated_mul(self):
         p = P({(1, 0): 1, (0, -1): 1, (0, 0): 2})
         q = LaurentPoly.one(AB)
-        for _ in range(5):
+        for k in range(6):
+            assert p ** k == q, k
             q = q * p
-        assert p ** 5 == q
-        assert p ** 0 == LaurentPoly.one(AB)
         with pytest.raises(ValueError):
             p ** -1
+
+    def test_pow_starts_from_the_base(self, monkeypatch):
+        p = P({(1, 0): 1, (0, -1): 1, (0, 0): 2})
+        assert p ** 1 is p
+        products = []
+        mul = LaurentPoly.__mul__
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda x, y: products.append(y) or mul(x, y))
+        for k, count in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)]:
+            products.clear()
+            p ** k
+            assert len(products) == count, k
+
+    @pytest.mark.parametrize("build", [
+        lambda: LaurentPoly.variable(("x",), "x", 1.5),
+        lambda: LaurentPoly(("x",), {(0.5,): 1}),
+        lambda: LaurentPoly.variable(("x",), "x", True),
+        lambda: LaurentPoly(AB, {(1, 0.0): 1}),
+    ], ids=["float-power", "float-key", "bool-power", "float-in-two"])
+    def test_exponents_must_be_ints(self, build):
+        with pytest.raises(ValueError, match=r"^exponent tuple \(.*\) holds a non-int$"):
+            build()
+
+    def test_exponent_tuple_must_match_the_variables(self):
+        with pytest.raises(ValueError, match=r"^exponent tuple \(1,\) does not match 2 variables$"):
+            LaurentPoly(AB, {(1,): 1})
+
+    def test_scalar_and_foreign_operands(self):
+        p = P({(1, 0): 1, (0, 0): 3})
+        assert bool(p) and not LaurentPoly.zero(AB)
+        assert LaurentPoly.constant(AB, 3) == 3 and p != 3
+        assert p - 3 == P({(1, 0): 1}) and 3 - p == P({(1, 0): -1})
+        assert p != "a" and p.__eq__("a") is NotImplemented
+        with pytest.raises(TypeError):
+            p - "a"
+        with pytest.raises(ValueError, match="variable mismatch"):
+            p + LaurentPoly.variable(("a",), "a")
+
+    def test_str_and_repr(self):
+        assert str(LaurentPoly.zero(AB)) == "0"
+        assert str(P({(1, 0): -1, (0, 2): -1, (0, 0): 1})) == "1 - b^2 - a"
+        assert str(P({(0, 1): -1})) == "-b"
+        p = LaurentPoly(AB, {(1, 0): 2, (0, -1): 1})
+        assert repr(p) == "LaurentPoly(('a', 'b'), {(0, -1): 1, (1, 0): 2})"
+        assert eval(repr(p)) == p
+
+    def test_sum_over_needs_sorted_unique_variables(self):
+        with pytest.raises(ValueError, match="sorted and unique"):
+            sum_over(("b", "a"), [var("a")])
 
     def test_constant_term_all_vars(self):
         p = P({(0, 0): 7, (1, -1): 3})
@@ -203,6 +251,64 @@ class TestRationalExpr:
         out = rexpr_substitute(p, "a", RationalExpr(LaurentPoly.one(va), a))
         expected = RationalExpr(P({(2,): 2, (0,): 1}, va), a)
         assert rexpr_equal(out, expected)
+
+
+def evaluate(p: LaurentPoly, point: dict) -> Fraction:
+    """p at a point of nonzero rationals, one per variable of p."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = Fraction(c)
+        for v, k in zip(p.vars, e):
+            term *= point[v] ** k
+        total += term
+    return total
+
+
+AXB = ("a", "b", "x")
+nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+class TestSubstituteOracle:
+    """rexpr_substitute against evaluation: at a point P, the substituted
+    expression equals p with x := n(P)/d(P), in Fractions, for p of any
+    x-degrees and values over variables that may include x itself."""
+
+    @given(st.dictionaries(st.tuples(exps, exps, exps), ints, max_size=6),
+           st.dictionaries(st.tuples(exps, exps), ints, max_size=3),
+           st.dictionaries(st.tuples(exps, exps), ints, min_size=1, max_size=3),
+           st.fixed_dictionaries({v: nonzero for v in AXB}))
+    @settings(max_examples=150, deadline=None)
+    def test_substitution_evaluates_as_the_value(self, p_terms, n_terms, d_terms, point):
+        p = LaurentPoly(AXB, p_terms)
+        n, d = LaurentPoly(("a", "x"), n_terms), LaurentPoly(("a", "x"), d_terms)
+        assume(not d.is_zero() and evaluate(n, point) and evaluate(d, point))
+        out = rexpr_substitute(p, "x", RationalExpr(n, d))
+        assert out.num.vars == AXB
+        x = evaluate(n, point) / evaluate(d, point)
+        assert evaluate(out.num, point) / evaluate(out.den, point) == evaluate(p, {**point, "x": x})
+
+    @pytest.mark.parametrize("p", [
+        P({(0, 1, 0): 3, (1, 0, 0): -1}, AXB),
+        P({(0, 0, 3): 2, (1, 0, -2): 1, (0, 1, 1): -1}, AXB),
+        P({(0, 0, -3): 1, (0, 1, -1): 5}, AXB),
+        LaurentPoly.zero(AXB),
+    ], ids=["free-of-x", "degrees-3-and-minus-2", "negative-only", "zero"])
+    def test_substitution_at_fixed_degrees(self, p):
+        n = P({(1,): 1, (0,): 1}, ("b",))
+        d = P({(0,): 2, (-1,): 1}, ("b",))
+        out = rexpr_substitute(p, "x", RationalExpr(n, d))
+        assert out.num.vars == ("a", "b")
+        if all(k == 0 for k in p.by_degree("x")):
+            assert out.num == constant_term(p, ["x"]) and out.den == 1
+        for a, b in [(Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(1, 3))]:
+            point = {"a": a, "b": b}
+            x = evaluate(n, point) / evaluate(d, point)
+            assert evaluate(out.num, point) / evaluate(out.den, point) == \
+                evaluate(p, {**point, "x": x})
+
+    def test_unknown_variable_is_refused(self):
+        with pytest.raises(ValueError, match="unknown variable 'x'"):
+            rexpr_substitute(var("a"), "x", RationalExpr.from_poly(var("b")))
 
 
 class TestTsExp:

@@ -240,6 +240,19 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 2
 
+    def test_mutation_refuses_a_graph_of_loops(self, tmp_path, capsys):
+        graph = tmp_path / "lollipop.json"
+        graph.write_text(json.dumps({"vertices": [{"id": "v", "color": 0}],
+                                     "edges": [{"id": "e", "ends": ["v", "v"]}],
+                                     "leaves": [{"id": "x", "vertex": "v", "orientation": "out"}]}))
+        code, out, err = run(capsys, "verify", "mutation", "--graph", graph)
+        assert (code, out, err) == (2, "", "error: graph has no non-loop internal edges\n")
+
+    def test_mutation_refuses_a_loop_edge(self, capsys):
+        code, out, err = run(capsys, "verify", "mutation", "--graph", FIXTURES / "dumbbell.json",
+                             "--edge", "b")
+        assert (code, out, err) == (2, "", "error: edge 'b': edge b is a loop\n")
+
     def test_corrupted_check_exits_3(self, capsys, monkeypatch):
         from graphpotentials import mutation as mutation_mod
 
@@ -283,6 +296,13 @@ class TestGrassmann:
         assert code == 0
         assert out.strip() == "X^-1*Y*Z + X*Y^-1*Z + X*Y*Z^-1"
 
+    def test_single_vertex_json(self, capsys):
+        code, out, _ = run(capsys, "grassmann", "--graph", FIXTURES / "tripod.json",
+                           "--distinguished", "v=X", "--json")
+        assert code == 0
+        assert json.loads(out) == {"variables": ["X", "Y", "Z"],
+                                   "terms": {"-1,1,1": "1", "1,-1,1": "1", "1,1,-1": "1"}}
+
     def test_missing_distinguished_slot(self, capsys):
         code, _, err = run(capsys, "grassmann", "--graph", FIXTURES / "tripod.json")
         assert code == 2
@@ -299,7 +319,8 @@ class TestGrassmann:
     @pytest.mark.parametrize("extra, message", [
         ("w=Y", "name no vertex: w"),
         ("v=Y", "names vertex 'v' twice"),
-    ], ids=["unknown-vertex", "vertex-twice"])
+        ("vY", "--distinguished takes VERTEX=SLOT, got 'vY'"),
+    ], ids=["unknown-vertex", "vertex-twice", "no-equals"])
     def test_bad_distinguished_entry(self, extra, message, capsys):
         code, _, err = run(capsys, "grassmann", "--graph", FIXTURES / "tripod.json",
                            "--distinguished", "v=X", "--distinguished", extra)
@@ -339,6 +360,19 @@ EVERY_ORDER_COMMAND = pytest.mark.parametrize("argv", [
 ], ids=lambda argv: argv[0])
 
 
+def test_a_value_error_other_than_an_invalid_graph_propagates(capsys, monkeypatch):
+    # exit 2 names a bad graph file; any other ValueError is a fault of the
+    # program and keeps its traceback
+    from graphpotentials import tqft
+
+    def broken(parity, order):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(tqft, "wdvv_check", broken)
+    with pytest.raises(ValueError, match="^broken$"):
+        cli.main(["wdvv", "--order", "2"])
+
+
 class TestUsageErrors:
     @staticmethod
     def refused(capsys, argv, *extra):
@@ -354,6 +388,13 @@ class TestUsageErrors:
     def test_negative_order_rejected(self, argv, capsys):
         _, err = self.refused(capsys, argv, "--order", -1)
         assert "argument --order: must be an integer >= 0" in err
+
+    @EVERY_ORDER_COMMAND
+    @pytest.mark.parametrize("text", ["abc", "2.5"])
+    def test_non_integer_order_rejected(self, argv, text, capsys):
+        out, err = self.refused(capsys, argv, "--order", text)
+        assert out == ""
+        assert f"argument --order: must be an integer >= 0, got '{text}'" in err
 
     @EVERY_ORDER_COMMAND
     def test_order_above_limit_rejected(self, argv, capsys):

@@ -206,6 +206,14 @@ class TestValidation:
         g = make_graph([("v1", 0)], [("a", "v1", "nowhere")], [])
         assert any("nowhere" in d for d in validate(g))
 
+    def test_unknown_leaf_vertex(self):
+        g = make_graph([("v1", 0)], [("a", "v1", "v1")], [("x", "nowhere", "out")])
+        assert validate(g) == ["leaf x: unknown vertex nowhere"]
+
+    def test_lookup_of_an_unknown_vertex(self):
+        with pytest.raises(KeyError):
+            theta_graph().vertex("nowhere")
+
     def test_bad_color_and_orientation(self):
         g = make_graph([("v1", 2)], [], [("p", "v1", "sideways")])
         diags = validate(g)
@@ -333,6 +341,13 @@ class TestElementaryTransformation:
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
             elementary_transformation(dumbbell_graph(), "b")
+
+    def test_endpoint_that_is_not_trivalent_rejected(self):
+        # v2 has degree 2: the move re-pairs two slots at each end
+        g = make_graph([("v1", 0), ("v2", 0)], [("e", "v1", "v2")],
+                       [("x", "v1", "out"), ("y", "v1", "out"), ("z", "v2", "out")])
+        with pytest.raises(ValueError, match="^edge e: endpoints are not trivalent$"):
+            elementary_move(g, "e")
 
     def test_changes_only_the_two_crossing_slots(self):
         graphs = [with_colors(g, {"v0": p}) for g in enumerate_trivalent(4) for p in (0, 1)]
@@ -551,6 +566,11 @@ class TestLattice:
     def test_quarter_weights_rejected(self):
         g = theta_graph()
         assert not mgamma_member(g, {"a": Fraction(1, 4), "b": Fraction(1, 4), "c": Fraction(1, 2)})
+
+
+    def test_weights_must_cover_the_edges(self):
+        with pytest.raises(ValueError, match=r"missing \['c'\], extra \['z'\]"):
+            mgamma_member(theta_graph(), {"a": 1, "b": 0, "z": 2})
 
 
 class TestJson:

@@ -258,6 +258,15 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="loop"):
             mutate(b, "b")
 
+    def test_x_degree_other_than_one_is_refused(self):
+        # a hand-built bundle whose end v1 holds the edge variable squared
+        b = graph_potential(theta_graph())
+        a2 = LaurentPoly.variable(b.per_vertex["v1"].vars, "a", 2)
+        bad = b._replace(per_vertex={**b.per_vertex, "v1": b.per_vertex["v1"] + a2})
+        for check in (mu_nu_factors, mutation_report):
+            with pytest.raises(ValueError, match="^local potential has x-degree 2, expected [+]-1$"):
+                check(bad, "a")
+
     def test_split_potential_partition(self):
         g = make_graph(
             [("v1", 0), ("v2", 0), ("v3", 0), ("v4", 0)],

@@ -12,6 +12,7 @@ from graphpotentials.algebra import LaurentPoly
 from graphpotentials.graphs import (
     dumbbell_graph,
     enumerate_trivalent,
+    make_graph,
     necklace_graph,
     theta_graph,
     with_colors,
@@ -358,6 +359,17 @@ class TestGraphPeriods:
         g = necklace_graph(2, open_ends=True)
         with pytest.raises(ValueError):
             periods_of_graph(g, 4)
+
+    def test_disconnected_graph_rejected(self):
+        two = make_graph([("u1", 0), ("u2", 0), ("w1", 0), ("w2", 0)],
+                         [(e + c, c + "1", c + "2") for c in "uw" for e in "abc"])
+        for method in ("brute", "tqft"):
+            with pytest.raises(ValueError, match="^periods are defined for connected graphs$"):
+                periods_of_graph(two, 4, method)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="^unknown method 'trace'$"):
+            periods_of_graph(theta_graph(), 4, method="trace")
 
     def test_odd_periods_vanish(self):
         for g in (theta_graph(), theta_graph(1), necklace_graph(3)):

@@ -291,6 +291,12 @@ class TestQuadrivalent:
                 merged[(a + c, b + d, z)] = merged.get((a + c, b + d, z), 0) + coeff
             assert w == P("abz", merged)
 
+    def test_refuses_three_slots_and_a_slot_named_z(self):
+        with pytest.raises(ValueError, match="^a quadrivalent vertex has 4 slots, got 3$"):
+            quadrivalent_potential(("a", "b", "c"), "z", 0)
+        with pytest.raises(ValueError, match="^the split variable 'z' collides with a slot$"):
+            quadrivalent_potential(("a", "b", "c", "z"), "z", 0)
+
 
 class TestGrassmannianLimit:
     def test_single_vertex(self):
@@ -304,6 +310,12 @@ class TestGrassmannianLimit:
                        [("X", "v", "out"), ("Y", "v", "out"), ("Z", "v", "out")])
         with pytest.raises(ValueError):
             grassmannian_limit(g, {})
+
+    def test_distinguished_slot_must_be_incident(self):
+        g = make_graph([("v", 0)], [],
+                       [("X", "v", "out"), ("Y", "v", "out"), ("Z", "v", "out")])
+        with pytest.raises(ValueError, match="^vertex v: 'W' is not an incident slot$"):
+            grassmannian_limit(g, {"v": "W"})
 
     def test_leaf_orientation_counts(self):
         # Y "in" inverts Y in the potential: the term X^-1 Y^-1 Z^-1 takes

@@ -29,6 +29,7 @@ from graphpotentials.tqft import (
     bessel,
     flip_operator,
     k_state,
+    kernel_trace,
     necklace_state,
     t1_kernel,
     trace_formula_table,
@@ -69,6 +70,7 @@ def test_equal_by_value(record):
     assert type(x) is record
     assert x is not y and x == y and not x != y
     assert x != other
+    assert x != "other" and x.__eq__(object()) is NotImplemented
     if hashable:
         assert hash(x) == hash(y)
         assert len({x, y, other}) == 2
@@ -84,6 +86,8 @@ def test_fields_cannot_be_assigned(record):
         setattr(x, field, None)
     with pytest.raises(AttributeError):
         x.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(x, field)
 
 
 def test_records_print_as_before():
@@ -138,9 +142,9 @@ W_X = LaurentPoly(("x",), {(1,): 1, (-1,): 1})
 OPEN_G1 = necklace_graph(1, open_ends=True)
 QUAD = ("a", "b", "c", "d")
 
-# every order, parity and genus argument of the library: (what the message
-# names, the call with that argument set to the value, the refused values:
-# a bool, a float and one out of range)
+# every order, parity, genus, flip count and kernel mode argument of the
+# library: (what the message names, the call with that argument set to the
+# value, the refused values: a bool, a float and one out of range)
 INTEGER_SITES = {
     "PeriodSequence-order": ("order", lambda v: PeriodSequence(v, (1,)), (True, 0.0, -1)),
     "walk_terms-order": ("order", lambda v: walk_terms([W_X], v), (True, 2.0, -1)),
@@ -153,6 +157,9 @@ INTEGER_SITES = {
     "BoundaryState-order": ("order", lambda v: BoundaryState(v, ("x", "y"), [{}, {}]), (True, 1.0, -1)),
     "flip_operator-order": ("order", flip_operator, (True, 2.0, -1)),
     "t1_kernel-order": ("order", t1_kernel, (True, 2.0, -1)),
+    "kernel_trace-flips": ("flips", lambda v: kernel_trace(t1_kernel(4), v), (True, 1.0, -1)),
+    "entry-mode-i": ("mode", lambda v: t1_kernel(4).entry(v, 1), (True, 1.0, 5)),
+    "entry-mode-j": ("mode", lambda v: t1_kernel(4).entry(1, v), (False, 0.0, -5)),
     "trace_periods-parity": ("parity", lambda v: trace_periods(3, v, 4), (True, 1.0, 2)),
     "trace_periods-genus": ("genus", lambda v: trace_periods(v, 1, 4), (True, 2.5, 1)),
     "trace_formula_table-g_max": ("g_max", lambda v: trace_formula_table(v, 4), (True, 3.5, 1)),

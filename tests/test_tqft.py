@@ -155,7 +155,7 @@ class TestT1Kernel:
 
     def test_entry_outside_range_raises(self):
         a = t1_kernel(4)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="^mode must be an int from -4 to 4, got 5$"):
             a.entry(5, 0)
 
     def test_writing_a_returned_kernel_changes_no_later_result(self):
@@ -379,6 +379,8 @@ class TestBoundaryState:
             state.mats
         with pytest.raises(ValueError, match="two leaves"):
             state.entry(0, 0)
+        with pytest.raises(ValueError, match=r"^state still has open leaves \('a', 'b', 'c'\)$"):
+            state.scalar_series()
 
     @pytest.mark.parametrize("operation", [
         lambda s, a: kernel_compose(s, a),
