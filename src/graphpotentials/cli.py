@@ -127,7 +127,7 @@ def cmd_potential(args) -> int:
 def _resolve_period_graph(args):
     from .graphs import necklace_graph
 
-    if args.graph:
+    if args.graph is not None:
         if args.genus is not None or args.parity is not None:
             raise UsageError("--graph fixes the genus and parity: drop --genus and --parity")
         return _read_graph(args.graph)  # periods_of_graph validates it
@@ -208,7 +208,7 @@ def cmd_verify_mutation(args) -> int:
 
     g = _read_graph(args.graph)
     bundle = graph_potential(g)
-    if args.edge:
+    if args.edge is not None:
         edges = [args.edge]
     else:
         edges = sorted(e.id for e in g.edges if e.ends[0] != e.ends[1])

@@ -234,6 +234,8 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     """
     from .graphs import homology_ranks_f2, require_valid
 
+    if method not in ("brute", "tqft"):
+        raise ValueError(f"unknown method {method!r}")
     _check_backend(backend)
     if method == "brute":
         from .potential import graph_potential
@@ -250,8 +252,6 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     fp = f"g{h1}e{parity}"  # the genus and the coloring parity
     if method == "brute":
         return PeriodSequence(order, tuple(t.get((), 0) for t in walk_terms(pieces, order)), fp)
-    if method == "tqft":
-        from .tqft import trace_periods
+    from .tqft import trace_periods
 
-        return PeriodSequence(order, trace_periods(h1, parity, order), fp)
-    raise ValueError(f"unknown method {method!r}")
+    return PeriodSequence(order, trace_periods(h1, parity, order), fp)

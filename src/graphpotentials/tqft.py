@@ -16,13 +16,16 @@ The exponent g-1+eps is forced by the recursion and is cross-validated
 against brute-force periods in the tests.
 
 Every chain is therefore a power of A with at most one flip.  T1 is
-invariant under (x, y) -> (1/x, 1/y), so AS = SA, and S^2 = 1: the flips
-of a chain move to its end and cancel in pairs, and a flip negates one
-mode of every entry of a power, never a product.  A^n is built by
-repeated squaring, one product per bit of n after the first and one more
-per further bit set.  A trace never forms the last product: A^(g-1) is
-A^ceil((g-1)/2) times A^floor((g-1)/2), and one pass over the pairs of
-their entries sums tr(PQ) and tr(PQS) together (:func:`_pair_traces`).
+invariant under (x, y) -> (1/x, 1/y), so A[i, j] = A[-i, -j], SAS = A,
+AS = SA, and S^2 = 1: the flips of a chain move to its end and cancel in
+pairs.  The flip left over is the view :func:`_flipped`, row i moved to
+-i, never a product; on a power of A it equals the column flip, as
+S A^n = A^n S.  Every product is :func:`kernel_compose`, and A^n is built
+by repeated squaring (:func:`_by_squaring`), one product per bit of n
+after the first and one more per further bit set.  A trace never forms
+the last product: A^(g-1) is A^ceil((g-1)/2) times A^floor((g-1)/2), and
+one pass over the pairs of their entries sums tr(PQ) and tr(PQS)
+together (:func:`_pair_traces`).
 The table builds A, A^2, ..., A^floor(g_max/2), one product each and
 only the last two kept, and reads both parities of every genus from one
 pairing.
@@ -53,7 +56,7 @@ state, kept for the benchmark's traced runs, loads it.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ._record import Record, checked_int
 from .periods import contract, walk_terms
@@ -96,6 +99,8 @@ class BoundaryState(Record):
         if len(set(leaf_vars)) != len(leaf_vars):  # glue would sum out every copy of a name
             raise ValueError(f"repeated leaf names in {leaf_vars}")
         for t in terms:
+            if type(t) is not dict:
+                raise ValueError(f"degree entry {t!r} is {type(t).__name__}, need dict")
             for key, v in t.items():
                 # exponents pair by key: 0.5 would meet nothing, True prints as True
                 if (type(key) is not tuple or len(key) != len(leaf_vars)
@@ -187,27 +192,22 @@ def t1_kernel(order: int) -> BoundaryState:
     return BoundaryState._raw(order, ("x", "y"), terms)
 
 
-def _composed(p: BoundaryState, q: BoundaryState, flip: bool) -> BoundaryState:
-    # p on legs (x, z) glued to q, or to S q, on (z, y): mode k of p pairs with -k
-    p._require_kernel()
-    q._require_kernel()
-    if p.order != q.order:
-        raise ValueError("kernel orders differ")
-    q_terms = [{(-k, j): v for (k, j), v in t.items()} for t in q.terms] if flip else q.terms
-    return BoundaryState._raw(p.order, *contract((("x", "z"), p.terms), (("z", "y"), q_terms),
-                                                p.order, {}))
-
-
 def kernel_compose(p: BoundaryState, q: BoundaryState) -> BoundaryState:
     """Compose two kernels along a shared boundary circle: [p(x, z) q(z, y)]_{z^0}
     pairs mode k of p's second variable with mode -k of q's first, the matrix
     product p S q.  The flip kernel itself is the identity."""
-    return _composed(p, q, flip=False)
+    p._require_kernel()
+    q._require_kernel()
+    if p.order != q.order:
+        raise ValueError("kernel orders differ")
+    return BoundaryState._raw(p.order, *contract((("x", "z"), p.terms), (("z", "y"), q.terms),
+                                                p.order, {}))
 
 
 def kernel_matmul(p: BoundaryState, q: BoundaryState) -> BoundaryState:
     """Plain matrix product of coefficient matrices: p composed with S q."""
-    return _composed(p, q, flip=True)
+    q._require_kernel()  # before the flip reads q's keys as pairs
+    return kernel_compose(p, _flipped(q))
 
 
 def kernel_trace(p: BoundaryState, flips: int) -> tuple[int, ...]:
@@ -219,24 +219,18 @@ def kernel_trace(p: BoundaryState, flips: int) -> tuple[int, ...]:
     return tuple(sum(t.get((i, s * i), 0) for i in modes) for t in p.terms)
 
 
+def _flipped(p: BoundaryState) -> BoundaryState:
+    """S p: row i of a kernel moved to -i, every entry kept."""
+    return BoundaryState._raw(p.order, p.leaf_vars, [{(-i, j): v for (i, j), v in t.items()}
+                                                     for t in p.terms])
+
+
 def _rows_flipped(p: BoundaryState) -> BoundaryState:
     """S p without its rows |i| > order - d at t^d, the right factor that
     makes kernel_compose the plain product with p: those rows meet no column
     of a power of A, which holds none |k| > d at t^d."""
     return BoundaryState._raw(p.order, p.leaf_vars, [{(-i, j): v for (i, j), v in t.items()
                               if abs(i) <= p.order - d} for d, t in enumerate(p.terms)])
-
-
-def _powers(order: int) -> Iterator[BoundaryState]:
-    """A, A^2, A^3, ... for the T1 kernel A, one product with A per step,
-    taken only when the next power is asked for."""
-    power = t1_kernel(order)
-    sa = _rows_flipped(power)
-    while True:
-        yield power
-        # looked up by module name, so a wrapper (perfbench/tracing.py, the
-        # tests) sees every product
-        power = kernel_compose(power, sa)
 
 
 def _by_squaring(a: BoundaryState, sa: BoundaryState, n: int) -> BoundaryState:
@@ -248,12 +242,6 @@ def _by_squaring(a: BoundaryState, sa: BoundaryState, n: int) -> BoundaryState:
         if bit == "1":
             power = kernel_compose(power, sa)
     return power
-
-
-def _power(order: int, n: int) -> BoundaryState:
-    """A^n for n >= 1."""
-    a = t1_kernel(order)
-    return _by_squaring(a, _rows_flipped(a), n)
 
 
 def _pair_traces(p: BoundaryState, q: BoundaryState) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -313,14 +301,17 @@ def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], tuple[i
     n + 1 pairs A^ceil(n/2) with A^floor(n/2), so the powers come one
     product at a time, up to A^floor(g_max/2), and only the last two are kept."""
     checked_int(g_max, 2, what="g_max")
-    powers = _powers(order)
-    low = high = next(powers)  # A^floor(n/2) and A^ceil(n/2)
-    traces = kernel_trace(high, 0), kernel_trace(high, 1)  # tr(A) and tr(A S) for n = 1
+    a = t1_kernel(order)
+    sa = _rows_flipped(a)
+    low = high = a  # A^floor(n/2) and A^ceil(n/2)
+    traces = kernel_trace(a, 0), kernel_trace(a, 1)  # tr(A) and tr(A S) for n = 1
     table = {}
     for n in range(1, g_max):
         if n > 1:
             if n % 2:
-                high = next(powers)
+                # looked up by module name, so a wrapper (perfbench/tracing.py,
+                # the tests) sees every product
+                high = kernel_compose(high, sa)
             else:
                 low = high
             traces = _pair_traces(high, low)
@@ -339,17 +330,17 @@ def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
 
     The chain of g doubled-edge beads composes to A^g S^(g-1); odd parity
     inverts the second variable, one more flip on the right.  As AS = SA
-    and S^2 = 1 this is A^g, with column j moved to -j when g - 1 + parity
-    is odd.  Equals the brute-force k_state of the matching open necklace
-    graph.
+    and S^2 = 1 this is A^g, flipped when g - 1 + parity is odd.  The flip
+    is the view :func:`_flipped`, row i moved to -i: T1 is invariant under
+    (x, y) -> (1/x, 1/y), so S A^g = A^g S and the row flip equals the
+    column flip of the chain's right end.  Equals the brute-force k_state
+    of the matching open necklace graph.
     """
     checked_int(g, 1, what="genus")
     checked_int(parity, 0, 1, what="parity")
-    power = _power(order, g)
-    if (g - 1 + parity) % 2:
-        return BoundaryState._raw(order, power.leaf_vars, [{(i, -j): v for (i, j), v in t.items()}
-                                                           for t in power.terms])
-    return power
+    a = t1_kernel(order)
+    power = _by_squaring(a, _rows_flipped(a), g)
+    return _flipped(power) if (g - 1 + parity) % 2 else power
 
 
 def k_state(g: ColoredGraph, order: int) -> BoundaryState:

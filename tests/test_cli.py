@@ -169,16 +169,22 @@ class TestPeriod:
     @pytest.mark.parametrize("extra", [("--genus", 3, "--parity", 0), ("--genus", 3),
                                        ("--parity", 1)], ids=["both", "genus", "parity"])
     def test_graph_with_genus_or_parity_refused(self, extra, capsys):
-        # the graph fixes both; the theta graph would print its genus-2 periods
-        code, out, err = run(capsys, "period", "--graph", FIXTURES / "theta.json", *extra,
-                             "--order", 4, "--method", "brute")
-        assert code == 2
-        assert out == ""
-        assert err == "error: --graph fixes the genus and parity: drop --genus and --parity\n"
+        # the graph fixes both; the theta graph would print its genus-2 periods,
+        # and an empty path is a --graph given too
+        for graph in (FIXTURES / "theta.json", ""):
+            code, out, err = run(capsys, "period", "--graph", graph, *extra,
+                                 "--order", 4, "--method", "brute")
+            assert code == 2
+            assert out == ""
+            assert err == "error: --graph fixes the genus and parity: drop --genus and --parity\n"
 
     def test_requires_graph_or_genus(self, capsys):
         code, _, err = run(capsys, "period", "--order", 4)
         assert code == 2
+        # an empty --graph is read, and refused as any path that cannot be
+        _, _, expected = run(capsys, "potential", "--graph", "")
+        assert expected.startswith("error: cannot read")
+        assert run(capsys, "period", "--graph", "", "--order", 4) == (2, "", expected)
 
 
 class TestMutate:
@@ -207,9 +213,11 @@ class TestMutate:
                              ids=["mutate", "verify-mutation"])
     def test_missing_edge_is_named(self, argv, capsys):
         graph = FIXTURES / "theta.json"
-        code, _, err = run(capsys, *argv, "--graph", graph, "--edge", "zz")
-        assert code == 2
-        assert err == f"error: no edge 'zz' in {graph}\n"
+        # an empty --edge is given too: verify checks no other edge in its place
+        for edge in ("zz", ""):
+            code, out, err = run(capsys, *argv, "--graph", graph, "--edge", edge)
+            assert (code, out) == (2, "")
+            assert err == f"error: no edge {edge!r} in {graph}\n"
 
 
 class TestVerify:

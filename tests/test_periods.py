@@ -370,6 +370,9 @@ class TestGraphPeriods:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="^unknown method 'trace'$"):
             periods_of_graph(theta_graph(), 4, method="trace")
+        # a lone vertex of degree 0 is no valid graph: the method is checked first
+        with pytest.raises(ValueError, match="^unknown method 'foo'$"):
+            periods_of_graph(make_graph([("a", 0)], []), 2, method="foo")
 
     def test_odd_periods_vanish(self):
         for g in (theta_graph(), theta_graph(1), necklace_graph(3)):

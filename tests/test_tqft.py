@@ -196,22 +196,28 @@ def random_kernel(order: int, rng: random.Random, density: float) -> BoundarySta
     return BoundaryState(order, XY, terms)
 
 
+def power_of_a(order: int, n: int) -> BoundaryState:
+    """A^n for n >= 1 by the library's repeated squaring."""
+    a = t1_kernel(order)
+    return tqft._by_squaring(a, tqft._rows_flipped(a), n)
+
+
 class TestProduct:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_powers_of_a(self, n):
         a = t1_kernel(12)
-        assert tqft._power(12, n) == dense_product(tqft._power(12, n - 1), a)
+        assert power_of_a(12, n) == dense_product(power_of_a(12, n - 1), a)
 
     def test_flip_on_either_side(self):
         # S is nonzero on its whole antidiagonal at t^0, outside |i|, |j| <= 0
         s = flip_operator(12)
-        for x in (t1_kernel(12), tqft._power(12, 3), s):
+        for x in (t1_kernel(12), power_of_a(12, 3), s):
             assert kernel_matmul(x, s) == dense_product(x, s)
             assert kernel_matmul(s, x) == dense_product(s, x)
 
     def test_compose_on_reversed_views(self):
         a = t1_kernel(10)
-        a3 = tqft._power(10, 3)
+        a3 = power_of_a(10, 3)
         s = flip_operator(10)
         for p, q in ((a, a), (a3, a), (a, s), (s, a3)):
             flipped = BoundaryState(q.order, XY, [{(-i, j): v for (i, j), v in t.items()} for t in q.terms])
@@ -344,24 +350,26 @@ class TestKernelMatrix:
 class TestBoundaryState:
     """One record holds the states on any number of legs, kernels included."""
 
-    # name -> (the key on n legs, its value, the refusal), at order 2
+    # name -> (the t^0 entry on n legs, the refusal), at order 2
     REFUSED = {
-        "wrong-arity": (lambda n: (0,) * (n + 1), 1, "out of range"),
-        "float-exponent": (lambda n: (0.0,) * n, 1, "need ints"),
-        "bool-exponent": (lambda n: (True,) * n, 1, "need ints"),
-        "beyond-order": (lambda n: (3,) + (0,) * (n - 1), 1, "out of range"),
-        "float-value": (lambda n: (0,) * n, 1.0, "need int"),
-        "int64-value": (lambda n: (0,) * n, np.int64(1), "need int"),
+        "wrong-arity": (lambda n: {(0,) * (n + 1): 1}, "out of range"),
+        "float-exponent": (lambda n: {(0.0,) * n: 1}, "need ints"),
+        "bool-exponent": (lambda n: {(True,) * n: 1}, "need ints"),
+        "beyond-order": (lambda n: {(3,) + (0,) * (n - 1): 1}, "out of range"),
+        "float-value": (lambda n: {(0,) * n: 1.0}, "need int"),
+        "int64-value": (lambda n: {(0,) * n: np.int64(1)}, "need int"),
+        # a degree is read by its items: an int has none
+        "int-degree": (lambda n: 1, "need dict"),
     }
 
     @pytest.mark.parametrize("legs", [("a",), ("a", "b", "c")], ids=["1-leg", "3-leg"])
     @pytest.mark.parametrize("refused", list(REFUSED))
     def test_constructor_refuses(self, legs, refused):
-        key, value, match = self.REFUSED[refused]
+        entry, match = self.REFUSED[refused]
         n = len(legs)
         BoundaryState(2, legs, [{(0,) * n: 1}, {}, {}])
         with pytest.raises(ValueError, match=match):
-            BoundaryState(2, legs, [{key(n): value}, {}, {}])
+            BoundaryState(2, legs, [entry(n), {}, {}])
 
     def test_a_glued_kernel_is_its_flipped_trace(self):
         a = t1_kernel(12)
@@ -598,7 +606,7 @@ class TestSquaringAndPairing:
     def test_pair_traces_walk_either_factor(self, m, n):
         # A^m and A^n store different numbers of entries at a degree, so the
         # two orders walk different factors wherever the sizes differ
-        p, q, whole = (tqft._power(16, k) for k in (m, n, m + n))
+        p, q, whole = (power_of_a(16, k) for k in (m, n, m + n))
         assert tqft._pair_traces(p, q) == tqft._pair_traces(q, p) \
             == (kernel_trace(whole, 0), kernel_trace(whole, 1))
 
@@ -606,7 +614,7 @@ class TestSquaringAndPairing:
         # at t^d a power of A has no column |k| > d, so rows |i| > K - d of
         # the right factor meet nothing within the order
         order = 12
-        a3 = tqft._power(order, 3)
+        a3 = power_of_a(order, 3)
         pruned = tqft._rows_flipped(a3)
         for d, (t, kept) in enumerate(zip(a3.terms, pruned.terms)):
             assert kept == {(-i, j): v for (i, j), v in t.items() if abs(i) <= order - d}
