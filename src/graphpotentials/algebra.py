@@ -6,7 +6,8 @@ coefficient is kept as the arithmetic produces it, an ``int`` or a
 potential and its powers stay ``int``; a Fraction appears only where one
 goes in, as a Fraction coefficient or scalar (a division by d!, say).  A
 ``bool`` is stored as the ``int`` it equals, and any other type raises
-``TypeError``.  A Laurent polynomial is a dict from exponent tuples to
+``TypeError``: ``_scalar`` judges each one, importing ``fractions`` only at a
+non-int.  A Laurent polynomial is a dict from exponent tuples to
 nonzero coefficients, keyed by a canonical sorted variable order fixed at
 construction; an exponent is exactly an ``int``, and any other raises
 ``ValueError``.  A series truncated at order K is a plain tuple of K + 1
@@ -24,25 +25,38 @@ minimum exponent over the terms of its numerator and denominator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from ._record import Record, checked_int
 
-Scalar = Union[int, Fraction]
 Exponents = tuple  # tuple[int, ...], length == len(vars)
 
 
-def _coefficient(x) -> Scalar:
-    if type(x) is int or isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):  # bool, which would print as True
-        return int(x)
-    raise TypeError(f"expected an int or Fraction coefficient, got {type(x).__name__}")
+def _scalar(x) -> int | Fraction | None:
+    """x as a coefficient if it is a scalar, an int, a bool as the int it equals
+    (it would print as True) or a Fraction, else None; ints load no fractions."""
+    if isinstance(x, int):
+        return x if type(x) is int else int(x)
+    from fractions import Fraction
+
+    return x if isinstance(x, Fraction) else None
 
 
-def _accumulate(out: dict, terms: Iterable[tuple[Exponents, Scalar]]) -> dict:
+def _coefficient(x) -> int | Fraction:
+    if (c := _scalar(x)) is None:
+        raise TypeError(f"expected an int or Fraction coefficient, got {type(x).__name__}")
+    return c
+
+
+def _sorted_unique(variables: Sequence[str]) -> tuple[str, ...]:
+    vs = tuple(variables)
+    if list(vs) != sorted(set(vs)):
+        raise ValueError(f"variables must be sorted and unique, got {vs!r}")
+    return vs
+
+
+def _accumulate(out: dict, terms: Iterable[tuple[Exponents, int | Fraction]]) -> dict:
     """Add each (exponents, coefficient) pair into ``out``, which holds no
     zeros and holds none after: a key whose sum is zero is deleted."""
     get = out.get
@@ -67,14 +81,12 @@ class LaurentPoly:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Scalar] | None = None):
-        vs = tuple(variables)
-        if list(vs) != sorted(set(vs)):
-            raise ValueError(f"variables must be sorted and unique, got {vs!r}")
-        self.vars = vs
+    def __init__(self, variables: Sequence[str],
+                 terms: Mapping[Exponents, int | Fraction] | None = None):
+        self.vars = _sorted_unique(variables)
         self.terms = _accumulate({}, (self._term(e, c) for e, c in (terms or {}).items()))
 
-    def _term(self, exps, c) -> tuple[Exponents, Scalar]:
+    def _term(self, exps, c) -> tuple[Exponents, int | Fraction]:
         e = tuple(exps)
         if len(e) != len(self.vars):
             raise ValueError(f"exponent tuple {e!r} does not match {len(self.vars)} variables")
@@ -93,7 +105,7 @@ class LaurentPoly:
         return cls(variables, {(0,) * len(tuple(variables)): 1})
 
     @classmethod
-    def constant(cls, variables: Sequence[str], c: Scalar) -> "LaurentPoly":
+    def constant(cls, variables: Sequence[str], c: int | Fraction) -> "LaurentPoly":
         return cls(variables, {(0,) * len(tuple(variables)): c})
 
     @classmethod
@@ -118,9 +130,8 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return self.vars == other.vars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.constant(self.vars, other)
-        return NotImplemented
+        c = _scalar(other)
+        return NotImplemented if c is None else self == LaurentPoly.constant(self.vars, c)
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
@@ -132,10 +143,11 @@ class LaurentPoly:
             raise ValueError(f"variable mismatch: {self.vars!r} vs {other.vars!r}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(self.vars, other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            c = _scalar(other)
+            if c is None:
+                return NotImplemented
+            other = LaurentPoly.constant(self.vars, c)
         self._check_same_vars(other)
         return self._raw(self.vars, _accumulate(dict(self.terms), other.terms.items()))
 
@@ -145,23 +157,24 @@ class LaurentPoly:
         return self._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(self.vars, other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            c = _scalar(other)
+            if c is None:
+                return NotImplemented
+            other = LaurentPoly.constant(self.vars, c)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coefficient(other)
+        if not isinstance(other, LaurentPoly):
+            c = _scalar(other)
+            if c is None:
+                return NotImplemented
             if c == 0:
                 return LaurentPoly.zero(self.vars)
             return self._raw(self.vars, {e: k * c for e, k in self.terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         self._check_same_vars(other)
         pairs = other.terms.items()
         return self._raw(self.vars, _accumulate({}, (
@@ -251,9 +264,7 @@ class LaurentPoly:
 def sum_over(variables: Sequence[str], polys: Iterable[LaurentPoly]) -> LaurentPoly:
     """The sum of ``polys``, each over a subset of the sorted ``variables``,
     as one polynomial over ``variables``, added term by term in one pass."""
-    vs = tuple(variables)
-    if list(vs) != sorted(set(vs)):
-        raise ValueError(f"variables must be sorted and unique, got {vs!r}")
+    vs = _sorted_unique(variables)
     index = {v: i for i, v in enumerate(vs)}
 
     def spread():
@@ -353,6 +364,8 @@ def ts_exp(w: LaurentPoly, order: int) -> tuple[LaurentPoly, ...]:
 
     With :func:`pairing_in_var`, the reference the tests check the gluing of
     ``periods.walk_terms`` against: that engine keeps w**k, unscaled."""
+    from fractions import Fraction
+
     checked_int(order, 0, what="order")
     coeffs = [LaurentPoly.one(w.vars)]
     for k in range(1, order + 1):

@@ -45,8 +45,8 @@ class VerificationFailure(Exception):
 
 
 def _read_graph(path: str):
-    """The graph in a JSON file, parsed but not validated: the library
-    validates it where it is used, and :func:`main` reports what it finds."""
+    """The graph in a JSON file, its shape read but not its values: the library
+    validates it before any id is used, and :func:`main` reports what it finds."""
     from .graphs import graph_from_json
 
     try:
@@ -232,6 +232,8 @@ def cmd_verify_coloring(args) -> int:
     from .potential import graph_potential
 
     bundle = graph_potential(_read_graph(args.graph))
+    if not bundle.graph.edges:  # no move to check: a PASS of nothing
+        raise UsageError("graph has no internal edges")
     rows = ((all(coloring_report(bundle, e.id).values()),
              f"edge {e.id}: boundary move matches inverting {e.id}")
             for e in sorted(bundle.graph.edges, key=lambda e: e.id))

@@ -4,11 +4,13 @@ A graph is trivalent with loops and parallel edges allowed; leaves are
 dangling half-edges attached to a vertex and carrying an orientation.
 Vertices carry a color in {0, 1}.  Internal-edge ids and leaf ids double
 as variable names in the potential modules, so they live in one shared
-namespace.
+namespace.  :func:`validate` judges a graph's ids, colors and
+orientations, however it was built; :func:`graph_from_json` reads a shape.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import compress, permutations, product
 from operator import is_not
@@ -76,23 +78,29 @@ def make_graph(vertices: Iterable[tuple[str, int]],
 
 
 def validate(g: ColoredGraph) -> list[str]:
-    """Return a list of diagnostics; the graph is valid iff it is empty."""
-    problems = []
-    vids = [v.id for v in g.vertices]
+    """Return a list of diagnostics; the graph is valid iff it is empty.  Every
+    id, edge end and leaf vertex must be exactly a ``str``, checked first and
+    alone, since a list id cannot go in a set."""
+    vids, eids, lids = [v.id for v in g.vertices], [e.id for e in g.edges], [x.id for x in g.leaves]
+    problems = [f"{what} must be a string, got {value!r}" for what, values in (
+        ("vertex id", vids), ("edge id", eids), ("leaf id", lids),
+        ("leaf vertex", [x.vertex for x in g.leaves])) for value in values
+        if type(value) is not str]
+    problems += [f"edge {e.id!r} end must be a string, got {end!r}"
+                 for e in g.edges for end in e.ends if type(end) is not str]
+    if problems:
+        return problems
     if len(set(vids)) != len(vids):
         problems.append("duplicate vertex ids")
-    names = [e.id for e in g.edges] + [leaf.id for leaf in g.leaves]
+    names = eids + lids
     if len(set(names)) != len(names):
         problems.append("edge and leaf ids must be distinct (they name variables)")
     vset = set(vids)
-    for v in g.vertices:
-        # exactly int, as graph_from_json reads it: True and 1.0 equal 1
-        if type(v.color) is not int or v.color not in (0, 1):
-            problems.append(f"vertex {v.id}: color must be the int 0 or 1, got {v.color!r}")
-    for e in g.edges:
-        for end in e.ends:
-            if end not in vset:
-                problems.append(f"edge {e.id}: unknown endpoint {end}")
+    # exactly int: True and 1.0 equal 1
+    problems += [f"vertex {v.id}: color must be the int 0 or 1, got {v.color!r}"
+                 for v in g.vertices if type(v.color) is not int or v.color not in (0, 1)]
+    problems += [f"edge {e.id}: unknown endpoint {end}"
+                 for e in g.edges for end in e.ends if end not in vset]
     for leaf in g.leaves:
         if leaf.vertex not in vset:
             problems.append(f"leaf {leaf.id}: unknown vertex {leaf.vertex}")
@@ -100,16 +108,8 @@ def validate(g: ColoredGraph) -> list[str]:
             problems.append(f"leaf {leaf.id}: orientation must be 'out' or 'in'")
     if problems:
         return problems
-    degree = dict.fromkeys(vids, 0)
-    for e in g.edges:
-        for end in e.ends:
-            degree[end] += 1
-    for leaf in g.leaves:
-        degree[leaf.vertex] += 1
-    for vid, d in degree.items():
-        if d != 3:
-            problems.append(f"vertex {vid}: degree {d}, expected 3")
-    return problems
+    degree = Counter([end for e in g.edges for end in e.ends] + [x.vertex for x in g.leaves])
+    return [f"vertex {vid}: degree {degree[vid]}, expected 3" for vid in vids if degree[vid] != 3]
 
 
 class InvalidGraph(ValueError):
@@ -554,37 +554,21 @@ def graph_to_json(g: ColoredGraph) -> dict:
     }
 
 
-def _json_color(v: Mapping) -> int:
-    color = v["color"]
-    # exactly int: bool is a subclass of int, and a float such as 1.7 or 1.0 is no color
-    if type(color) is not int:
-        raise ValueError(f"vertex {v['id']!r}: color must be an integer, got {color!r}")
-    return color
-
-
-def _json_id(value, field: str) -> str:
-    # exactly str: str() would read null as "None" and 7 as "7", ids the document never named
-    if type(value) is not str:
-        raise ValueError(f"{field} must be a string, got {value!r}")
-    return value
-
-
-def _json_ends(e: Mapping) -> tuple[str, str]:
+def _json_ends(e: Mapping) -> tuple:
     ends = e["ends"]
     if not isinstance(ends, (list, tuple)) or len(ends) != 2:
         raise ValueError(f"edge {e['id']!r}: ends must list exactly two vertices, got {ends!r}")
-    return tuple(_json_id(v, f"edge {e['id']!r} end") for v in ends)
+    return tuple(ends)
 
 
 def graph_from_json(data: Mapping) -> ColoredGraph:
-    """Graph from the JSON document of :func:`graph_to_json`; ValueError if malformed."""
+    """Graph from the JSON document of :func:`graph_to_json`; ValueError if its
+    shape is malformed: a key missing, or ``ends`` not a two-item list.  Ids,
+    colors and orientations are stored as given, for :func:`validate` to judge."""
     try:
-        vertices = tuple(Vertex(_json_id(v["id"], "vertex id"), _json_color(v))
-                         for v in data["vertices"])
-        edges = tuple(Edge(_json_id(e["id"], "edge id"), _json_ends(e))
-                      for e in data.get("edges", ()))
-        leaves = tuple(Leaf(_json_id(x["id"], "leaf id"), _json_id(x["vertex"], "leaf vertex"),
-                            str(x["orientation"])) for x in data.get("leaves", ()))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        vertices = tuple(Vertex(v["id"], v["color"]) for v in data["vertices"])
+        edges = tuple(Edge(e["id"], _json_ends(e)) for e in data.get("edges", ()))
+        leaves = tuple(Leaf(x["id"], x["vertex"], x["orientation"]) for x in data.get("leaves", ()))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
     return ColoredGraph(vertices, edges, leaves)

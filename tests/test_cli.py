@@ -256,6 +256,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "mutation", "--graph", graph)
         assert (code, out, err) == (2, "", "error: graph has no non-loop internal edges\n")
 
+    def test_coloring_refuses_a_graph_without_internal_edges(self, capsys):
+        # the tripod's one vertex holds three leaves: no boundary move to check
+        code, out, err = run(capsys, "verify", "coloring", "--graph", FIXTURES / "tripod.json")
+        assert (code, out, err) == (2, "", "error: graph has no internal edges\n")
+
     def test_mutation_refuses_a_loop_edge(self, capsys):
         code, out, err = run(capsys, "verify", "mutation", "--graph", FIXTURES / "dumbbell.json",
                              "--edge", "b")
@@ -568,6 +573,35 @@ def test_trace_formula_commands_load_only_what_they_run(argv, also_absent):
     for name in ("dataclasses", "fractions", "graphpotentials.algebra",
                  "graphpotentials.potential", "graphpotentials.mutation", *also_absent):
         assert name not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("period", "--graph", "necklace_closed_g3.json", "--order", "6", "--method", "brute"),
+    ("glue", "--graph", "necklace_open_g1.json", "--leaf-a", "x", "--leaf-b", "y", "--order", "4"),
+    ("mutate", "--graph", "theta.json", "--edge", "a"),
+    ("potential", "--graph", "dumbbell.json"),
+    ("verify", "mutation", "--graph", "necklace_closed_g3.json"),
+    ("verify", "coloring", "--graph", "necklace_closed_g3.json"),
+    ("wdvv", "--order", "4"),
+], ids=["period-brute", "glue", "mutate", "potential", "verify-mutation", "verify-coloring",
+        "wdvv"])
+def test_integer_commands_leave_fractions_unloaded(argv):
+    # algebra imports fractions only once a non-int coefficient or scalar
+    # appears; one given afterwards still works
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code = ("import contextlib, io, sys\n"
+            "from graphpotentials import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print('fractions' in sys.modules)\n"
+            "from fractions import Fraction\n"
+            "from graphpotentials.algebra import LaurentPoly\n"
+            "half = LaurentPoly(('a',), {(1,): Fraction(1, 2)})\n"
+            "a = LaurentPoly.variable(('a',), 'a')\n"
+            "print(half * 2 == a, a * Fraction(1, 2) == half, a + Fraction(1, 2) - a == Fraction(1, 2))")
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True", "True", "True"]
 
 
 def test_reader_closing_the_pipe_early_ends_quietly():

@@ -26,12 +26,15 @@ from graphpotentials.graphs import (
     mgamma_member,
     necklace_graph,
     normalize_coloring,
+    require_valid,
     theta_graph,
     validate,
     vertex_slots,
     with_colors,
 )
+from graphpotentials.periods import periods_of_graph
 from graphpotentials.potential import graph_potential
+from graphpotentials.tqft import k_state
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 JOBS = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
@@ -182,6 +185,13 @@ def _two_thetas():
                       [(f"{t}{e}", f"{t}1", f"{t}2") for t in "ab" for e in "xyz"])
 
 
+# sorting the slots of edges "a", 2 and "c", or of leaves "X", None and "Z",
+# would raise TypeError: validate refuses both first
+MIXED_EDGE_IDS = make_graph([("v1", 0), ("v2", 0)],
+                            [("a", "v1", "v2"), (2, "v1", "v2"), ("c", "v1", "v2")])
+NONE_LEAF_ID = make_graph([("v", 0)], [], [("X", "v", "out"), (None, "v", "out"), ("Z", "v", "out")])
+
+
 def tripod():
     return make_graph([("v", 0)], [], [("X", "v", "out"), ("Y", "v", "out"), ("Z", "v", "out")])
 
@@ -220,9 +230,35 @@ class TestValidation:
         assert any("color" in d for d in diags)
         assert any("orientation" in d for d in diags)
 
+    @pytest.mark.parametrize("value", [None, 7, ["v"]], ids=["None", "7", "list"])
+    @pytest.mark.parametrize("field", ["vertex id", "edge id", "edge 'd1' end", "leaf id",
+                                       "leaf vertex"])
+    def test_ids_must_be_strings(self, field, value):
+        # however the graph was built; a list id is judged before any set holds it
+        g = necklace_graph(1, open_ends=True)
+        v, e, x = g.vertices[0], g.edges[0], g.leaves[0]
+        g = {"vertex id": g._replace(vertices=(v._replace(id=value),) + g.vertices[1:]),
+             "edge id": g._replace(edges=(e._replace(id=value),) + g.edges[1:]),
+             "edge 'd1' end": g._replace(edges=(e._replace(ends=(e.ends[0], value)),) + g.edges[1:]),
+             "leaf id": g._replace(leaves=(x._replace(id=value),) + g.leaves[1:]),
+             "leaf vertex": g._replace(leaves=(x._replace(vertex=value),) + g.leaves[1:]),
+             }[field]
+        assert validate(g) == [f"{field} must be a string, got {value!r}"]
+
+    @pytest.mark.parametrize("entry,g,want", [
+        (graph_potential, MIXED_EDGE_IDS, "edge id must be a string, got 2"),
+        (lambda g: k_state(g, 4), MIXED_EDGE_IDS, "edge id must be a string, got 2"),
+        (lambda g: k_state(g, 4), NONE_LEAF_ID, "leaf id must be a string, got None"),
+        (lambda g: periods_of_graph(g, 4, "brute"), MIXED_EDGE_IDS, "edge id must be a string"),
+        (lambda g: periods_of_graph(g, 4, "tqft"), MIXED_EDGE_IDS, "edge id must be a string"),
+    ], ids=["graph_potential", "k_state", "k_state leaf", "periods brute", "periods tqft"])
+    def test_entries_refuse_ids_that_mix_str_and_int(self, entry, g, want):
+        with pytest.raises(InvalidGraph, match=want):
+            entry(g)
+
     @pytest.mark.parametrize("color", [True, 1.0], ids=["bool", "float"])
     def test_color_must_be_an_int(self, color):
-        # both equal 1, and graph_from_json already refuses them
+        # both equal 1
         g = with_colors(theta_graph(), {"v2": color})
         assert validate(g) == [f"vertex v2: color must be the int 0 or 1, got {color!r}"]
         with pytest.raises(InvalidGraph):
@@ -591,10 +627,11 @@ class TestJson:
 
     @pytest.mark.parametrize("color", [True, 1.7, 1.0, "1"])
     def test_color_must_be_an_integer(self, color):
+        # graph_from_json stores the color as given; validate judges it
         doc = graph_to_json(theta_graph())
         doc["vertices"][1]["color"] = color
-        with pytest.raises(ValueError, match="color must be an integer"):
-            graph_from_json(doc)
+        with pytest.raises(InvalidGraph, match="color must be the int 0 or 1"):
+            require_valid(graph_from_json(doc))
 
     @pytest.mark.parametrize("value", [None, 7, ["v"], {}], ids=["null", "7", "list", "object"])
     @pytest.mark.parametrize("path,field", [
@@ -605,15 +642,16 @@ class TestJson:
         (("leaves", 0, "vertex"), "leaf vertex"),
     ], ids=["vertex id", "edge id", "edge end", "leaf id", "leaf vertex"])
     def test_ids_must_be_strings(self, path, field, value):
-        # str() would read null as the vertex "None" and the edge 7 as "7"
+        # graph_from_json stores ids as given, and validate refuses them: str()
+        # would read null as the vertex "None" and the edge 7 as "7"
         doc = graph_to_json(necklace_graph(2, open_ends=True))
         container = doc
         for key in path[:-1]:
             container = container[key]
         container[path[-1]] = value
         want = f"{field} must be a string, got {re.escape(repr(value))}"
-        with pytest.raises(ValueError, match=want):
-            graph_from_json(doc)
+        with pytest.raises(InvalidGraph, match=want):
+            require_valid(graph_from_json(doc))
 
     def test_edge_needs_exactly_two_ends(self):
         doc = graph_to_json(theta_graph())
