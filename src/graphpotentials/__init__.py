@@ -16,6 +16,8 @@ Submodules:
 Every order, genus and parity argument is held to one rule,
 ``_record.checked_int``: it must be an ``int`` in range, and anything else,
 a bool or a float included, raises ``ValueError`` naming the argument.
+Every exact value, a coefficient, a period, a state's term or an edge weight,
+is judged by ``_record.scalar``: an ``int``, a bool as its int, or a ``Fraction``.
 
 Symbols are re-exported lazily so that importing the package stays cheap.
 The library runs on the standard library alone: a state is dicts of Python

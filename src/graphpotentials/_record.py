@@ -2,8 +2,9 @@
 ``RationalExpr`` and ``BoundaryState``.  The other records are
 ``NamedTuple``s, and a truncated series is a plain tuple.
 
-Also the one rule for an integer argument, an order, a genus or a parity:
-:func:`checked_int`."""
+Also the two judges: :func:`checked_int` of an integer argument, an order, a
+genus or a parity, and :func:`scalar` of an exact value, a coefficient, a
+period, a state's term or an edge weight."""
 
 
 def checked_int(value, low: int, high: int | None = None, *, what: str) -> int:
@@ -14,6 +15,16 @@ def checked_int(value, low: int, high: int | None = None, *, what: str) -> int:
         bound = f">= {low}" if high is None else f"from {low} to {high}"
         raise ValueError(f"{what} must be an int {bound}, got {value!r}")
     return value
+
+
+def scalar(x):
+    """x as an exact value if it is one, an int, a bool as the int it equals
+    (it would print as True) or a Fraction, else None; an int loads no fractions."""
+    if isinstance(x, int):
+        return x if type(x) is int else int(x)
+    from fractions import Fraction
+
+    return x if isinstance(x, Fraction) else None
 
 
 class Record:

@@ -6,8 +6,8 @@ coefficient is kept as the arithmetic produces it, an ``int`` or a
 potential and its powers stay ``int``; a Fraction appears only where one
 goes in, as a Fraction coefficient or scalar (a division by d!, say).  A
 ``bool`` is stored as the ``int`` it equals, and any other type raises
-``TypeError``: ``_scalar`` judges each one, importing ``fractions`` only at a
-non-int.  A Laurent polynomial is a dict from exponent tuples to
+``TypeError``: ``_record.scalar`` judges each one, importing ``fractions``
+only at a non-int.  A Laurent polynomial is a dict from exponent tuples to
 nonzero coefficients, keyed by a canonical sorted variable order fixed at
 construction; an exponent is exactly an ``int``, and any other raises
 ``ValueError``.  A series truncated at order K is a plain tuple of K + 1
@@ -28,25 +28,9 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from ._record import Record, checked_int
+from ._record import Record, checked_int, scalar
 
 Exponents = tuple  # tuple[int, ...], length == len(vars)
-
-
-def _scalar(x) -> int | Fraction | None:
-    """x as a coefficient if it is a scalar, an int, a bool as the int it equals
-    (it would print as True) or a Fraction, else None; ints load no fractions."""
-    if isinstance(x, int):
-        return x if type(x) is int else int(x)
-    from fractions import Fraction
-
-    return x if isinstance(x, Fraction) else None
-
-
-def _coefficient(x) -> int | Fraction:
-    if (c := _scalar(x)) is None:
-        raise TypeError(f"expected an int or Fraction coefficient, got {type(x).__name__}")
-    return c
 
 
 def _sorted_unique(variables: Sequence[str]) -> tuple[str, ...]:
@@ -92,7 +76,9 @@ class LaurentPoly:
             raise ValueError(f"exponent tuple {e!r} does not match {len(self.vars)} variables")
         if not all(type(x) is int for x in e):  # a float is not Laurent, True prints as True
             raise ValueError(f"exponent tuple {e!r} holds a non-int")
-        return e, _coefficient(c)
+        if (coeff := scalar(c)) is None:
+            raise TypeError(f"expected an int or Fraction coefficient, got {type(c).__name__}")
+        return e, coeff
 
     # ---- constructors -------------------------------------------------
 
@@ -130,7 +116,7 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return self.vars == other.vars and self.terms == other.terms
-        c = _scalar(other)
+        c = scalar(other)
         return NotImplemented if c is None else self == LaurentPoly.constant(self.vars, c)
 
     def __hash__(self):
@@ -144,7 +130,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
-            c = _scalar(other)
+            c = scalar(other)
             if c is None:
                 return NotImplemented
             other = LaurentPoly.constant(self.vars, c)
@@ -158,7 +144,7 @@ class LaurentPoly:
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
-            c = _scalar(other)
+            c = scalar(other)
             if c is None:
                 return NotImplemented
             other = LaurentPoly.constant(self.vars, c)
@@ -169,7 +155,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
-            c = _scalar(other)
+            c = scalar(other)
             if c is None:
                 return NotImplemented
             if c == 0:

@@ -16,7 +16,7 @@ from itertools import compress, permutations, product
 from operator import is_not
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._record import checked_int
+from ._record import checked_int, scalar
 
 ORIENTATIONS = ("out", "in")
 
@@ -328,12 +328,12 @@ def mgamma_member(g: ColoredGraph, weights: Mapping[str, Fraction | int]) -> boo
         extra = sorted(set(weights) - eids)
         raise ValueError(f"weights must cover the internal edges exactly "
                          f"(missing {missing}, extra {extra})")
-    from fractions import Fraction
-
-    w = {k: Fraction(v) for k, v in weights.items()}
-    if any((2 * x).denominator != 1 for x in w.values()):
+    for e, v in weights.items():  # Fraction(v) would read "1/2" and take 0.1 as binary
+        if scalar(v) is None:
+            raise ValueError(f"weight of edge {e!r} is {type(v).__name__}, need int or Fraction")
+    if any((2 * x).denominator != 1 for x in weights.values()):  # an int's denominator is 1
         return False
-    return all(sum(w[s[1]] for s in slots if s[0] == "edge").denominator == 1
+    return all(sum(weights[s[1]] for s in slots if s[0] == "edge").denominator == 1
                for slots in vertex_slots(g).values())
 
 

@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 from operator import add, itemgetter, neg
 from typing import Iterable, Iterator
 
-from ._record import Record, checked_int
+from ._record import Record, checked_int, scalar
 
 # algebra, graphs and potential are imported where they are used, so that the
 # trace formula's commands, which load this module for contract, load none of
@@ -30,20 +30,18 @@ from ._record import Record, checked_int
 
 class PeriodSequence(Record):
     """pi_0..pi_order, pi_0 = 1, and the fingerprint of the graph they
-    belong to, if any.  The values are exact, each an ``int`` or a
-    ``Fraction``, and are kept as a tuple."""
+    belong to, if any.  The values are exact, each judged by
+    ``_record.scalar`` (a bool is kept as its int), and are kept as a tuple."""
 
     __slots__ = ("order", "pi", "graph_fingerprint")
 
     def __init__(self, order: int, pi: Iterable, graph_fingerprint: str | None = None):
         checked_int(order, 0, what="order")
-        pi = tuple(pi)
-        if any(type(x) is not int for x in pi):  # fractions is loaded only then
-            from fractions import Fraction
-
-            for x in pi:
-                if type(x) is not int and not isinstance(x, Fraction):
-                    raise ValueError(f"pi holds a {type(x).__name__}, need int or Fraction")
+        given = tuple(pi)
+        pi = tuple(map(scalar, given))
+        if None in pi:
+            raise ValueError(f"pi holds a {type(given[pi.index(None)]).__name__}, "
+                             "need int or Fraction")
         if len(pi) != order + 1:
             raise ValueError(f"need {order + 1} values, got {len(pi)}")
         if pi[0] != 1:

@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ._record import Record, checked_int
+from ._record import Record, checked_int, scalar
 from .periods import contract, walk_terms
 
 
@@ -107,9 +107,11 @@ class BoundaryState(Record):
                         or any(type(e) is not int or abs(e) > order for e in key)):
                     raise ValueError(f"exponents {key!r} out of range: need ints in "
                                      f"-{order}..{order}, one per leaf of {leaf_vars}")
-                if type(v) is not int:  # fixed-width numbers wrap or round without notice
+                # fixed-width numbers wrap or round without notice, and True prints as True
+                if type(scalar(v)) is not int or type(v) is bool:
                     raise ValueError(f"term {key} is {type(v).__name__}, need int")
-        self._set(order, leaf_vars, [{k: v for k, v in t.items() if v} for t in terms])
+        self._set(order, leaf_vars, [{k: c for k, v in t.items() if (c := scalar(v))}
+                                     for t in terms])
 
     @classmethod
     def _raw(cls, order: int, leaf_vars: tuple[str, ...], terms: list[dict]) -> BoundaryState:

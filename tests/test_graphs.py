@@ -608,6 +608,13 @@ class TestLattice:
         with pytest.raises(ValueError, match=r"missing \['c'\], extra \['z'\]"):
             mgamma_member(theta_graph(), {"a": 1, "b": 0, "z": 2})
 
+    @pytest.mark.parametrize("half", ["1/2", 0.5], ids=["str", "float"])
+    def test_inexact_weights_refused(self, half):
+        # Fraction would read "1/2" and 0.5 as one half, and make both members
+        with pytest.raises(ValueError, match=f"weight of edge 'a' is {type(half).__name__}, "
+                                             "need int or Fraction"):
+            mgamma_member(theta_graph(), {"a": half, "b": half, "c": 0})
+
 
 class TestJson:
     def test_round_trip(self):

@@ -1,10 +1,14 @@
 """The library's records: immutable values, equal and hashed by value,
 validated where their constructors validate, printed as they always were;
-and the one rule for an integer argument, ``_record.checked_int``."""
+the one rule for an integer argument, ``_record.checked_int``, and the one
+judge of an exact value, ``_record.scalar``."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from graphpotentials._record import checked_int
+from graphpotentials._record import checked_int, scalar
 from graphpotentials.algebra import LaurentPoly, RationalExpr, ts_exp
 from graphpotentials.graphs import (
     ColoredGraph,
@@ -13,6 +17,7 @@ from graphpotentials.graphs import (
     Vertex,
     dumbbell_graph,
     enumerate_trivalent,
+    mgamma_member,
     necklace_graph,
     theta_graph,
 )
@@ -112,17 +117,52 @@ def test_replace_makes_a_new_record():
     (lambda: PeriodSequence(0.0, (1,)), ValueError, "order must be an int >= 0"),
     (lambda: PeriodSequence(True, (1, 0)), ValueError, "order must be an int >= 0"),
     (lambda: PeriodSequence(1, (1, 0.5)), ValueError, "pi holds a float"),
-    (lambda: PeriodSequence(1, (1, False)), ValueError, "pi holds a bool"),
     (lambda: RationalExpr(poly({(1, 0): 1}), LaurentPoly(("a",), {(0,): 1})), ValueError,
      "must share variables"),
     (lambda: RationalExpr(poly({(1, 0): 1}), LaurentPoly.zero(AB)), ZeroDivisionError,
      "zero denominator"),
 ], ids=["period-length", "period-pi0", "period-negative-order", "period-float-order",
-        "period-bool-order", "period-float-value", "period-bool-value", "rexpr-vars",
-        "rexpr-zero"])
+        "period-bool-order", "period-float-value", "rexpr-vars", "rexpr-zero"])
 def test_validating_constructors_refuse(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+def test_period_sequence_takes_a_bool_as_its_int():
+    seq = PeriodSequence(1, (1, False))
+    assert seq.pi == (1, 0) and [type(x) for x in seq.pi] == [int, int]
+
+
+# an entry that takes an exact value -> how it keeps one (mgamma_member: whether
+# it is a member), and how it refuses one
+EXACT_ENTRIES = {
+    "LaurentPoly.constant": (lambda v: LaurentPoly.constant(("a",), v).terms[(0,)],
+                             TypeError, "expected an int or Fraction coefficient, got "),
+    "PeriodSequence": (lambda v: PeriodSequence(1, (1, v)).pi[1], ValueError, "pi holds a "),
+    "BoundaryState": (lambda v: BoundaryState(0, ("a",), [{(0,): v}]).terms[0][(0,)],
+                      ValueError, r"term \(0,\) is "),
+    # theta's vertex sums are 3v, integral at v = 1 only
+    "mgamma_member": (lambda v: mgamma_member(theta_graph(), dict.fromkeys("abc", v)),
+                      ValueError, "weight of edge 'a' is "),
+}
+EXACT_VALUES = {"int": 1, "bool": True, "fraction": Fraction(1, 2), "float": 0.5, "str": "1",
+                "int64": np.int64(1)}
+
+
+@pytest.mark.parametrize("value", list(EXACT_VALUES))
+@pytest.mark.parametrize("entry", list(EXACT_ENTRIES))
+def test_every_exact_value_has_one_judge(entry, value):
+    # each entry accepts what scalar accepts and keeps the judged value;
+    # BoundaryState takes an exact int only, as a bool prints as True
+    keep, error, match = EXACT_ENTRIES[entry]
+    v = EXACT_VALUES[value]
+    if scalar(v) is None or (entry == "BoundaryState" and type(v) is not int):
+        with pytest.raises(error, match=match + type(v).__name__):
+            keep(v)
+    else:
+        want = scalar(v) == 1 if entry == "mgamma_member" else scalar(v)
+        got = keep(v)
+        assert got == want and type(got) is type(want)
 
 
 def test_period_sequence_keeps_a_tuple():

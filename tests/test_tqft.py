@@ -15,6 +15,7 @@ from graphpotentials.algebra import LaurentPoly, pairing_in_var, ts_exp
 from graphpotentials.graphs import (
     ORIENTATIONS,
     Leaf,
+    dumbbell_graph,
     enumerate_trivalent,
     graph_from_json,
     homology_ranks_f2,
@@ -462,6 +463,15 @@ class TestTraceFormula:
         t = trace_formula(2, 1, 64)
         for k in range(65):
             assert t[k] == (Fraction(comb(k, k // 2) ** 3, factorial(k)) if k % 2 == 0 else 0)
+
+    def test_genus2_even_is_its_closed_form(self):
+        # pi_4n = 16^n (4n)!/(n!)^4 and every other pi_k is 0, from the trace
+        # formula to K = 64 and by brute force on both genus-2 graphs to K = 16
+        even = tuple(16 ** (k // 4) * factorial(k) // factorial(k // 4) ** 4 if k % 4 == 0 else 0
+                     for k in range(65))
+        assert trace_periods(2, 0, 64) == even
+        for g in (theta_graph(), dumbbell_graph()):
+            assert periods_of_graph(g, 16, method="brute").pi == even[:17]
 
     def test_genus2_even_anchors(self):
         t = trace_formula(2, 0, 12)
