@@ -2,6 +2,7 @@ import importlib.util
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from graphpotentials.graphs import (
-    MAX_ENUMERATION_GENUS,
+    MAX_ENUMERATION_VERTICES,
     InvalidGraph,
+    Leaf,
     _components,
     canonical_form,
     coloring_boundary_move,
@@ -100,6 +102,41 @@ def _enumerate_trivalent_stubs(g):
             continue
         seen.setdefault(canonical_form(graph), graph)
     return tuple(seen[k] for k in sorted(seen))
+
+
+# classes of connected trivalent graphs of genus g with n leaves, uncolored, for
+# every V = 2g - 2 + n <= 8; n = 0 is OEIS A005967 and genus 0 the unrooted
+# binary trees, OEIS A000672
+CLASS_COUNTS = {
+    (0, 3): 1, (0, 4): 1, (0, 5): 1, (0, 6): 2, (0, 7): 2, (0, 8): 4, (0, 9): 6, (0, 10): 11,
+    (1, 1): 1, (1, 2): 2, (1, 3): 3, (1, 4): 6, (1, 5): 10, (1, 6): 21, (1, 7): 39, (1, 8): 84,
+    (2, 0): 2, (2, 1): 3, (2, 2): 9, (2, 3): 19, (2, 4): 50, (2, 5): 114, (2, 6): 291,
+    (3, 0): 5, (3, 1): 12, (3, 2): 49, (3, 3): 147, (3, 4): 475,
+    (4, 0): 17, (4, 1): 67, (4, 2): 338,
+    (5, 0): 71,
+}
+
+
+def _cut_keys(closed_classes):
+    """The canonical keys, deduplicated, of the two-leaf graphs cut from the
+    closed classes: each edge whose removal leaves the graph connected, loops
+    included, becomes two "out" leaves at its ends."""
+    keys = set()
+    for closed in closed_classes:
+        for cut in closed.edges:
+            rest = closed._replace(edges=tuple(e for e in closed.edges if e.id != cut.id))
+            if _reach(rest) == {v.id for v in rest.vertices}:
+                keys.add(canonical_form(rest._replace(leaves=tuple(
+                    Leaf(x, v, "out") for x, v in zip(("x", "y"), cut.ends)))))
+    return keys
+
+
+def _reach(g):
+    """The vertices a breadth-first walk along the edges reaches from the first."""
+    seen = [g.vertices[0].id]
+    for u in seen:
+        seen += [w for e in g.edges if u in e.ends for w in e.ends if w not in seen]
+    return set(seen)
 
 
 def _both_re_pairings(g, edge_id):
@@ -445,6 +482,10 @@ class TestEnumeration:
     def test_counts(self):
         # OEIS A005967: connected cubic multigraphs with loops on 2g - 2 vertices
         assert [len(enumerate_trivalent(g)) for g in range(2, 6)] == [2, 5, 17, 71]
+        counts = {(g, n): len(enumerate_trivalent(g, leaves=n)) for g, n in CLASS_COUNTS}
+        assert counts == CLASS_COUNTS
+        assert set(counts) == {(g, n) for g in range(6) for n in range(11)
+                               if 1 <= 2 * g - 2 + n <= 8}
 
     def test_matches_stub_matching_oracle(self):
         for g in (2, 3):
@@ -452,21 +493,60 @@ class TestEnumeration:
                     == [canonical_form(x) for x in _enumerate_trivalent_stubs(g)])
 
     def test_representatives_are_connected_cubic(self):
-        for g in range(2, 6):
-            for x in enumerate_trivalent(g):
+        # the genus is E - V + 1 of a connected graph, found without graphs.genus
+        for g, n in CLASS_COUNTS:
+            nv = 2 * g - 2 + n
+            for x in enumerate_trivalent(g, leaves=n):
                 assert validate(x) == []
-                assert homology_ranks_f2(x) == (1, g)
-                assert len(x.vertices) == 2 * g - 2 and len(x.edges) == 3 * g - 3
+                degree = Counter([end for e in x.edges for end in e.ends]
+                                 + [f.vertex for f in x.leaves])
+                assert [degree[v.id] for v in x.vertices] == [3] * nv
+                assert _reach(x) == set(degree)
+                assert (len(x.edges) - nv + 1, len(x.leaves)) == (g, n)
 
     def test_classes_are_pairwise_distinct(self):
-        for g in range(2, 6):
-            keys = [canonical_form(x) for x in enumerate_trivalent(g)]
+        # and each is labeled by its key: v0, e0, l0, ... in canonical position
+        for g, n in CLASS_COUNTS:
+            classes = enumerate_trivalent(g, leaves=n)
+            keys = [canonical_form(x) for x in classes]
             assert keys == sorted(set(keys))
+            for x, (colors, ends, leaves) in zip(classes, keys):
+                assert [(v.id, v.color) for v in x.vertices] == [
+                    (f"v{i}", 0) for i in range(len(colors))]
+                assert [(e.id, e.ends) for e in x.edges] == [
+                    (f"e{j}", (f"v{a}", f"v{b}")) for j, (a, b) in enumerate(ends)]
+                assert [(f.id, f.vertex, f.orientation) for f in x.leaves] == [
+                    (f"l{k}", f"v{p}", "out") for k, (p, _) in enumerate(leaves)]
 
-    @pytest.mark.parametrize("g", [1, MAX_ENUMERATION_GENUS + 1])
-    def test_out_of_range_genus_is_refused(self, g):
-        with pytest.raises(ValueError, match=f"genus must be an int from 2 to {MAX_ENUMERATION_GENUS}"):
+    @pytest.mark.parametrize("g,message", [
+        # no vertex at closed genus 1; genus 7 has V > 10 with any leaves
+        pytest.param(1, "V = 2g - 2 + n must be from 1 to 10, got 0", id="1"),
+        pytest.param(7, "genus must be an int from 0 to 6, got 7", id="7")])
+    def test_out_of_range_genus_is_refused(self, g, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             enumerate_trivalent(g)
+
+    def test_a_float_equal_to_a_listed_genus_is_refused(self):
+        # a cache keyed on the arguments would take g=3.0 for g=3
+        enumerate_trivalent(g=3, leaves=1)
+        for kwargs in ({"g": 3.0, "leaves": 1}, {"g": 3, "leaves": 1.0}):
+            with pytest.raises(ValueError, match="must be an int"):
+                enumerate_trivalent(**kwargs)
+
+    @pytest.mark.parametrize("g,n", [(0, 0), (0, 1), (0, 2), (1, 0)] + [
+        (g, 13 - 2 * g) for g in range(7)])
+    def test_vertex_counts_outside_one_to_ten_are_refused(self, g, n):
+        assert MAX_ENUMERATION_VERTICES == 10
+        message = f"V = 2g - 2 + n must be from 1 to 10, got {2 * g - 2 + n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumerate_trivalent(g, leaves=n)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_two_leaf_classes_are_the_cuts_of_the_closed_classes(self, g):
+        # cutting a non-bridge edge of a genus-(g + 1) class gives every (g, 2) class
+        keys = [canonical_form(x) for x in enumerate_trivalent(g, leaves=2)]
+        assert keys == sorted(_cut_keys(enumerate_trivalent(g + 1)))
+        assert len(keys) == CLASS_COUNTS[g, 2]
 
     def test_genus_2_is_theta_and_dumbbell(self):
         classes = enumerate_trivalent(2)

@@ -217,6 +217,7 @@ INTEGER_SITES = {
     "open-necklace_graph-genus": ("genus", lambda v: necklace_graph(v, open_ends=True),
                                   (True, 1.0, 0)),
     "enumerate_trivalent-genus": ("genus", enumerate_trivalent, (True, 3.0, 7)),
+    "enumerate_trivalent-leaves": ("leaves", lambda v: enumerate_trivalent(1, v), (True, 2.0, -1)),
 }
 
 

@@ -18,7 +18,6 @@ from graphpotentials.graphs import (
     dumbbell_graph,
     enumerate_trivalent,
     graph_from_json,
-    homology_ranks_f2,
     necklace_graph,
     theta_graph,
     with_colors,
@@ -723,40 +722,34 @@ class TestBoundaryStates:
             glue(state, "x", "nope")
 
 
-def two_leaf_cuts(genus: int):
-    """(parity, open graph) for every class of ``enumerate_trivalent(genus)``,
-    both parities and every edge whose removal leaves the graph connected,
-    loops included: the edge becomes the leaves x at its first end and y at
-    its second, each at its vertex's default orientation, and v0 is colored
-    for parity 1.  Each open graph has genus ``genus - 1``."""
-    for closed in enumerate_trivalent(genus):
-        for cut in closed.edges:
-            rest = closed._replace(edges=tuple(e for e in closed.edges if e.id != cut.id))
-            if homology_ranks_f2(rest)[0] != 1:
-                continue
-            for parity in (0, 1):
-                colored = with_colors(rest, {"v0": parity})
-                yield parity, colored._replace(leaves=tuple(
-                    Leaf(x, v, ORIENTATIONS[colored.color(v)])
-                    for x, v in zip(XY, cut.ends)))
+def two_leaf_classes(genus: int):
+    """(parity, open graph) for every class of ``enumerate_trivalent(genus,
+    leaves=2)`` at both parities: v0 is colored for parity 1, and the leaves
+    l0 and l1 become x and y, each at its vertex's default orientation."""
+    for uncolored in enumerate_trivalent(genus, leaves=2):
+        for parity in (0, 1):
+            g = with_colors(uncolored, {"v0": parity})
+            yield parity, g._replace(leaves=tuple(
+                Leaf(x, leaf.vertex, ORIENTATIONS[g.color(leaf.vertex)])
+                for x, leaf in zip(XY, g.leaves)))
 
 
 class TestOpenGraphStates:
     """The state of an open graph depends only on its genus and parity: every
-    two-leaf graph cut from a closed class has the open necklace's state,
-    which ``necklace_state`` builds as a power of T1, not by the walk."""
+    two-leaf class of genus g - 1 has the open necklace's state, which
+    ``necklace_state`` builds as a power of T1, not by the walk."""
 
-    # genus of the closed classes -> open graphs cut from them, both parities
-    CUTS = {2: 10, 3: 48, 4: 250}
+    # g -> the two-leaf classes of genus g - 1, one colored graph per parity each
+    CLASSES = {2: 2, 3: 9, 4: 49}
 
-    @pytest.mark.parametrize("genus", sorted(CUTS))
+    @pytest.mark.parametrize("genus", sorted(CLASSES))
     def test_two_leaf_states_are_the_necklace_states(self, genus):
         # at K = 8 >= 2 (genus - 1) the two parities' states differ
         want = {p: necklace_state(genus - 1, p, 8) for p in (0, 1)}
         assert want[0] != want[1]
-        cuts = list(two_leaf_cuts(genus))
-        assert len(cuts) == self.CUTS[genus]
-        for parity, open_graph in cuts:
+        graphs = list(two_leaf_classes(genus - 1))
+        assert len(graphs) == 2 * self.CLASSES[genus]
+        for parity, open_graph in graphs:
             assert k_state(open_graph, 8) == want[parity], (parity, open_graph)
 
 
