@@ -5,44 +5,47 @@ The open genus-1 two-leaf graph has boundary state
 Composing two states along a shared boundary circle takes the constant
 term in the glued variable, which in Fourier modes contracts mode i with
 mode -i.  With A the coefficient matrix of T1 (A[i, j] = [x^i y^j] T1) and
-S the mode-flip matrix (S[i, j] = 1 iff j = -i), composition is the matrix
-product with one S inserted, so the chain of g beads has matrix
-A^g S^(g-1) and the closed genus-g graph of parity eps has Laplace-
-transformed period series
+S the mode-flip matrix (S[i, j] = 1 iff j = -i), composing p with q is
+p S q (:func:`kernel_compose`).  The chain of n beads is the composition
+power A^[n] = A^n S^(n-1), and the closed genus-g graph of parity eps glues
+the ends of A^[g-1] with 1 + eps flips: its Laplace-transformed periods are
 
-    pi_hat(g, eps) = tr(A^(g-1) S^(g-1+eps)).
+    pi_hat(g, eps) = tr(S^(1+eps) A^[g-1]) = tr(A^(g-1) S^(g-1+eps)).
 
-The exponent g-1+eps is forced by the recursion and is cross-validated
-against brute-force periods in the tests.
-
-Every chain is therefore a power of A with at most one flip.  T1 is
-invariant under (x, y) -> (1/x, 1/y), so A[i, j] = A[-i, -j], SAS = A,
-AS = SA, and S^2 = 1: the flips of a chain move to its end and cancel in
-pairs.  The flip left over is the view :func:`_flipped`, row i moved to
--i, never a product; on a power of A it equals the column flip, as
-S A^n = A^n S.  Every product is :func:`kernel_compose`, and A^n is built
-by repeated squaring (:func:`_by_squaring`), one product per bit of n
-after the first and one more per further bit set.  A trace never forms
-the last product: A^(g-1) is A^ceil((g-1)/2) times A^floor((g-1)/2), and
-one pass over the pairs of their entries sums tr(PQ) and tr(PQS)
-together (:func:`_pair_traces`).
-The table builds A, A^2, ..., A^floor(g_max/2), one product each and
-only the last two kept, and reads both parities of every genus from one
-pairing.
+The flip count is forced by the recursion and is cross-validated against
+brute-force periods in the tests.  No factor is ever flipped: A^[2m] is
+A^[m] composed with itself and A^[m+1] is A^[m] composed with A, so A^[n]
+comes by repeated squaring (:func:`_by_squaring`), one product per bit of
+n after the first and one more per further bit set.  T1 is invariant under
+(x, y) -> (1/x, 1/y), so A[i, j] = A[-i, -j] and AS = SA: the flip that odd
+parity adds to an open necklace is the view :func:`_flipped`, never a
+product.  A trace never forms the last product: A^[g-1] is
+A^[ceil((g-1)/2)] composed with A^[floor((g-1)/2)], and one pass over the
+pairs of their entries sums both closures (:func:`_pair_traces`).  The
+table builds A, A^[2], ..., A^[floor(g_max/2)], one product each and only
+the last two kept, and reads both parities of every genus from one pairing.
 
 One record, :class:`BoundaryState`, holds every state in the walk's format:
 at t^d, leaf exponents map to d! times the coefficient, a Python ``int``,
 zeros left out.  A kernel is the state on legs (x, y), its exponents the
 modes.  The scaling keeps every intermediate an integer: a scaled T1 entry
 is a multinomial times a binomial and the scaled product rule only
-multiplies by binomials.  The trace of a power's integers is the periods: :func:`trace_periods`.
+multiplies by binomials.  The traces of these integers are the periods,
+:func:`trace_periods`.
 
 Almost every entry of a kernel is zero: an entry of a power of A vanishes
 unless i = j (mod 2), and at t^d unless |i|, |j| <= d.  A product is the
 walk's gluing ``periods.contract`` on p's legs (x, z) and q's (z, y): it
 visits stored entries only, assuming no zero pattern (S is nonzero on its
-whole antidiagonal at t^0).  Brute force still checks the trace formula: the
-two glue different states, vertex states and powers of the closed-form T1.
+whole antidiagonal at t^0).  A closing pairing meets little of a power:
+at t^(d_a) it meets modes of the other factor at t^(d_b), d_a + d_b <= K,
+so within K - d_a.  The traces cut A and every product to the entries whose
+two modes are within K - d at t^d (:func:`_cut`, the walk's
+``periods._prune`` with bound 1 on each leg); a product takes its row from
+its left factor and its column from its right one, so nothing cut is
+needed later.  Open-necklace states keep full powers.  Brute force still
+checks the trace formula: the two glue different states, vertex states and
+powers of the closed-form T1.
 
 Brute-force states are ``periods.walk_terms`` of the vertex potentials,
 an open-necklace state is a kernel power, and two leaves join by
@@ -59,7 +62,7 @@ import math
 from typing import Sequence
 
 from ._record import Record, checked_int, scalar
-from .periods import contract, walk_terms
+from .periods import _prune, contract, walk_terms
 
 
 def _scaled_series(scaled) -> tuple:
@@ -227,34 +230,34 @@ def _flipped(p: BoundaryState) -> BoundaryState:
                                                      for t in p.terms])
 
 
-def _rows_flipped(p: BoundaryState) -> BoundaryState:
-    """S p without its rows |i| > order - d at t^d, the right factor that
-    makes kernel_compose the plain product with p: those rows meet no column
-    of a power of A, which holds none |k| > d at t^d."""
-    return BoundaryState._raw(p.order, p.leaf_vars, [{(-i, j): v for (i, j), v in t.items()
-                              if abs(i) <= p.order - d} for d, t in enumerate(p.terms)])
+def _cut(p: BoundaryState) -> BoundaryState:
+    """p without its entries at t^d with a mode beyond order - d, which no
+    closing pairing meets: ``periods._prune`` with bound 1 on each leg."""
+    return BoundaryState._raw(p.order, p.leaf_vars, [_prune(t, p.order - d, [(0, 1), (1, 1)])
+                                                     for d, t in enumerate(p.terms)])
 
 
-def _by_squaring(a: BoundaryState, sa: BoundaryState, n: int) -> BoundaryState:
-    """a^n for n >= 1 and ``sa`` the rows-flipped a: over the bits of n after
-    the first, square, then multiply by a where the bit is set."""
+def _by_squaring(a: BoundaryState, n: int, trim=lambda p: p) -> BoundaryState:
+    """A^[n] = a^n S^(n-1) for n >= 1, each product passed through ``trim``:
+    over the bits of n after the first, compose the power with itself, then
+    with a where the bit is set."""
     power = a
     for bit in bin(n)[3:]:
-        power = kernel_compose(power, _rows_flipped(power))
+        power = trim(kernel_compose(power, power))
         if bit == "1":
-            power = kernel_compose(power, sa)
+            power = trim(kernel_compose(power, a))
     return power
 
 
 def _pair_traces(p: BoundaryState, q: BoundaryState) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """tr(p q) and tr(p q S) of the d!-scaled kernels, without forming p q:
-    t^d sums C(d, d_a) p[i, j] q[j, i], and p[i, j] q[j, -i] for the flip,
-    over p's entries at t^(d_a) and q's at t^(d - d_a), walking the smaller
-    of the two and looking up the other."""
+    """tr(S p S q) and tr(p S q), p composed with q closed with 1 and 2 flips,
+    without forming p S q: t^d sums C(d, d_a) p[i, j] q[-j, -i], and
+    p[i, j] q[-j, i] for the second, over p's entries at t^(d_a) and q's at
+    t^(d - d_a), walking the smaller of the two and looking up the other."""
     p._require_kernel()
     q._require_kernel()
     order = p.order
-    plain, flipped = [0] * (order + 1), [0] * (order + 1)
+    one, two = [0] * (order + 1), [0] * (order + 1)
     for da, tp in enumerate(p.terms):
         if not tp:
             continue
@@ -262,35 +265,35 @@ def _pair_traces(p: BoundaryState, q: BoundaryState) -> tuple[tuple[int, ...], t
             tq = q.terms[db]
             if not tq:
                 continue
-            # tr(pq) = tr(qp), and tr(pqS) = tr(qpS) as AS = SA: either factor may walk
+            # tr(SpSq) = tr(SqSp), and tr(pSq) = tr(qSp) as AS = SA: either factor may walk
             walk, look = (tp, tq) if len(tp) <= len(tq) else (tq, tp)
-            same = cross = 0
+            s1 = s2 = 0
             for (i, j), v in walk.items():
-                w = look.get((j, i))
+                w = look.get((-j, -i))
                 if w is not None:
-                    same += v * w
-                w = look.get((j, -i))
+                    s1 += v * w
+                w = look.get((-j, i))
                 if w is not None:
-                    cross += v * w
+                    s2 += v * w
             w = math.comb(da + db, da)
-            plain[da + db] += w * same
-            flipped[da + db] += w * cross
-    return tuple(plain), tuple(flipped)
+            one[da + db] += w * s1
+            two[da + db] += w * s2
+    return tuple(one), tuple(two)
 
 
 def trace_periods(g: int, parity: int, order: int) -> tuple[int, ...]:
     """Periods pi_0..pi_order of the closed genus-g graph of the given
-    parity: tr(A^(g-1) S^(g-1+parity)) of the d!-scaled kernels, A^(g-1)
-    paired as A^ceil((g-1)/2) times A^floor((g-1)/2)."""
+    parity: A^[g-1] of the d!-scaled kernels closed with 1 + parity flips,
+    paired as A^[ceil((g-1)/2)] composed with A^[floor((g-1)/2)]."""
     n = checked_int(g, 2, what="genus") - 1
     checked_int(parity, 0, 1, what="parity")
     a = t1_kernel(order)
     if n == 1:
-        return kernel_trace(a, n + parity)
-    sa = _rows_flipped(a)
-    low = _by_squaring(a, sa, n // 2)
-    high = kernel_compose(low, sa) if n % 2 else low
-    return _pair_traces(high, low)[(n + parity) % 2]
+        return kernel_trace(a, 1 + parity)
+    a = _cut(a)
+    low = _by_squaring(a, n // 2, _cut)
+    high = _cut(kernel_compose(low, a)) if n % 2 else low
+    return _pair_traces(high, low)[parity]
 
 
 def trace_formula(g: int, parity: int, order: int) -> tuple:
@@ -300,25 +303,24 @@ def trace_formula(g: int, parity: int, order: int) -> tuple:
 
 def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], tuple[int, ...]]:
     """trace_periods for every genus 2..g_max and both parities: genus
-    n + 1 pairs A^ceil(n/2) with A^floor(n/2), so the powers come one
-    product at a time, up to A^floor(g_max/2), and only the last two are kept."""
+    n + 1 pairs A^[ceil(n/2)] with A^[floor(n/2)], so the powers come one
+    product at a time, up to A^[floor(g_max/2)], and only the last two are kept."""
     checked_int(g_max, 2, what="g_max")
     a = t1_kernel(order)
-    sa = _rows_flipped(a)
-    low = high = a  # A^floor(n/2) and A^ceil(n/2)
-    traces = kernel_trace(a, 0), kernel_trace(a, 1)  # tr(A) and tr(A S) for n = 1
+    traces = kernel_trace(a, 1), kernel_trace(a, 2)  # the closures of A for n = 1
+    low = high = a = _cut(a)  # A^[floor(n/2)] and A^[ceil(n/2)]
     table = {}
     for n in range(1, g_max):
         if n > 1:
             if n % 2:
                 # looked up by module name, so a wrapper (perfbench/tracing.py,
                 # the tests) sees every product
-                high = kernel_compose(high, sa)
+                high = _cut(kernel_compose(high, a))
             else:
                 low = high
             traces = _pair_traces(high, low)
         for parity in (0, 1):
-            table[(n + 1, parity)] = traces[(n + parity) % 2]
+            table[(n + 1, parity)] = traces[parity]
     return table
 
 
@@ -330,19 +332,17 @@ def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], tuple[i
 def necklace_state(g: int, parity: int, order: int) -> BoundaryState:
     """State T_g(x, y^(+-1)) of the open genus-g necklace, via kernel powers.
 
-    The chain of g doubled-edge beads composes to A^g S^(g-1); odd parity
-    inverts the second variable, one more flip on the right.  As AS = SA
-    and S^2 = 1 this is A^g, flipped when g - 1 + parity is odd.  The flip
-    is the view :func:`_flipped`, row i moved to -i: T1 is invariant under
-    (x, y) -> (1/x, 1/y), so S A^g = A^g S and the row flip equals the
-    column flip of the chain's right end.  Equals the brute-force k_state
-    of the matching open necklace graph.
+    The chain of g doubled-edge beads composes to A^[g] = A^g S^(g-1), in
+    full; odd parity inverts the second variable, one more flip on the
+    right.  That flip is the view :func:`_flipped`, row i moved to -i: T1
+    is invariant under (x, y) -> (1/x, 1/y), so S commutes with A^[g] and
+    the row flip equals the column flip of the chain's right end.  Equals
+    the brute-force k_state of the matching open necklace graph.
     """
     checked_int(g, 1, what="genus")
     checked_int(parity, 0, 1, what="parity")
-    a = t1_kernel(order)
-    power = _by_squaring(a, _rows_flipped(a), g)
-    return _flipped(power) if (g - 1 + parity) % 2 else power
+    power = _by_squaring(t1_kernel(order), g)
+    return _flipped(power) if parity else power
 
 
 def k_state(g: ColoredGraph, order: int) -> BoundaryState:

@@ -197,9 +197,10 @@ def random_kernel(order: int, rng: random.Random, density: float) -> BoundarySta
 
 
 def power_of_a(order: int, n: int) -> BoundaryState:
-    """A^n for n >= 1 by the library's repeated squaring."""
-    a = t1_kernel(order)
-    return tqft._by_squaring(a, tqft._rows_flipped(a), n)
+    """A^n for n >= 1: the library's unpruned composition power by repeated
+    squaring, A^n S^(n-1), flipped when n is even."""
+    power = tqft._by_squaring(t1_kernel(order), n)
+    return tqft._flipped(power) if n % 2 == 0 else power
 
 
 class TestProduct:
@@ -615,20 +616,23 @@ class TestSquaringAndPairing:
     def test_pair_traces_walk_either_factor(self, m, n):
         # A^m and A^n store different numbers of entries at a degree, so the
         # two orders walk different factors wherever the sizes differ
-        p, q, whole = (power_of_a(16, k) for k in (m, n, m + n))
+        p, q = power_of_a(16, m), power_of_a(16, n)
+        whole = kernel_compose(p, q)
         assert tqft._pair_traces(p, q) == tqft._pair_traces(q, p) \
-            == (kernel_trace(whole, 0), kernel_trace(whole, 1))
+            == (kernel_trace(whole, 1), kernel_trace(whole, 2))
 
-    def test_right_factor_drops_only_the_rows_no_power_meets(self):
-        # at t^d a power of A has no column |k| > d, so rows |i| > K - d of
-        # the right factor meet nothing within the order
-        order = 12
-        a3 = power_of_a(order, 3)
-        pruned = tqft._rows_flipped(a3)
-        for d, (t, kept) in enumerate(zip(a3.terms, pruned.terms)):
-            assert kept == {(-i, j): v for (i, j), v in t.items() if abs(i) <= order - d}
-        assert sum(map(len, pruned.terms)) < sum(map(len, a3.terms))
-        assert kernel_compose(a3, pruned) == dense_product(a3, a3)
+    @pytest.mark.parametrize("order", [12, 16])
+    def test_cut_keeps_only_the_modes_a_pairing_meets(self, order):
+        # at t^d a power has no mode beyond d, so a pairing within the order
+        # meets no entry of the other factor with a mode beyond K - d
+        a = t1_kernel(order)
+        p, q = tqft._by_squaring(a, 3), tqft._by_squaring(a, 2)
+        cut = tqft._cut(p)
+        for d, (t, kept) in enumerate(zip(p.terms, cut.terms)):
+            assert kept == {(i, j): v for (i, j), v in t.items() if max(abs(i), abs(j)) <= order - d}
+        assert sum(map(len, cut.terms)) < sum(map(len, p.terms))
+        assert tqft._pair_traces(cut, tqft._cut(q)) == tqft._pair_traces(cut, q) \
+            == tqft._pair_traces(p, q)
 
 
 class TestBoundaryStates:
