@@ -60,7 +60,7 @@ class LaurentPoly:
 
     Binary operations require both operands to carry the same variable
     tuple; use :meth:`embed` to move a polynomial into a larger variable
-    set first.  Scalars are accepted on either side of ``+`` and ``*``.
+    set first.  Scalars are accepted on either side of ``+``, ``-`` and ``*``.
     """
 
     __slots__ = ("vars", "terms")
@@ -124,17 +124,18 @@ class LaurentPoly:
 
     # ---- ring operations ------------------------------------------------
 
-    def _check_same_vars(self, other: "LaurentPoly"):
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars!r} vs {other.vars!r}")
-
-    def __add__(self, other):
+    def _operand(self, other) -> "LaurentPoly | None":
+        """``other`` over these variables, a scalar as a constant; None if not a scalar."""
         if not isinstance(other, LaurentPoly):
             c = scalar(other)
-            if c is None:
-                return NotImplemented
-            other = LaurentPoly.constant(self.vars, c)
-        self._check_same_vars(other)
+            return None if c is None else LaurentPoly.constant(self.vars, c)
+        if self.vars != other.vars:
+            raise ValueError(f"variable mismatch: {self.vars!r} vs {other.vars!r}")
+        return other
+
+    def __add__(self, other):
+        if (other := self._operand(other)) is None:
+            return NotImplemented
         return self._raw(self.vars, _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
@@ -143,14 +144,13 @@ class LaurentPoly:
         return self._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            c = scalar(other)
-            if c is None:
-                return NotImplemented
-            other = LaurentPoly.constant(self.vars, c)
+        if (other := self._operand(other)) is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if (other := self._operand(other)) is None:
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -161,8 +161,7 @@ class LaurentPoly:
             if c == 0:
                 return LaurentPoly.zero(self.vars)
             return self._raw(self.vars, {e: k * c for e, k in self.terms.items()})
-        self._check_same_vars(other)
-        pairs = other.terms.items()
+        pairs = self._operand(other).terms.items()
         return self._raw(self.vars, _accumulate({}, (
             (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in pairs)))
 
@@ -270,18 +269,6 @@ def sum_over(variables: Sequence[str], polys: Iterable[LaurentPoly]) -> LaurentP
 # ---------------------------------------------------------------------------
 
 
-def _monomial_content(terms: list[Exponents], n: int) -> tuple[int, ...]:
-    """The per-variable minimum exponent over ``terms``; n zeros if there are none."""
-    return tuple(map(min, zip(*terms))) if terms else (0,) * n
-
-
-def _shift(p: LaurentPoly, shift: tuple[int, ...]) -> LaurentPoly:
-    if all(s == 0 for s in shift):
-        return p
-    return LaurentPoly._raw(p.vars, {tuple(a - b for a, b in zip(e, shift)): c
-                                     for e, c in p.terms.items()})
-
-
 class RationalExpr(Record):
     """Quotient of Laurent polynomials over a common variable tuple.
 
@@ -306,8 +293,10 @@ class RationalExpr(Record):
         return cls(p, LaurentPoly.one(p.vars))
 
     def __str__(self) -> str:
-        shift = _monomial_content(list(self.num.terms) + list(self.den.terms), len(self.num.vars))
-        num, den = _shift(self.num, shift), _shift(self.den, shift)
+        # times x^-m for m the least exponent of each x over both parts
+        lows = zip(*self.num.terms, *self.den.terms)
+        monomial = LaurentPoly._raw(self.num.vars, {tuple(-min(k) for k in lows): 1})
+        num, den = self.num * monomial, self.den * monomial
         if den == LaurentPoly.one(den.vars):
             return str(num)
         return f"({num}) / ({den})"

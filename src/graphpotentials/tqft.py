@@ -22,8 +22,8 @@ parity adds to an open necklace is the view :func:`_flipped`, never a
 product.  A trace never forms the last product: A^[g-1] is
 A^[ceil((g-1)/2)] composed with A^[floor((g-1)/2)], and one pass over the
 pairs of their entries sums both closures (:func:`_pair_traces`).  The
-table builds A, A^[2], ..., A^[floor(g_max/2)], one product each and only
-the last two kept, and reads both parities of every genus from one pairing.
+table closes A for genus 2, then builds A^[2], ..., A^[floor(g_max/2)], one
+product each, keeps the last two and reads each later genus from one pairing.
 
 One record, :class:`BoundaryState`, holds every state in the walk's format:
 at t^d, leaf exponents map to d! times the coefficient, a Python ``int``,
@@ -302,25 +302,21 @@ def trace_formula(g: int, parity: int, order: int) -> tuple:
 
 
 def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], tuple[int, ...]]:
-    """trace_periods for every genus 2..g_max and both parities: genus
-    n + 1 pairs A^[ceil(n/2)] with A^[floor(n/2)], so the powers come one
-    product at a time, up to A^[floor(g_max/2)], and only the last two are kept."""
+    """trace_periods for every genus 2..g_max and both parities: genus 2 is A
+    closed on itself, and each later genus n + 1 takes one pairing of the two
+    powers kept, A^[ceil(n/2)] and A^[floor(n/2)], and one product every other genus."""
     checked_int(g_max, 2, what="g_max")
     a = t1_kernel(order)
-    traces = kernel_trace(a, 1), kernel_trace(a, 2)  # the closures of A for n = 1
+    table = {(2, 0): kernel_trace(a, 1), (2, 1): kernel_trace(a, 2)}
     low = high = a = _cut(a)  # A^[floor(n/2)] and A^[ceil(n/2)]
-    table = {}
-    for n in range(1, g_max):
-        if n > 1:
-            if n % 2:
-                # looked up by module name, so a wrapper (perfbench/tracing.py,
-                # the tests) sees every product
-                high = _cut(kernel_compose(high, a))
-            else:
-                low = high
-            traces = _pair_traces(high, low)
-        for parity in (0, 1):
-            table[(n + 1, parity)] = traces[parity]
+    for n in range(2, g_max):
+        if n % 2:
+            # looked up by module name, so a wrapper (perfbench/tracing.py,
+            # the tests) sees every product
+            high = _cut(kernel_compose(high, a))
+        else:
+            low = high
+        table[(n + 1, 0)], table[(n + 1, 1)] = _pair_traces(high, low)
     return table
 
 

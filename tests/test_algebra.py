@@ -102,6 +102,20 @@ class TestLaurentPoly:
         with pytest.raises(ValueError, match="variable mismatch"):
             p + LaurentPoly.variable(("a",), "a")
 
+    def test_subtraction_takes_what_addition_takes(self):
+        # one rule turns the other operand into a polynomial, on either side
+        p = P({(1, 0): 1, (0, 0): 3})
+        with pytest.raises(TypeError, match="for -: 'str' and 'LaurentPoly'"):
+            "a" - p
+        with pytest.raises(TypeError, match="for -: 'LaurentPoly' and 'str'"):
+            p - "a"
+        for q in (LaurentPoly.variable(("a",), "a"), LaurentPoly.one(("a", "b", "c"))):
+            for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+                with pytest.raises(ValueError, match="variable mismatch"):
+                    op(p, q)
+                with pytest.raises(ValueError, match="variable mismatch"):
+                    op(q, p)
+
     def test_str_and_repr(self):
         assert str(LaurentPoly.zero(AB)) == "0"
         assert str(P({(1, 0): -1, (0, 2): -1, (0, 0): 1})) == "1 - b^2 - a"
@@ -228,6 +242,18 @@ class TestRationalExpr:
         assert r2.num == (a + b) * a
         assert str(r1) == str(r2) == "(b + a) / (a*b)"
         assert str(RationalExpr(a * b, a * b)) == "1"
+
+    @pytest.mark.parametrize("variables,num,den,printed", [
+        (AB, {}, {(2, 1): 1, (3, 1): -2}, "(0) / (1 - 2*a)"),
+        (AB, {(-2, 3): 1, (-1, 4): Fraction(1, 2)}, {(-3, 5): 2, (0, 2): -1},
+         "(a*b + 1/2*a^2*b^2) / (2*b^3 - a^3)"),
+        ((), {(): 6}, {(): 4}, "(6) / (4)"),
+    ], ids=["zero-numerator", "content-of-both-signs", "no-variables"])
+    def test_printed_forms(self, variables, num, den, printed):
+        # the content is the least exponent of each variable over both parts:
+        # the denominator's alone at a zero numerator, (-3, 2) in the second
+        # case, and nothing to divide out without variables
+        assert str(RationalExpr(LaurentPoly(variables, num), LaurentPoly(variables, den))) == printed
 
     def test_inequality(self):
         a, b = var("a"), var("b")

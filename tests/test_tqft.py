@@ -518,9 +518,11 @@ class TestTraceFormula:
         assert len(calls) == table
 
     def test_table_matches_single_calls(self):
-        table = trace_formula_table(5, 8)
-        for g in range(2, 6):
-            for parity in (0, 1):
+        # at g_max = 2 and 3 the table's loop body runs zero times and once
+        for g_max in (2, 3, 5):
+            table = trace_formula_table(g_max, 8)
+            assert list(table) == [(g, p) for g in range(2, g_max + 1) for p in (0, 1)]
+            for g, parity in table:
                 assert table[(g, parity)] == trace_periods(g, parity, 8)
 
     def test_genus3_against_direct_expansion(self):
