@@ -285,8 +285,9 @@ def moved_vertices(a: ColoredGraph, b: ColoredGraph) -> set[str] | None:
 def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:
     """Re-pair the four strands around a non-loop internal edge.
 
-    With slots (a, b) at one endpoint and (c, d) at the other, ordered by
-    ascending id, the pairing (a, b | c, d) becomes (a, c | b, d): slot b
+    With slots (a, b) at one endpoint and (c, d) at the other, in
+    :func:`vertex_slots` order (edges by ascending id, then leaves by
+    ascending id), the pairing (a, b | c, d) becomes (a, c | b, d): slot b
     crosses to the second endpoint and slot c to the first.  All ids and
     all vertex colors are preserved, and a leaf that crosses to a vertex of
     the other color keeps its sign (:func:`_keep_leaf_signs`).
@@ -297,8 +298,8 @@ def elementary_transformation(g: ColoredGraph, edge_id: str) -> ColoredGraph:
 def elementary_move(g: ColoredGraph, edge_id: str
                     ) -> tuple[ColoredGraph, tuple[tuple[str, str], tuple[str, str]]]:
     """:func:`elementary_transformation` at ``edge_id`` together with the
-    variable names (a, b), (c, d) of the slots it re-pairs, read off the
-    rows of the edge's two endpoints alone."""
+    variable names (a, b), (c, d) of the slots it re-pairs, in the order of
+    the :func:`vertex_slots` rows of the edge's two endpoints, built alone."""
     v1, v2 = g.edge(edge_id).ends
     if v1 == v2:
         raise ValueError(f"edge {edge_id} is a loop")

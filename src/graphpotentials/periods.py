@@ -29,24 +29,21 @@ from ._record import Record, checked_int, scalar
 
 
 class PeriodSequence(Record):
-    """pi_0..pi_order, pi_0 = 1, and the fingerprint of the graph they
-    belong to, if any.  The values are exact, each judged by
+    """pi_0..pi_order, pi_0 = 1, order = len(pi) - 1, and the fingerprint of
+    the graph they belong to, if any.  The values are exact, each judged by
     ``_record.scalar`` (a bool is kept as its int), and are kept as a tuple."""
 
     __slots__ = ("order", "pi", "graph_fingerprint")
 
-    def __init__(self, order: int, pi: Iterable, graph_fingerprint: str | None = None):
-        checked_int(order, 0, what="order")
+    def __init__(self, pi: Iterable, graph_fingerprint: str | None = None):
         given = tuple(pi)
         pi = tuple(map(scalar, given))
         if None in pi:
             raise ValueError(f"pi holds a {type(given[pi.index(None)]).__name__}, "
                              "need int or Fraction")
-        if len(pi) != order + 1:
-            raise ValueError(f"need {order + 1} values, got {len(pi)}")
-        if pi[0] != 1:
+        if pi[:1] != (1,):  # an empty pi too
             raise ValueError("pi[0] must be 1")
-        self._set(order, pi, graph_fingerprint)
+        self._set(len(pi) - 1, pi, graph_fingerprint)
 
 
 def _pieces(p: LaurentPoly) -> list[LaurentPoly]:
@@ -102,8 +99,8 @@ def _joined(acc: dict, na: int, nb: int) -> dict:
     return {x + z: c for x, r in acc.items() for z, c in r.items() if c}
 
 
-def contract(a: tuple, b: tuple, order: int, bound: dict) -> tuple:
-    """Glue two states (legs, order + 1 degree dicts) along the legs they share.
+def contract(a: tuple, b: tuple, bound: dict) -> tuple:
+    """Glue two states (legs, order + 1 degree dicts each) along the legs they share.
 
     Degree d sums C(d, d_a) times an entry of a at d_a times one of b at
     d - d_a over the pairs whose shared exponents cancel; zero sums are left
@@ -111,6 +108,7 @@ def contract(a: tuple, b: tuple, order: int, bound: dict) -> tuple:
     exponents that the remaining degrees, each moving v by bound[v], can cancel.
     """
     (la, ta), (lb, tb) = a, b
+    order = len(ta) - 1
     shared = [v for v in la if v in lb]
     ra, rb = ([j for j, v in enumerate(legs) if v not in shared] for legs in (la, lb))
     (sa, xa), (sb, xb) = ((_pick([legs.index(v) for v in shared]), _pick(r))
@@ -203,7 +201,7 @@ def walk_terms(pieces: Iterable[LaurentPoly], order: int, kept: tuple[str, ...] 
             frozenset(p.terms.items()), legs, tuple(bound.get(v) for v in p.vars), order)))
     state = ((), [{(): 1}] + [{} for _ in range(order)])
     for i in _gluing_order([legs for legs, _ in series]):
-        state = contract(state, series[i], order, bound)
+        state = contract(state, series[i], bound)
     perm = [state[0].index(v) for v in kept]
     return [{tuple(k[j] for j in perm): c for k, c in t.items()} for t in state[1]]
 
@@ -249,7 +247,7 @@ def periods_of_graph(g: ColoredGraph, order: int, method: str = "brute",
     parity = g.coloring_parity()
     fp = f"g{h1}e{parity}"  # the genus and the coloring parity
     if method == "brute":
-        return PeriodSequence(order, tuple(t.get((), 0) for t in walk_terms(pieces, order)), fp)
+        return PeriodSequence((t.get((), 0) for t in walk_terms(pieces, order)), fp)
     from .tqft import trace_periods
 
-    return PeriodSequence(order, trace_periods(h1, parity, order), fp)
+    return PeriodSequence(trace_periods(h1, parity, order), fp)

@@ -83,9 +83,9 @@ def bessel(order: int) -> tuple:
 class BoundaryState(Record):
     """The state of an open graph in the walk's integers: ``terms[d]`` maps
     leaf exponents, in ``leaf_vars`` order, to d! times the coefficient of
-    t^d, an ``int``, zeros left out.  Every exponent lies in -order..order,
-    and in a graph's state every leaf exponent at t^d is at most d in
-    absolute value.
+    t^d, an ``int``, zeros left out.  The order is the last degree,
+    ``len(terms) - 1``.  Every exponent lies in -order..order, and in a
+    graph's state every leaf exponent at t^d is at most d in absolute value.
 
     A kernel is the state on legs ("x", "y"): entry (i, j) is the
     coefficient of x^i y^j.  Every kernel built here has empty odd degrees
@@ -94,10 +94,10 @@ class BoundaryState(Record):
 
     __slots__ = ("order", "leaf_vars", "terms")
 
-    def __init__(self, order: int, leaf_vars: Sequence[str], terms: Sequence[dict]):
-        checked_int(order, 0, what="order")
-        if len(terms) != order + 1:
-            raise ValueError(f"need {order + 1} degree dicts, got {len(terms)}")
+    def __init__(self, leaf_vars: Sequence[str], terms: Sequence[dict]):
+        if not terms:
+            raise ValueError("need at least one degree dict, got none")
+        order = len(terms) - 1
         leaf_vars = tuple(leaf_vars)
         if len(set(leaf_vars)) != len(leaf_vars):  # glue would sum out every copy of a name
             raise ValueError(f"repeated leaf names in {leaf_vars}")
@@ -117,10 +117,10 @@ class BoundaryState(Record):
                                      for t in terms])
 
     @classmethod
-    def _raw(cls, order: int, leaf_vars: tuple[str, ...], terms: list[dict]) -> BoundaryState:
-        # internal: exponents in range, all ints, no zeros
+    def _raw(cls, leaf_vars: tuple[str, ...], terms: list[dict]) -> BoundaryState:
+        # internal: at least one degree, exponents in range, all ints, no zeros
         state = cls.__new__(cls)
-        state._set(order, leaf_vars, terms)
+        state._set(len(terms) - 1, leaf_vars, terms)
         return state
 
     @property
@@ -170,7 +170,7 @@ def flip_operator(order: int) -> BoundaryState:
     checked_int(order, 0, what="order")
     terms = [{} for _ in range(order + 1)]
     terms[0] = {(i, -i): 1 for i in range(-order, order + 1)}
-    return BoundaryState._raw(order, ("x", "y"), terms)
+    return BoundaryState._raw(("x", "y"), terms)
 
 
 def t1_kernel(order: int) -> BoundaryState:
@@ -194,7 +194,7 @@ def t1_kernel(order: int) -> BoundaryState:
             base = row[2 * m] * math.comb(2 * m, m) * math.comb(2 * n, n)
             for i in range(-2 * n, 2 * m + 1):
                 acc[(i, 2 * (m - n) - i)] = base * row[2 * n + i]
-    return BoundaryState._raw(order, ("x", "y"), terms)
+    return BoundaryState._raw(("x", "y"), terms)
 
 
 def kernel_compose(p: BoundaryState, q: BoundaryState) -> BoundaryState:
@@ -205,8 +205,7 @@ def kernel_compose(p: BoundaryState, q: BoundaryState) -> BoundaryState:
     q._require_kernel()
     if p.order != q.order:
         raise ValueError("kernel orders differ")
-    return BoundaryState._raw(p.order, *contract((("x", "z"), p.terms), (("z", "y"), q.terms),
-                                                p.order, {}))
+    return BoundaryState._raw(*contract((("x", "z"), p.terms), (("z", "y"), q.terms), {}))
 
 
 def kernel_matmul(p: BoundaryState, q: BoundaryState) -> BoundaryState:
@@ -226,15 +225,15 @@ def kernel_trace(p: BoundaryState, flips: int) -> tuple[int, ...]:
 
 def _flipped(p: BoundaryState) -> BoundaryState:
     """S p: row i of a kernel moved to -i, every entry kept."""
-    return BoundaryState._raw(p.order, p.leaf_vars, [{(-i, j): v for (i, j), v in t.items()}
-                                                     for t in p.terms])
+    return BoundaryState._raw(p.leaf_vars, [{(-i, j): v for (i, j), v in t.items()}
+                                            for t in p.terms])
 
 
 def _cut(p: BoundaryState) -> BoundaryState:
     """p without its entries at t^d with a mode beyond order - d, which no
     closing pairing meets: ``periods._prune`` with bound 1 on each leg."""
-    return BoundaryState._raw(p.order, p.leaf_vars, [_prune(t, p.order - d, [(0, 1), (1, 1)])
-                                                     for d, t in enumerate(p.terms)])
+    return BoundaryState._raw(p.leaf_vars, [_prune(t, p.order - d, [(0, 1), (1, 1)])
+                                            for d, t in enumerate(p.terms)])
 
 
 def _by_squaring(a: BoundaryState, n: int, trim=lambda p: p) -> BoundaryState:
@@ -354,7 +353,7 @@ def k_state(g: ColoredGraph, order: int) -> BoundaryState:
 
     pieces = graph_potential(g).per_vertex.values()
     leaf_vars = tuple(sorted(x.id for x in g.leaves))
-    return BoundaryState._raw(order, leaf_vars, walk_terms(pieces, order, leaf_vars))
+    return BoundaryState._raw(leaf_vars, walk_terms(pieces, order, leaf_vars))
 
 
 def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
@@ -366,9 +365,8 @@ def glue(state: BoundaryState, leaf_a: str, leaf_b: str) -> BoundaryState:
         if name not in state.leaf_vars:
             raise ValueError(f"unknown leaf variable {name!r}")
     # the cylinder's state on (leaf_a, leaf_b) pairs mode i of one with -i of the other
-    cylinder = flip_operator(state.order).terms
-    return BoundaryState._raw(state.order, *contract((state.leaf_vars, state.terms),
-                                                     ((leaf_a, leaf_b), cylinder), state.order, {}))
+    cylinder = ((leaf_a, leaf_b), flip_operator(state.order).terms)
+    return BoundaryState._raw(*contract((state.leaf_vars, state.terms), cylinder, {}))
 
 
 # ---------------------------------------------------------------------------

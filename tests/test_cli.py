@@ -108,8 +108,7 @@ class TestPeriod:
             if method == "tqft":
                 pi = list(seq.pi)
                 pi[-1] += 1
-                return periods_mod.PeriodSequence(seq.order, tuple(pi),
-                                                  seq.graph_fingerprint)
+                return periods_mod.PeriodSequence(pi, seq.graph_fingerprint)
             return seq
 
         monkeypatch.setattr(periods_mod, "periods_of_graph", skewed)

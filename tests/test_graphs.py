@@ -11,6 +11,7 @@ import pytest
 
 from graphpotentials.graphs import (
     MAX_ENUMERATION_VERTICES,
+    Edge,
     InvalidGraph,
     Leaf,
     _components,
@@ -421,6 +422,21 @@ class TestElementaryTransformation:
                        [("x", "v1", "out"), ("y", "v1", "out"), ("z", "v2", "out")])
         with pytest.raises(ValueError, match="^edge e: endpoints are not trivalent$"):
             elementary_move(g, "e")
+
+    def test_slots_list_edges_before_leaves(self):
+        # v1 holds edges m and z and leaf a: its slots after m are (z, a), edges by
+        # id, then leaves by id, so leaf a crosses to v2 although "a" < "z"
+        g = make_graph([("v1", 0), ("v2", 0), ("v3", 0)],
+                       [("m", "v1", "v2"), ("z", "v1", "v3"),
+                        ("p", "v2", "v3"), ("q", "v2", "v3")],
+                       [("a", "v1", "out")])
+        assert validate(g) == []
+        moved, pairs = elementary_move(g, "m")
+        assert pairs == (("z", "a"), ("p", "q"))
+        assert moved.leaves == (Leaf("a", "v2", "out"),)
+        assert moved.edges == (Edge("m", ("v1", "v2")), Edge("z", ("v1", "v3")),
+                               Edge("p", ("v1", "v3")), Edge("q", ("v2", "v3")))
+        assert elementary_transformation(g, "m") == moved
 
     def test_changes_only_the_two_crossing_slots(self):
         graphs = [with_colors(g, {"v0": p}) for g in enumerate_trivalent(4) for p in (0, 1)]

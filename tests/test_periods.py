@@ -67,7 +67,7 @@ class TestBruteForce:
 
     def test_sequence_validates_leading_one(self):
         with pytest.raises(ValueError):
-            PeriodSequence(order=1, pi=(2, 0), graph_fingerprint="")
+            PeriodSequence(pi=(2, 0), graph_fingerprint="")
 
 
 class TestBackends:
@@ -176,9 +176,9 @@ def in_greedy_order(run):
         asked.append(list(legs))
         return real_order(legs)
 
-    def contract_spy(a, b, order, bound):
+    def contract_spy(a, b, bound):
         glued.append((a[0], b[0]))
-        return real_contract(a, b, order, bound)
+        return real_contract(a, b, bound)
 
     real_order, real_contract = periods._gluing_order, periods.contract
     with patch.object(periods, "_gluing_order", order_spy), \
@@ -260,13 +260,14 @@ class TestWalk:
             walk_terms([xy_poly({(1, -1): 1})], -1)
 
 
-def naive_contract(a, b, order, bound):
-    """Every entry of a against every entry of b: the pairs whose shared
-    exponents sum to zero add C(d, d_a) c_a c_b at degree d = d_a + d_b,
-    zero sums and, on a leg bounded by m, exponents past m * (order - d) are
-    left out.  Keys list a's open legs, then b's.  Also returns how many
-    sums cancelled to zero."""
+def naive_contract(a, b, bound):
+    """Every entry of a against every entry of b, both of order K: the pairs
+    whose shared exponents sum to zero add C(d, d_a) c_a c_b at degree
+    d = d_a + d_b <= K, zero sums and, on a leg bounded by m, exponents past
+    m * (K - d) are left out.  Keys list a's open legs, then b's.  Also
+    returns how many sums cancelled to zero."""
     (la, ta), (lb, tb) = a, b
+    order = len(tb) - 1
     rest_a = [v for v in la if v not in lb]
     rest_b = [v for v in lb if v not in la]
     out = [{} for _ in range(order + 1)]
@@ -314,9 +315,9 @@ class TestContract:
             a = random_state(rng, tuple(la), order, rng.randint(0, 20))
             b = random_state(rng, tuple(lb), order, rng.randint(0, 20))
             bound = {v: rng.randint(0, 2) for v in la + lb if bounded and v not in shared}
-            want, cancelled = naive_contract(a, b, order, bound)
+            want, cancelled = naive_contract(a, b, bound)
             zeros += cancelled
-            legs, got = contract(a, b, order, bound)
+            legs, got = contract(a, b, bound)
             # a's open legs in a's order, then b's in b's
             assert legs == tuple(v for v in la if v not in shared) + \
                 tuple(v for v in lb if v not in shared)
@@ -327,8 +328,8 @@ class TestContract:
         # u * x at degree 1 meets v / x at degree 1: C(2, 1) * 3 * 5 at t^2
         a = (("u", "x"), [{}, {(1, 1): 3}, {}])
         b = (("x", "v"), [{}, {(-1, 1): 5}, {}])
-        assert contract(a, b, 2, {}) == (("u", "v"), [{}, {}, {(1, 1): 30}])
-        assert contract(b, a, 2, {}) == (("v", "u"), [{}, {}, {(1, 1): 30}])
+        assert contract(a, b, {}) == (("u", "v"), [{}, {}, {(1, 1): 30}])
+        assert contract(b, a, {}) == (("v", "u"), [{}, {}, {(1, 1): 30}])
 
 
 class TestGraphPeriods:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from graphpotentials import periods, potential, tqft
+from graphpotentials._record import checked_int
 from graphpotentials.algebra import LaurentPoly, pairing_in_var, ts_exp
 from graphpotentials.graphs import (
     ORIENTATIONS,
@@ -82,7 +83,7 @@ def t1_kernel_direct(order: int) -> BoundaryState:
             v = c * factorial(d)
             assert v.denominator == 1, "scaled entry is not integral"
             t[e] = v.numerator
-    return BoundaryState(order, XY, terms)
+    return BoundaryState(XY, terms)
 
 
 def as_series(state) -> tuple[LaurentPoly, ...]:
@@ -180,7 +181,7 @@ def dense_product(p: BoundaryState, q: BoundaryState) -> BoundaryState:
         for a in range(1, u + 1):
             acc += comb(2 * u, 2 * a) * (pm[a] @ qm[u - a])
         terms[2 * u] = {(i - D, j - D): v for (i, j), v in np.ndenumerate(acc)}
-    return BoundaryState(D, XY, terms)
+    return BoundaryState(XY, terms)
 
 
 def random_kernel(order: int, rng: random.Random, density: float) -> BoundaryState:
@@ -193,7 +194,7 @@ def random_kernel(order: int, rng: random.Random, density: float) -> BoundarySta
             for j in modes:
                 if rng.random() < density:
                     t[(i, j)] = rng.randint(-2 ** 70, 2 ** 70)
-    return BoundaryState(order, XY, terms)
+    return BoundaryState(XY, terms)
 
 
 def power_of_a(order: int, n: int) -> BoundaryState:
@@ -221,11 +222,11 @@ class TestProduct:
         a3 = power_of_a(10, 3)
         s = flip_operator(10)
         for p, q in ((a, a), (a3, a), (a, s), (s, a3)):
-            flipped = BoundaryState(q.order, XY, [{(-i, j): v for (i, j), v in t.items()} for t in q.terms])
+            flipped = BoundaryState(XY, [{(-i, j): v for (i, j), v in t.items()} for t in q.terms])
             assert kernel_compose(p, q) == dense_product(p, flipped)
 
     def test_zero_kernel(self):
-        zero = BoundaryState(8, XY, [{} for _ in range(9)])
+        zero = BoundaryState(XY, [{} for _ in range(9)])
         a = t1_kernel(8)
         for p, q in ((zero, a), (a, zero), (zero, zero)):
             assert kernel_matmul(p, q) == dense_product(p, q) == zero
@@ -259,8 +260,8 @@ class TestProduct:
 
     def test_cancelled_entries_left_out(self):
         # (0, 0) sums 1 * 1 + 1 * -1: a zero, which the format leaves out
-        p = BoundaryState(2, XY, [{(0, 0): 1, (0, 1): 1}, {}, {}])
-        q = BoundaryState(2, XY, [{(0, 0): 1, (1, 0): -1}, {}, {}])
+        p = BoundaryState(XY, [{(0, 0): 1, (0, 1): 1}, {}, {}])
+        q = BoundaryState(XY, [{(0, 0): 1, (1, 0): -1}, {}, {}])
         assert kernel_matmul(p, q).terms == [{}, {}, {}]
 
 
@@ -311,18 +312,16 @@ class TestKernelMatrix:
         # bool prints as True
         terms = [{(0, 0): value}] + [{} for _ in range(4)]
         with pytest.raises(ValueError, match="need int"):
-            BoundaryState(4, XY, terms)
+            BoundaryState(XY, terms)
 
     def test_degree_count_and_mode_range_checked(self):
-        with pytest.raises(ValueError, match="degree dicts"):
-            BoundaryState(4, XY, [{} for _ in range(3)])
+        # the order is the last degree, so no degree at all is the one count refused,
+        # and the modes are bounded by that order
+        with pytest.raises(ValueError, match="^need at least one degree dict, got none$"):
+            BoundaryState(XY, [])
+        assert BoundaryState(XY, [{(0, 4): 1}] + [{} for _ in range(4)]).order == 4
         with pytest.raises(ValueError, match="out of range"):
-            BoundaryState(4, XY, [{(0, 5): 1}] + [{} for _ in range(4)])
-
-    @pytest.mark.parametrize("order", [-1, -3, 1.0, True])
-    def test_order_must_be_a_natural_int(self, order):
-        with pytest.raises(ValueError, match="order must be an int >= 0"):
-            BoundaryState(order, XY, [] if order == -1 else [{}, {}])
+            BoundaryState(XY, [{(0, 4): 1}] + [{} for _ in range(3)])
 
     @pytest.mark.parametrize("mode", [(0.5, 0), (0, 1.0), (True, 0), (0, False), ("0", 0)],
                              ids=["float", "integral-float", "bool", "bool-false", "str"])
@@ -330,11 +329,11 @@ class TestKernelMatrix:
         # 0.5 or "0" never pairs in a contraction, and 1.0 or True pairs as 1
         # but prints otherwise
         with pytest.raises(ValueError, match="need ints"):
-            BoundaryState(2, XY, [{mode: 1}, {}, {}])
+            BoundaryState(XY, [{mode: 1}, {}, {}])
 
     def test_zeros_left_out_and_terms_copied(self):
         terms = [{(0, 0): 0, (1, 1): 2}, {}, {}]
-        k = BoundaryState(2, XY, terms)
+        k = BoundaryState(XY, terms)
         terms[0][(1, 1)] = 3
         assert k.terms == [{(1, 1): 2}, {}, {}]
 
@@ -368,9 +367,9 @@ class TestBoundaryState:
     def test_constructor_refuses(self, legs, refused):
         entry, match = self.REFUSED[refused]
         n = len(legs)
-        BoundaryState(2, legs, [{(0,) * n: 1}, {}, {}])
+        BoundaryState(legs, [{(0,) * n: 1}, {}, {}])
         with pytest.raises(ValueError, match=match):
-            BoundaryState(2, legs, [entry(n), {}, {}])
+            BoundaryState(legs, [entry(n), {}, {}])
 
     def test_a_glued_kernel_is_its_flipped_trace(self):
         a = t1_kernel(12)
@@ -382,7 +381,7 @@ class TestBoundaryState:
         assert necklace_state(1, 0, 8) == t1_kernel(8)
 
     def test_kernel_views_need_two_legs(self):
-        state = BoundaryState(1, ("a", "b", "c"), [{(0, 0, 0): 1}, {}])
+        state = BoundaryState(("a", "b", "c"), [{(0, 0, 0): 1}, {}])
         assert state.size == 3
         with pytest.raises(ValueError, match="two leaves"):
             state.mats
@@ -405,14 +404,28 @@ class TestBoundaryState:
     def test_kernel_operations_need_two_legs(self, operation):
         # unchecked, a product pairs a 3-leg key by its first two exponents
         # and a trace reads no entry of it
-        state = BoundaryState(2, ("a", "b", "c"), [{(0, 0, 0): 1}, {}, {(1, 0, -1): 2}])
+        state = BoundaryState(("a", "b", "c"), [{(0, 0, 0): 1}, {}, {(1, 0, -1): 2}])
         with pytest.raises(ValueError, match="two leaves"):
             operation(state, t1_kernel(2))
 
     def test_constructor_refuses_repeated_leaf_names(self):
         # glue would sum out every copy of "a" and leave no leaf open
         with pytest.raises(ValueError, match="repeated leaf names"):
-            BoundaryState(1, ("a", "a", "b"), [{(0, 0, 0): 1}, {(1, 0, -1): 2}])
+            BoundaryState(("a", "a", "b"), [{(0, 0, 0): 1}, {(1, 0, -1): 2}])
+
+    @pytest.mark.parametrize("build", [
+        lambda: t1_kernel(6),
+        lambda: flip_operator(6),
+        lambda: necklace_state(2, 1, 6),
+        lambda: k_state(necklace_graph(2, open_ends=True, parity=1), 6),
+        lambda: glue(k_state(fixture("tripod.json"), 6), "X", "Y"),
+    ], ids=["t1_kernel", "flip_operator", "necklace_state", "k_state", "glue"])
+    def test_built_states_pass_the_constructor(self, build):
+        # the library builds states past the constructor's checks; each one
+        # passes them, and its order is its last degree
+        state = build()
+        assert BoundaryState(state.leaf_vars, state.terms) == state
+        assert state.order == len(state.terms) - 1 == 6
 
 
 class TestOperators:
@@ -574,8 +587,9 @@ class TestTracePeriods:
     @pytest.mark.parametrize("order", [-2, 2.0, True, "3", None])
     @pytest.mark.parametrize("builder", [t1_kernel, flip_operator])
     def test_builders_refuse_what_kernel_matrix_refuses(self, builder, order):
+        # a kernel's order is its length, so a builder's order follows the one rule
         with pytest.raises(ValueError) as refused:
-            BoundaryState(order, XY, [])
+            checked_int(order, 0, what="order")
         with pytest.raises(ValueError) as built:
             builder(order)
         assert str(built.value) == str(refused.value)
@@ -719,8 +733,8 @@ class TestBoundaryStates:
         assert as_series(state) == ts_exp(graph_potential(tripod).potential, 6)
 
     def test_glue_leaves_out_cancelled_terms(self):
-        state = BoundaryState(2, ("a", "b", "c"), [{}, {(1, -1, 0): 2, (2, -2, 0): -2, (1, 0, 1): 5}, {}])
-        assert glue(state, "a", "b") == BoundaryState(2, ("c",), [{}, {}, {}])
+        state = BoundaryState(("a", "b", "c"), [{}, {(1, -1, 0): 2, (2, -2, 0): -2, (1, 0, 1): 5}, {}])
+        assert glue(state, "a", "b") == BoundaryState(("c",), [{}, {}, {}])
 
     def test_glue_requires_existing_leaves(self):
         state = necklace_state(1, 0, 4)
