@@ -108,6 +108,8 @@ def contract(a: tuple, b: tuple, bound: dict) -> tuple:
     exponents that the remaining degrees, each moving v by bound[v], can cancel.
     """
     (la, ta), (lb, tb) = a, b
+    if len(ta) != len(tb):
+        raise ValueError(f"orders differ: {len(ta) - 1} and {len(tb) - 1}")
     order = len(ta) - 1
     shared = [v for v in la if v in lb]
     ra, rb = ([j for j, v in enumerate(legs) if v not in shared] for legs in (la, lb))

@@ -39,13 +39,13 @@ walk's gluing ``periods.contract`` on p's legs (x, z) and q's (z, y): it
 visits stored entries only, assuming no zero pattern (S is nonzero on its
 whole antidiagonal at t^0).  A closing pairing meets little of a power:
 at t^(d_a) it meets modes of the other factor at t^(d_b), d_a + d_b <= K,
-so within K - d_a.  The traces cut A and every product to the entries whose
-two modes are within K - d at t^d (:func:`_cut`, the walk's
-``periods._prune`` with bound 1 on each leg); a product takes its row from
-its left factor and its column from its right one, so nothing cut is
-needed later.  Open-necklace states keep full powers.  Brute force still
-checks the trace formula: the two glue different states, vertex states and
-powers of the closed-form T1.
+so within K - d_a.  The traces pass ``contract`` the bound :data:`CUT`, 1 on
+each leg, so it keeps of every product only the entries whose two modes are
+within K - d at t^d, as it prunes the walk's states; A enters cut the same
+way, as S composed with A.  A product takes its row from its left factor and
+its column from its right one, so nothing cut is needed later.  Open-necklace
+states keep full powers.  Brute force still checks the trace formula: the
+two glue different states, vertex states and powers of the closed-form T1.
 
 Brute-force states are ``periods.walk_terms`` of the vertex potentials,
 an open-necklace state is a kernel power, and two leaves join by
@@ -62,7 +62,10 @@ import math
 from typing import Sequence
 
 from ._record import Record, checked_int, scalar
-from .periods import _prune, contract, walk_terms
+from .periods import contract, walk_terms
+
+# the traces' bound for kernel_compose: at t^d both modes within order - d
+CUT = {"x": 1, "y": 1}
 
 
 def _scaled_series(scaled) -> tuple:
@@ -197,15 +200,15 @@ def t1_kernel(order: int) -> BoundaryState:
     return BoundaryState._raw(("x", "y"), terms)
 
 
-def kernel_compose(p: BoundaryState, q: BoundaryState) -> BoundaryState:
+def kernel_compose(p: BoundaryState, q: BoundaryState, bound: dict | None = None) -> BoundaryState:
     """Compose two kernels along a shared boundary circle: [p(x, z) q(z, y)]_{z^0}
     pairs mode k of p's second variable with mode -k of q's first, the matrix
-    product p S q.  The flip kernel itself is the identity."""
+    product p S q, pruned by ``periods.contract`` to ``bound`` on legs x and y
+    (none by default).  The flip kernel itself is the identity."""
     p._require_kernel()
     q._require_kernel()
-    if p.order != q.order:
-        raise ValueError("kernel orders differ")
-    return BoundaryState._raw(*contract((("x", "z"), p.terms), (("z", "y"), q.terms), {}))
+    return BoundaryState._raw(*contract((("x", "z"), p.terms), (("z", "y"), q.terms),
+                                        bound or {}))
 
 
 def kernel_matmul(p: BoundaryState, q: BoundaryState) -> BoundaryState:
@@ -229,22 +232,16 @@ def _flipped(p: BoundaryState) -> BoundaryState:
                                             for t in p.terms])
 
 
-def _cut(p: BoundaryState) -> BoundaryState:
-    """p without its entries at t^d with a mode beyond order - d, which no
-    closing pairing meets: ``periods._prune`` with bound 1 on each leg."""
-    return BoundaryState._raw(p.leaf_vars, [_prune(t, p.order - d, [(0, 1), (1, 1)])
-                                            for d, t in enumerate(p.terms)])
-
-
-def _by_squaring(a: BoundaryState, n: int, trim=lambda p: p) -> BoundaryState:
-    """A^[n] = a^n S^(n-1) for n >= 1, each product passed through ``trim``:
-    over the bits of n after the first, compose the power with itself, then
-    with a where the bit is set."""
+def _by_squaring(a: BoundaryState, n: int, bound: dict | None = None) -> BoundaryState:
+    """A^[n] = a^n S^(n-1) for n >= 1, each product pruned by ``contract`` to
+    ``bound`` (:data:`CUT` for the traces, whose a enters cut as S a): over
+    the bits of n after the first, compose the power with itself, then with
+    a where the bit is set."""
     power = a
     for bit in bin(n)[3:]:
-        power = trim(kernel_compose(power, power))
+        power = kernel_compose(power, power, bound)
         if bit == "1":
-            power = trim(kernel_compose(power, a))
+            power = kernel_compose(power, a, bound)
     return power
 
 
@@ -289,9 +286,9 @@ def trace_periods(g: int, parity: int, order: int) -> tuple[int, ...]:
     a = t1_kernel(order)
     if n == 1:
         return kernel_trace(a, 1 + parity)
-    a = _cut(a)
-    low = _by_squaring(a, n // 2, _cut)
-    high = _cut(kernel_compose(low, a)) if n % 2 else low
+    a = kernel_compose(flip_operator(order), a, CUT)  # S A = A, cut
+    low = _by_squaring(a, n // 2, CUT)
+    high = kernel_compose(low, a, CUT) if n % 2 else low
     return _pair_traces(high, low)[parity]
 
 
@@ -307,12 +304,12 @@ def trace_formula_table(g_max: int, order: int) -> dict[tuple[int, int], tuple[i
     checked_int(g_max, 2, what="g_max")
     a = t1_kernel(order)
     table = {(2, 0): kernel_trace(a, 1), (2, 1): kernel_trace(a, 2)}
-    low = high = a = _cut(a)  # A^[floor(n/2)] and A^[ceil(n/2)]
+    low = high = a = kernel_compose(flip_operator(order), a, CUT)  # A^[n // 2] and A^[n - n // 2]
     for n in range(2, g_max):
         if n % 2:
             # looked up by module name, so a wrapper (perfbench/tracing.py,
             # the tests) sees every product
-            high = _cut(kernel_compose(high, a))
+            high = kernel_compose(high, a, CUT)
         else:
             low = high
         table[(n + 1, 0)], table[(n + 1, 1)] = _pair_traces(high, low)

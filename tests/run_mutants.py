@@ -1,14 +1,16 @@
 """Run the source mutants listed in tests/mutants.json against their tests.
 
-Each mutant replaces one exact text of one source file.  For each mutant, in
-list order, the runner copies what the tests read (src/, tests/, fixtures/,
-perfbench/, pyproject.toml and README.md) into a temporary directory, applies
-the mutant there and runs the listed test modules with ``pytest -x -q``.  A
-failing run kills the mutant; a passing run means it survived.  Each entry
-expects ``killed``, or ``equivalent`` for a mutant that changes no result and
-must survive.  A first run of every listed module on an unmutated copy must
-pass, so a kill cannot come from an incomplete copy.  One line is printed per
-run; the exit status is 1 if any outcome differs from its expectation.
+Each mutant replaces one exact text of one source file.  For each mutant the
+runner copies what the tests read (src/, tests/, fixtures/, perfbench/,
+pyproject.toml and README.md) into a temporary directory, applies the mutant
+there and runs the listed test modules with ``pytest -x -q``.  A failing run
+kills the mutant; a passing run means it survived.  Each entry expects
+``killed``, or ``equivalent`` for a mutant that changes no result and must
+survive.  A first run of every listed module on an unmutated copy must pass,
+alone, so a kill cannot come from an incomplete copy; then the mutants run
+two at a time, one per core of a 2-core machine.  One line is printed per
+run, in list order; the exit status is 1 if any outcome differs from its
+expectation.
 
     python tests/run_mutants.py
 """
@@ -22,12 +24,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = ROOT / "tests" / "mutants.json"
 COPIED = ("src", "tests", "fixtures", "perfbench", "pyproject.toml", "README.md")
 OUTCOME = {0: "equivalent", 1: "killed"}  # pytest's exit status: passed, tests failed
+WORKERS = 2  # mutant runs at a time
 
 
 def run(mutant: dict) -> str:
@@ -52,21 +56,29 @@ def run(mutant: dict) -> str:
         return OUTCOME.get(done.returncode, f"pytest exit status {done.returncode}")
 
 
+def timed(mutant: dict) -> tuple[str, float]:
+    """The mutant's outcome and the seconds its run took."""
+    start = time.perf_counter()
+    return run(mutant), time.perf_counter() - start
+
+
+def report(mutant: dict, outcome: str, seconds: float) -> bool:
+    """Print the mutant's line; whether its outcome is the expected one."""
+    ok = outcome == mutant["expect"]
+    print(f"{'ok' if ok else 'UNEXPECTED':10} {outcome:10} {seconds:5.1f} s  "
+          f"{mutant['id']} (expected {mutant['expect']})", flush=True)
+    return ok
+
+
 def main() -> int:
     mutants = json.loads(MUTANTS.read_text())
     modules = sorted({t for m in mutants for t in m["tests"]})
     control = {"id": "unmutated", "file": None, "tests": modules, "expect": "equivalent"}
-    unexpected = 0
-    for mutant in [control, *mutants]:
-        start = time.perf_counter()
-        outcome = run(mutant)
-        ok = outcome == mutant["expect"]
-        unexpected += not ok
-        print(f"{'ok' if ok else 'UNEXPECTED':10} {outcome:10} {time.perf_counter() - start:5.1f} s  "
-              f"{mutant['id']} (expected {mutant['expect']})", flush=True)
-        if mutant is control and not ok:
-            print("the unmutated copy fails its tests, so no mutant can be judged")
-            return 1
+    if not report(control, *timed(control)):
+        print("the unmutated copy fails its tests, so no mutant can be judged")
+        return 1
+    with ThreadPoolExecutor(WORKERS) as pool:  # map yields in list order
+        unexpected = sum(not report(m, *done) for m, done in zip(mutants, pool.map(timed, mutants)))
     print(f"{unexpected} unexpected outcomes")
     return 1 if unexpected else 0
 

@@ -324,6 +324,15 @@ class TestContract:
             assert (legs, got) == want
         assert zeros > 0  # some sums cancelled, and were left out
 
+    @pytest.mark.parametrize("bound", [{}, {"u": 1, "v": 2}])
+    def test_orders_must_match(self, bound):
+        # either side with fewer degrees would be cut short or read past its end
+        short = (("u", "x"), [{}, {(1, 1): 3}])
+        long = (("x", "v"), [{}, {(-1, 1): 5}, {}])
+        for a, b in ((short, long), (long, short)):
+            with pytest.raises(ValueError, match="orders differ: "):
+                contract(a, b, bound)
+
     def test_weight_and_leg_order(self):
         # u * x at degree 1 meets v / x at degree 1: C(2, 1) * 3 * 5 at t^2
         a = (("u", "x"), [{}, {(1, 1): 3}, {}])

@@ -504,8 +504,9 @@ class TestTraceFormula:
     # A^(g-1) is paired as A^ceil((g-1)/2) times A^floor((g-1)/2), the
     # second by squaring, the first one product more when g - 1 is odd
     # (g = 16: A^7 from A, A^2, A^3, A^6, A^7, then A^8); the table builds
-    # A^1..A^floor(g/2), one product each
-    PRODUCTS = {2: (0, 0), 3: (0, 0), 4: (1, 1), 7: (2, 2), 8: (3, 3), 16: (5, 7), 25: (4, 11)}
+    # A^1..A^floor(g/2), one product each.  Both count one product more, S A,
+    # which cuts A, except a single trace at genus 2, which closes A uncut
+    PRODUCTS = {2: (0, 1), 3: (1, 1), 4: (2, 2), 7: (3, 3), 8: (4, 4), 16: (6, 8), 25: (5, 12)}
 
     @pytest.mark.parametrize("g", [2, 3, 4, 7, 8, 16, 25])
     def test_one_product_per_genus_step(self, g, monkeypatch):
@@ -516,9 +517,9 @@ class TestTraceFormula:
         real = tqft.kernel_compose
         calls = []
 
-        def counting(p, q):
+        def counting(p, q, bound=None):
             calls.append(1)
-            return real(p, q)
+            return real(p, q, bound)
 
         monkeypatch.setattr(tqft, "kernel_compose", counting)
         single, table = self.PRODUCTS[g]
@@ -641,14 +642,36 @@ class TestSquaringAndPairing:
     def test_cut_keeps_only_the_modes_a_pairing_meets(self, order):
         # at t^d a power has no mode beyond d, so a pairing within the order
         # meets no entry of the other factor with a mode beyond K - d
+        def within(p):
+            return [{(i, j): v for (i, j), v in t.items() if max(abs(i), abs(j)) <= order - d}
+                    for d, t in enumerate(p.terms)]
+
         a = t1_kernel(order)
+        cut_a = kernel_compose(flip_operator(order), a, tqft.CUT)
+        assert cut_a.terms == within(a)
+        assert sum(map(len, cut_a.terms)) < sum(map(len, a.terms))
+        # a bounded chain from the cut A is the full chain cut: nothing cut
+        # is needed by a later product
         p, q = tqft._by_squaring(a, 3), tqft._by_squaring(a, 2)
-        cut = tqft._cut(p)
-        for d, (t, kept) in enumerate(zip(p.terms, cut.terms)):
-            assert kept == {(i, j): v for (i, j), v in t.items() if max(abs(i), abs(j)) <= order - d}
-        assert sum(map(len, cut.terms)) < sum(map(len, p.terms))
-        assert tqft._pair_traces(cut, tqft._cut(q)) == tqft._pair_traces(cut, q) \
+        cut_p, cut_q = (tqft._by_squaring(cut_a, n, tqft.CUT) for n in (3, 2))
+        assert (cut_p.terms, cut_q.terms) == (within(p), within(q))
+        assert tqft._pair_traces(cut_p, cut_q) == tqft._pair_traces(cut_p, q) \
             == tqft._pair_traces(p, q)
+
+    @pytest.mark.parametrize("order", [0, 5, 8])
+    def test_bound_prunes_the_unbounded_product(self, order):
+        # the bound is contract's own prune, also on entries beyond their degree
+        def pruned(p):
+            return [periods._prune(t, order - d, [(0, 1), (1, 1)]) for d, t in enumerate(p.terms)]
+
+        rng = random.Random(order)
+        a = t1_kernel(order)
+        pairs = [(power_of_a(order, m), power_of_a(order, n)) for m, n in ((1, 1), (2, 3))]
+        pairs += [(random_kernel(order, rng, 0.3), random_kernel(order, rng, 0.3))
+                  for _ in range(3)]
+        pairs += [(flip_operator(order), a), (a, flip_operator(order))]
+        for p, q in pairs:
+            assert kernel_compose(p, q, tqft.CUT).terms == pruned(kernel_compose(p, q))
 
 
 class TestBoundaryStates:
